@@ -5,13 +5,10 @@ accuracy against the known layout rule."""
 import argparse
 import time
 
+import numpy as np
+
 from robophoto import tinynet
-from robophoto.abstraction import (
-    build_picture_cnn,
-    classify_picture,
-    image_to_input,
-    render_abstract,
-)
+from robophoto.abstraction import classify_pictures, train_picture_cnn
 from robophoto.core import Label
 from robophoto.synthetic import make_layout_dataset
 
@@ -31,10 +28,6 @@ def main() -> None:
     n_held = int(len(pictures) * args.held_fraction)
     train_pics, held_pics = pictures[:-n_held], pictures[-n_held:]
 
-    samples = [
-        (image_to_input(render_abstract(p)), 1.0 if p.label is Label.GOOD else 0.0)
-        for p in train_pics
-    ]
     config = tinynet.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -43,13 +36,11 @@ def main() -> None:
         seed=args.seed,
     )
     t0 = time.time()
-    model, history = tinynet.train(build_picture_cnn(seed=args.seed), samples, config)
+    model, history = train_picture_cnn(train_pics, config, seed=args.seed)
     elapsed = time.time() - t0
 
-    correct = sum(
-        (classify_picture(model, render_abstract(p)) >= 0.5) == (p.label is Label.GOOD)
-        for p in held_pics
-    )
+    pred_good = classify_pictures(model, held_pics) >= 0.5
+    correct = int(np.count_nonzero(pred_good == [p.label is Label.GOOD for p in held_pics]))
     print(f"trained {args.epochs} epochs in {elapsed:.1f}s "
           f"(loss {history[0]:.4f} -> {history[-1]:.4f})")
     print(f"held-out accuracy {correct / len(held_pics):.4f} on {len(held_pics)} pictures")

@@ -7,11 +7,13 @@ The gap between 245 and the 255 background keeps rectangles separable.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from . import tinynet
-from .core import PictureRecord
-from .tinynet import NetworkModel
+from .core import DatasetError, Label, PictureRecord
+from .tinynet import NetworkModel, TrainConfig
 
 CANVAS_W = 150
 CANVAS_H = 100
@@ -80,3 +82,22 @@ def image_to_input(image: np.ndarray) -> np.ndarray:
 def classify_picture(model: NetworkModel, abstract_image: np.ndarray) -> float:
     """Forward pass on an abstract image; callers treat score >= 0.5 as Good."""
     return tinynet.forward(model, image_to_input(abstract_image))
+
+
+def classify_pictures(model: NetworkModel, pictures: Iterable[PictureRecord]) -> np.ndarray:
+    """Layout scores for scored pictures, rendered and scored in batches."""
+    return tinynet.forward_many(model, (image_to_input(render_abstract(p)) for p in pictures))
+
+
+def train_picture_cnn(
+    pictures: Sequence[PictureRecord], config: TrainConfig, seed: int = 0
+) -> tuple[NetworkModel, list[float]]:
+    """Train the layout CNN on the abstract renders of the labeled pictures."""
+    samples = [
+        (image_to_input(render_abstract(p)), 1.0 if p.label is Label.GOOD else 0.0)
+        for p in pictures
+        if p.label is not None
+    ]
+    if not samples:
+        raise DatasetError("no labeled pictures to train on")
+    return tinynet.train(build_picture_cnn(seed=seed), samples, config)

@@ -7,32 +7,23 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, tinynet
-from .abstraction import classify_picture, build_picture_cnn, image_to_input, render_abstract
+from .abstraction import render_abstract, train_picture_cnn
 from .behavior_sim import Scenario, Simulator, write_event_log
-from .composition import (
-    baseline_score,
-    heuristic_score,
-    thresholds_from_json,
-    thresholds_to_json,
-)
+# re-export: the benchmark's tracer tests wrap and call cli.baseline_score
+from .composition import baseline_score, thresholds_from_json, thresholds_to_json  # noqa: F401
 from .core import (
     Dataset,
     DatasetError,
-    Label,
-    NoFacesError,
-    PictureRecord,
-    face_count_category,
+    ValidationResult,
     read_records_jsonl,
     split_dataset,
     validate_dataset,
     write_dataset_jsonl,
 )
-from .face_quality import dataset_faces, score_observation, train_face_ann, train_face_cnn
+from .face_quality import dataset_faces, train_face_ann, train_face_cnn
 from .pgm import write_pgm
-from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
+from .pipeline import METHODS, evaluate_methods, run_pipeline, score_dataset
 from .stats import welch_t_test
 from .threshold_opt import GAConfig, ga_optimize, write_curve_csv
 from .tinynet import TrainConfig, TrainingDivergedError
@@ -42,8 +33,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-METHODS = ("baseline", "heuristic", "picture_cnn")
-
 
 def _write_run_config(out_path: Path, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
@@ -52,49 +41,31 @@ def _write_run_config(out_path: Path, args: argparse.Namespace) -> None:
     path.write_text(json.dumps(cfg, sort_keys=True, default=str) + "\n", encoding="utf-8")
 
 
-def _load_dataset(path: str, keep_faceless: bool = False) -> Dataset:
+def _load_dataset(path: str, keep_faceless: bool = False) -> ValidationResult:
     raw = read_records_jsonl(path)
-    result = validate_dataset(
+    return validate_dataset(
         raw, keep_faceless=keep_faceless, provenance=path, base_dir=Path(path).parent
     )
-    return result.dataset
 
 
-def _score_dataset(dataset: Dataset, face_model_path: str | None) -> Dataset:
-    """Attach face quality scores, from a model file or already-stored scores."""
-    if face_model_path is None:
-        for rec in dataset.records:
-            for f in rec.faces:
-                if f.score is None:
-                    raise DatasetError(
-                        "face_quality: faces carry no scores and no --face-model was given"
-                    )
-        return dataset
-    model = tinynet.load_model(face_model_path)
-    records = []
-    for rec in dataset.records:
-        faces = tuple(score_observation(model, f) for f in rec.faces)
-        records.append(
-            PictureRecord(
-                picture_id=rec.picture_id,
-                burst_id=rec.burst_id,
-                width=rec.width,
-                height=rec.height,
-                faces=faces,
-                label=rec.label,
-            )
-        )
-    return Dataset(records=tuple(records), provenance=dataset.provenance)
+def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = False) -> Dataset:
+    """The validated dataset with face scores from the model file, or stored ones."""
+    dataset = _load_dataset(path, keep_faceless).dataset
+    face_model = None if face_model_path is None else tinynet.load_model(face_model_path)
+    return score_dataset(dataset, face_model)
+
+
+def _load_methods(args):
+    """Thresholds of both geometric scorers and the layout CNN, from their files."""
+    return (
+        thresholds_from_json(Path(args.baseline_thresholds).read_text()),
+        thresholds_from_json(Path(args.heuristic_thresholds).read_text()),
+        tinynet.load_model(args.picture_model),
+    )
 
 
 def cmd_ingest(args) -> int:
-    raw = read_records_jsonl(args.dataset)
-    result = validate_dataset(
-        raw,
-        keep_faceless=args.keep_faceless,
-        provenance=args.dataset,
-        base_dir=Path(args.dataset).parent,
-    )
+    result = _load_dataset(args.dataset, keep_faceless=args.keep_faceless)
     write_dataset_jsonl(result.dataset, args.out)
     _write_run_config(Path(args.out), args)
     print(
@@ -105,7 +76,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = _load_dataset(args.dataset, keep_faceless=True)
+    dataset = _load_dataset(args.dataset, keep_faceless=True).dataset
     ratios = tuple(float(r) for r in args.ratios.split(","))
     if len(ratios) != 3:
         raise ValueError("--ratios needs three comma-separated values")
@@ -129,46 +100,35 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def cmd_train_face_ann(args) -> int:
-    dataset = _load_dataset(args.dataset)
-    model, history = train_face_ann(dataset_faces(dataset), _train_config(args), seed=args.seed)
+def _save_trained(args, model, history) -> int:
     tinynet.save_model(model, args.out)
     _write_run_config(Path(args.out), args)
     print(f"final loss {history[-1]:.6f} after {len(history)} epochs")
     return EXIT_OK
+
+
+def cmd_train_face_ann(args) -> int:
+    faces = dataset_faces(_load_dataset(args.dataset).dataset)
+    return _save_trained(args, *train_face_ann(faces, _train_config(args), seed=args.seed))
 
 
 def cmd_train_face_cnn(args) -> int:
-    dataset = _load_dataset(args.dataset)
-    model, history = train_face_cnn(dataset_faces(dataset), _train_config(args), seed=args.seed)
-    tinynet.save_model(model, args.out)
-    _write_run_config(Path(args.out), args)
-    print(f"final loss {history[-1]:.6f} after {len(history)} epochs")
-    return EXIT_OK
+    faces = dataset_faces(_load_dataset(args.dataset).dataset)
+    return _save_trained(args, *train_face_cnn(faces, _train_config(args), seed=args.seed))
 
 
 def cmd_train_picture_cnn(args) -> int:
-    dataset = _score_dataset(_load_dataset(args.dataset), args.face_model)
-    samples = []
-    for rec in dataset.records:
-        if rec.label is None:
-            continue
-        samples.append(
-            (image_to_input(render_abstract(rec)), 1.0 if rec.label is Label.GOOD else 0.0)
-        )
-    if not samples:
-        raise DatasetError("no labeled pictures to train on")
-    model, history = tinynet.train(build_picture_cnn(seed=args.seed), samples, _train_config(args))
-    tinynet.save_model(model, args.out)
-    _write_run_config(Path(args.out), args)
-    print(f"final loss {history[-1]:.6f} after {len(history)} epochs")
-    return EXIT_OK
+    dataset = _load_scored(args.dataset, args.face_model)
+    return _save_trained(
+        args, *train_picture_cnn(dataset.records, _train_config(args), seed=args.seed)
+    )
 
 
 def cmd_optimize_thresholds(args) -> int:
-    dataset = _load_dataset(args.dataset, keep_faceless=True)
     if args.kind == "heuristic":
-        dataset = _score_dataset(dataset, args.face_model)
+        dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
+    else:
+        dataset = _load_dataset(args.dataset, keep_faceless=True).dataset
     config = GAConfig(
         population_size=args.population,
         generations=args.generations,
@@ -182,117 +142,25 @@ def cmd_optimize_thresholds(args) -> int:
     return EXIT_OK
 
 
-def _category_name(rec: PictureRecord) -> str:
-    try:
-        return face_count_category(rec).value
-    except NoFacesError:
-        return "no_faces"
-
-
-def _method_score(rec, method, baseline_t, heuristic_t, picture_model):
-    if method == "baseline":
-        s = baseline_score(rec, baseline_t)
-        return s.passed, s.value
-    if method == "heuristic":
-        s = heuristic_score(rec, heuristic_t)
-        return s.passed, s.value
-    score = classify_picture(picture_model, render_abstract(rec))
-    return score >= 0.5, score
-
-
-def evaluate_methods(
-    dataset: Dataset, baseline_t, heuristic_t, picture_model
-) -> dict:
-    """Accuracy of all three methods on the same labeled split, overall and
-    per face-count category. Categories without pictures report null."""
-    labeled = [r for r in dataset.records if r.label is not None]
-    if not labeled:
-        raise DatasetError("no labeled pictures to evaluate")
-    report: dict = {"n_pictures": len(labeled), "methods": {}}
-    for method in METHODS:
-        confusion = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-        per_cat: dict[str, list[int]] = {}
-        for rec in labeled:
-            pred_good, _ = _method_score(rec, method, baseline_t, heuristic_t, picture_model)
-            actual_good = rec.label is Label.GOOD
-            key = ("t" if pred_good == actual_good else "f") + ("p" if pred_good else "n")
-            confusion[key] += 1
-            cat = _category_name(rec)
-            per_cat.setdefault(cat, [0, 0])
-            per_cat[cat][0] += pred_good == actual_good
-            per_cat[cat][1] += 1
-        n = len(labeled)
-        by_category = {
-            cat: (c / t if t else None) for cat, (c, t) in sorted(per_cat.items())
-        }
-        report["methods"][method] = {
-            "accuracy": (confusion["tp"] + confusion["tn"]) / n,
-            "by_category": by_category,
-            "confusion": confusion,
-        }
-    return report
-
-
-def cmd_evaluate(args) -> int:
-    dataset = _score_dataset(_load_dataset(args.dataset, keep_faceless=True), args.face_model)
-    baseline_t = thresholds_from_json(Path(args.baseline_thresholds).read_text())
-    heuristic_t = thresholds_from_json(Path(args.heuristic_thresholds).read_text())
-    picture_model = tinynet.load_model(args.picture_model)
-    report = evaluate_methods(dataset, baseline_t, heuristic_t, picture_model)
+def _write_report(args, report: dict) -> None:
     report["tool_version"] = __version__
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     _write_run_config(Path(args.out), args)
+
+
+def cmd_evaluate(args) -> int:
+    dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
+    report = evaluate_methods(dataset, *_load_methods(args))
+    _write_report(args, report)
     for method, m in report["methods"].items():
         print(f"{method}: accuracy {m['accuracy']:.4f}")
     return EXIT_OK
 
 
-def run_pipeline(dataset: Dataset, baseline_t, heuristic_t, picture_model, quota: int = 8) -> dict:
-    """Score every picture with all three methods and select per-method bests."""
-    constraints = SelectionConstraints(per_category_quota=quota, total=3 * quota)
-    report: dict = {"crop_plans": {}, "selections": []}
-    sizes = {(r.width, r.height) for r in dataset.records}
-    for w, h in sorted(sizes):
-        report["crop_plans"][f"{w}x{h}"] = crop_cascade(w, h)
-    for method in METHODS:
-        candidates = []
-        for rec in dataset.records:
-            if not rec.faces:
-                continue
-            _, value = _method_score(rec, method, baseline_t, heuristic_t, picture_model)
-            candidates.append(
-                ScoredPicture(
-                    picture_id=rec.picture_id,
-                    burst_id=rec.burst_id,
-                    category=face_count_category(rec),
-                    score=value,
-                )
-            )
-        by_id = {c.picture_id: c for c in candidates}
-        for rank, pid in enumerate(select_best(candidates, constraints)):
-            c = by_id[pid]
-            report["selections"].append(
-                {
-                    "method": method,
-                    "picture_id": c.picture_id,
-                    "burst_id": c.burst_id,
-                    "category": c.category.value,
-                    "score": c.score,
-                    "rank": rank,
-                }
-            )
-    return report
-
-
 def cmd_select(args) -> int:
-    dataset = _score_dataset(_load_dataset(args.dataset), args.face_model)
-    baseline_t = thresholds_from_json(Path(args.baseline_thresholds).read_text())
-    heuristic_t = thresholds_from_json(Path(args.heuristic_thresholds).read_text())
-    picture_model = tinynet.load_model(args.picture_model)
-    report = run_pipeline(dataset, baseline_t, heuristic_t, picture_model, quota=args.quota)
-    report["tool_version"] = __version__
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_run_config(Path(args.out), args)
+    dataset = _load_scored(args.dataset, args.face_model)
+    report = run_pipeline(dataset, *_load_methods(args), quota=args.quota)
+    _write_report(args, report)
     print(f"selected {len(report['selections'])} pictures across {len(METHODS)} methods")
     return EXIT_OK
 
@@ -309,7 +177,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render_abstract(args) -> int:
-    dataset = _score_dataset(_load_dataset(args.dataset), args.face_model)
+    dataset = _load_scored(args.dataset, args.face_model)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rec in dataset.records:
@@ -344,6 +212,14 @@ def _add_train_flags(p):
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--optimizer", choices=("sgd", "momentum"), default="sgd")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_method_flags(p):
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--baseline-thresholds", required=True)
+    p.add_argument("--heuristic-thresholds", required=True)
+    p.add_argument("--picture-model", required=True)
+    p.add_argument("--face-model", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,20 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize_thresholds)
 
     p = sub.add_parser("evaluate", help="evaluate all three methods on a labeled split")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--baseline-thresholds", required=True)
-    p.add_argument("--heuristic-thresholds", required=True)
-    p.add_argument("--picture-model", required=True)
-    p.add_argument("--face-model", default=None)
+    _add_method_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("select", help="score, crop-plan and select best pictures per method")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--baseline-thresholds", required=True)
-    p.add_argument("--heuristic-thresholds", required=True)
-    p.add_argument("--picture-model", required=True)
-    p.add_argument("--face-model", default=None)
+    _add_method_flags(p)
     p.add_argument("--quota", type=int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 from .core import BoundingBox, PictureRecord
 

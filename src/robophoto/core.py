@@ -7,7 +7,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -312,8 +312,6 @@ def validate_dataset(
     dropped_faces = 0
     dropped_records = 0
     for d in raw_records:
-        if isinstance(d, PictureRecord):
-            d = record_to_dict(d)
         pid = str(d.get("picture_id", ""))
         if pid in seen_ids:
             raise ValidationError(f"duplicate picture_id {pid!r}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,29 +100,28 @@ def standardize_features(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _ann_input(model: NetworkModel, obs: FaceObservation) -> np.ndarray:
-    v = obs.features.as_vector()
-    mean = model.metadata.get("feature_mean")
-    std = model.metadata.get("feature_std")
-    if mean is not None and std is not None:
-        v = (v - np.asarray(mean)) / np.asarray(std)
-    return v
+def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
+    """Network input of each face, picked by model kind, produced lazily."""
+    cnn = model.metadata.get("architecture", "") == "face_cnn"
+    mean, std = model.metadata.get("feature_mean"), model.metadata.get("feature_std")
+    for obs in faces:
+        if not cnn:
+            v = obs.features.as_vector()
+            yield v if mean is None or std is None else (v - np.asarray(mean)) / np.asarray(std)
+        elif obs.face_image is None:
+            raise MissingInputError("face_cnn scoring needs a face image")
+        else:
+            yield preprocess_face(obs.face_image)
+
+
+def score_faces(model: NetworkModel, faces: Iterable[FaceObservation]) -> np.ndarray:
+    """Quality scores in [0, 1], one per observation, scored in batches."""
+    return tinynet.forward_many(model, _face_inputs(model, faces))
 
 
 def score_face(model: NetworkModel, obs: FaceObservation) -> float:
     """Quality score in [0, 1] for one observation; picks input by model kind."""
-    arch = model.metadata.get("architecture", "")
-    if arch == "face_cnn":
-        if obs.face_image is None:
-            raise MissingInputError("face_cnn scoring needs a face image")
-        x = preprocess_face(obs.face_image)
-    else:
-        x = _ann_input(model, obs)
-    return tinynet.forward(model, x)
-
-
-def score_observation(model: NetworkModel, obs: FaceObservation) -> FaceObservation:
-    return obs.with_score(score_face(model, obs))
+    return float(score_faces(model, [obs])[0])
 
 
 def train_face_ann(
@@ -163,11 +162,9 @@ def evaluate_face_model(model: NetworkModel, faces: Sequence[FaceObservation]) -
     labeled = [f for f in faces if f.label is not None]
     if not labeled:
         raise ValueError("no labeled faces to evaluate")
-    correct = 0
-    for f in labeled:
-        pred_good = score_face(model, f) >= 0.5
-        correct += pred_good == (f.label is Label.GOOD)
-    return correct / len(labeled)
+    pred_good = score_faces(model, labeled) >= 0.5
+    actual_good = np.array([f.label is Label.GOOD for f in labeled])
+    return int(np.count_nonzero(pred_good == actual_good)) / len(labeled)
 
 
 def dataset_faces(dataset: Dataset) -> list[FaceObservation]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import FaceCountCategory
@@ -20,8 +20,6 @@ CATEGORY_ORDER = (FaceCountCategory.ONE, FaceCountCategory.TWO, FaceCountCategor
 @dataclass(frozen=True)
 class SelectionConstraints:
     per_category_quota: int = 8
-    one_per_burst: bool = True
-    total: int = 24
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def select_best(
         for c in _ranked(candidates, cat):
             if taken >= constraints.per_category_quota:
                 break
-            if constraints.one_per_burst and c.burst_id in used_bursts:
+            if c.burst_id in used_bursts:
                 continue
             picked.append(c.picture_id)
             used_bursts.add(c.burst_id)
@@ -119,9 +117,8 @@ def selection_oracle(
         for size in range(max_size, -1, -1):
             for combo in itertools.combinations(indexed, size):
                 bursts = [c.burst_id for _, c in combo]
-                if constraints.one_per_burst:
-                    if len(set(bursts)) != size or any(b in used_bursts for b in bursts):
-                        continue
+                if len(set(bursts)) != size or any(b in used_bursts for b in bursts):
+                    continue
                 ranks = tuple(i for i, _ in combo)
                 if best is None or (-size, ranks) < (-best[0], best[1]):
                     best = (size, ranks)

@@ -15,7 +15,6 @@ import numpy as np
 from .composition import BaselineThresholds, HeuristicThresholds
 from .core import (
     BoundingBox,
-    Dataset,
     FaceFeatures,
     FaceObservation,
     Label,

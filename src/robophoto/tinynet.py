@@ -8,11 +8,11 @@ returns a new model.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -152,10 +152,6 @@ def build_model(layers: Sequence[LayerSpec], seed: int = 0, metadata: Optional[d
     return NetworkModel(layers=tuple(layers), weights=weights, metadata=meta)
 
 
-def num_parameters(model: NetworkModel) -> int:
-    return sum(int(p.size) for w in model.weights for p in w.values())
-
-
 def _conv_geometry(h: int, w: int, spec: LayerSpec):
     """Output size and (top, bottom, left, right) padding for one conv layer."""
     s, fh, fw = spec.stride, spec.filter_h, spec.filter_w
@@ -267,27 +263,43 @@ def _forward_all(model: NetworkModel, x: np.ndarray):
     return outs, caches
 
 
+def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """One scalar output per input row, keeping only the live activation.
+    Floating input keeps its precision; anything else runs in float64."""
+    x = np.asarray(x)
+    out = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
+        out, _ = _layer_forward(idx, spec, params, out)
+    if out.shape != (len(x), 1):
+        raise ShapeError(f"expected one scalar output per input, got shape {out.shape}")
+    return out[:, 0]
+
+
 def forward(model: NetworkModel, x: np.ndarray) -> float:
     """Run one input through the network; returns the scalar sigmoid output."""
-    x = np.asarray(x, dtype=np.float64)
-    outs, _ = _forward_all(model, x[None, ...])
-    out = outs[-1]
-    if out.shape != (1, 1):
-        raise ShapeError(f"expected scalar output, got shape {out.shape}")
-    return float(out[0, 0])
+    return float(forward_batch(model, np.asarray(x)[None])[0])
 
 
-def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
-    outs, _ = _forward_all(model, np.asarray(x, dtype=np.float64))
-    return outs[-1][:, 0]
+SCORE_BATCH = 32
+
+
+def forward_many(model: NetworkModel, inputs: Iterable[np.ndarray]) -> np.ndarray:
+    """Outputs for an iterable of single inputs, stacked SCORE_BATCH at a time
+    so a whole dataset is never held as one array."""
+    it = iter(inputs)
+    chunks = [np.empty(0)]
+    while chunk := list(itertools.islice(it, SCORE_BATCH)):
+        chunks.append(forward_batch(model, np.stack(chunk)))
+    return np.concatenate(chunks)
 
 
 _EPS = 1e-12
 
 
-def _bce(p: np.ndarray, y: np.ndarray) -> float:
+def _bce(p: np.ndarray, y: np.ndarray) -> np.floating:
+    """Mean binary cross-entropy in the precision of p and y."""
     p = np.clip(p, _EPS, 1.0 - _EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
@@ -300,7 +312,7 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     outs, caches = _forward_all(model, x)
     p = outs[-1].reshape(-1)
-    loss = _bce(p, y)
+    loss = float(_bce(p, y))
     n = len(y)
 
     grads: list[dict] = [{} for _ in model.layers]
@@ -357,14 +369,6 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
     return replace(work, metadata=meta), history
 
 
-def _loss_only(model: NetworkModel, weights, x: np.ndarray, y: np.ndarray) -> np.floating:
-    """Forward pass and BCE using the given weight list, preserving dtype."""
-    for idx, (spec, params) in enumerate(zip(model.layers, weights)):
-        x, _ = _layer_forward(idx, spec, params, x)
-    p = np.clip(x.reshape(-1), _EPS, 1.0 - _EPS)
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-
-
 def gradient_check(model: NetworkModel, sample, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -385,6 +389,7 @@ def gradient_check(model: NetworkModel, sample, epsilon: float = 1e-5) -> float:
     weights = [
         {k: v.astype(np.longdouble) for k, v in w.items()} for w in model.weights
     ]
+    probe = NetworkModel(layers=model.layers, weights=tuple(weights))
 
     max_err = 0.0
     for layer_idx, layer_w in enumerate(weights):
@@ -394,9 +399,9 @@ def gradient_check(model: NetworkModel, sample, epsilon: float = 1e-5) -> float:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = _loss_only(model, weights, xl, yl)
+                lp = _bce(forward_batch(probe, xl), yl)
                 flat[i] = orig - eps
-                lm = _loss_only(model, weights, xl, yl)
+                lm = _bce(forward_batch(probe, xl), yl)
                 flat[i] = orig
                 g_num = float((lp - lm) / (2.0 * eps))
                 denom = max(abs(g_analytic[i]), abs(g_num), 1e-12)

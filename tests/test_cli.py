@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from robophoto.cli import (
 from robophoto.composition import (
     BaselineThresholds,
     HeuristicThresholds,
+    heuristic_score,
+    thresholds_from_json,
     thresholds_to_json,
 )
-from robophoto.core import Dataset, write_dataset_jsonl
+from robophoto.core import Dataset, Label, read_records_jsonl, validate_dataset, write_dataset_jsonl
+from robophoto.face_quality import score_face, train_face_ann
 from robophoto.synthetic import (
     DEFAULT_HIDDEN_BASELINE,
     DEFAULT_HIDDEN_HEURISTIC,
+    make_face_feature_dataset,
     make_threshold_dataset,
 )
 
@@ -239,3 +244,49 @@ def test_evaluate_methods_requires_labels(picture_model_path):
     model = tinynet.load_model(picture_model_path)
     with pytest.raises(Exception):
         evaluate_methods(unlabeled, DEFAULT_HIDDEN_BASELINE, DEFAULT_HIDDEN_HEURISTIC, model)
+
+
+@pytest.fixture
+def face_model_path(tmp_path):
+    faces = make_face_feature_dataset(64, seed=2)
+    config = tinynet.TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=0)
+    model, _ = train_face_ann(faces, config, seed=0)
+    path = tmp_path / "face.tnet"
+    tinynet.save_model(model, path)
+    return path
+
+
+def test_face_model_rescores_evaluate_and_select(
+    tmp_path, dataset_path, threshold_paths, picture_model_path, face_model_path, capsys
+):
+    bp, hp = threshold_paths
+    common = [
+        "--dataset", str(dataset_path),
+        "--baseline-thresholds", str(bp),
+        "--heuristic-thresholds", str(hp),
+        "--picture-model", str(picture_model_path),
+        "--face-model", str(face_model_path),
+    ]
+    assert main(["evaluate", *common, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert main(["select", *common, "--out", str(tmp_path / "selection.json")]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    selection = json.loads((tmp_path / "selection.json").read_text())
+
+    # the same heuristic, with every face scored on its own
+    model = tinynet.load_model(face_model_path)
+    heuristic_t = thresholds_from_json(hp.read_text())
+    records = validate_dataset(read_records_jsonl(dataset_path)).dataset.records
+    alone = {}
+    for rec in records:
+        rescored = replace(rec, faces=tuple(f.with_score(score_face(model, f)) for f in rec.faces))
+        alone[rec.picture_id] = (rec, heuristic_score(rescored, heuristic_t))
+
+    confusion = report["methods"]["heuristic"]["confusion"]
+    assert confusion["tp"] + confusion["fp"] == sum(s.passed for _, s in alone.values())
+    assert confusion["tp"] == sum(
+        s.passed and rec.label is Label.GOOD for rec, s in alone.values()
+    )
+    picked = [s for s in selection["selections"] if s["method"] == "heuristic"]
+    assert picked
+    for sel in picked:
+        assert sel["score"] == pytest.approx(alone[sel["picture_id"]][1].value, rel=0, abs=1e-12)

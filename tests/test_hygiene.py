@@ -1,0 +1,38 @@
+"""Lint step: every name a package module imports must be used in it.
+
+An import line marked ``# noqa: F401`` is a deliberate re-export and is
+skipped, as flake8 and ruff would skip it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "robophoto"
+
+
+def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.end_lineno - 1]:
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = _imported_names(tree, source.splitlines())
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
