@@ -67,6 +67,9 @@ class PictureTakingParams:
             raise ValueError("n_max must be <= n_window")
 
 
+PICTURE_TAKING = PictureTakingParams()
+
+
 @dataclass(frozen=True)
 class CollisionState:
     blocked_history: tuple[bool, ...] = ()
@@ -127,7 +130,7 @@ def collision_update(
 
 
 def camera_vote(
-    history: Sequence[Optional[str]], params: PictureTakingParams = PictureTakingParams()
+    history: Sequence[Optional[str]], params: PictureTakingParams = PICTURE_TAKING
 ) -> Optional[str]:
     """A camera wins when it held the per-frame face-count maximum in at
     least n_max of the last n_window frames."""
@@ -175,17 +178,9 @@ class Scenario:
 class Simulator:
     """Step-wise behavior simulation over a scenario; emits one log entry per step."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        controller: ControllerParams = ControllerParams(),
-        collision: CollisionParams = CollisionParams(),
-        picture: PictureTakingParams = PictureTakingParams(),
-    ):
+    def __init__(self, scenario: Scenario, controller: ControllerParams = ControllerParams()):
         self.scenario = scenario
         self.controller = controller
-        self.collision_params = collision
-        self.picture_params = picture
         self.x, self.y, self.heading = scenario.start_pose
         self.t = 0.0
         self.state = "follow_line"
@@ -254,9 +249,7 @@ class Simulator:
         state_at_entry = self.state
 
         if self.state in ("follow_line", "transfer_pause"):
-            self.collision_state = collision_update(
-                self._scan_points(), self.collision_state, dt, self.collision_params
-            )
+            self.collision_state = collision_update(self._scan_points(), self.collision_state, dt)
             centroid = line_centroid(self.render_line_image())
             if self.collision_state.stopped:
                 v = omega = 0.0
@@ -264,14 +257,14 @@ class Simulator:
                 v, omega = steer(centroid, self.controller)
             if self.state == "follow_line":
                 self.vote_history.append(frame_winner(self._face_counts()))
-                winner = camera_vote(self.vote_history, self.picture_params)
+                winner = camera_vote(self.vote_history)
                 if winner is not None:
                     self.vote_history.clear()
                     self.return_heading = self.heading
                     delta = {
-                        "left": math.radians(self.picture_params.theta_side),
-                        "right": -math.radians(self.picture_params.theta_side),
-                        "front": -math.radians(self.picture_params.theta_front),
+                        "left": math.radians(PICTURE_TAKING.theta_side),
+                        "right": -math.radians(PICTURE_TAKING.theta_side),
+                        "front": -math.radians(PICTURE_TAKING.theta_front),
                     }[winner]
                     self.rotate_target = _wrap(self.heading + delta)
                     self.state = "rotate_to_subject"
@@ -284,7 +277,7 @@ class Simulator:
             omega = self._rotate_towards(self.rotate_target)
             if omega == 0.0:
                 self.state = "burst_and_rotate_back"
-                self.shots_left = self.picture_params.n_burst
+                self.shots_left = PICTURE_TAKING.n_burst
         elif self.state == "burst_and_rotate_back":
             if self.shots_left > 0:
                 event = "shutter"

@@ -26,7 +26,7 @@ from .pgm import write_pgm
 from .pipeline import METHODS, evaluate_methods, run_pipeline, score_dataset
 from .stats import welch_t_test
 from .threshold_opt import GAConfig, ga_optimize, write_curve_csv
-from .tinynet import TrainConfig, TrainingDivergedError
+from .tinynet import ModelFormatError, TrainConfig, TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,9 +43,7 @@ def _write_run_config(out_path: Path, args: argparse.Namespace) -> None:
 
 def _load_dataset(path: str, keep_faceless: bool = False) -> ValidationResult:
     raw = read_records_jsonl(path)
-    return validate_dataset(
-        raw, keep_faceless=keep_faceless, provenance=path, base_dir=Path(path).parent
-    )
+    return validate_dataset(raw, keep_faceless=keep_faceless, base_dir=Path(path).parent)
 
 
 def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = False) -> Dataset:
@@ -210,7 +208,7 @@ def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--optimizer", choices=("sgd", "momentum"), default="sgd")
+    p.add_argument("--optimizer", choices=tinynet.OPTIMIZERS, default="sgd")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DatasetError, FileNotFoundError) as e:
+    except (DatasetError, ModelFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as e:

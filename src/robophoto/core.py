@@ -7,6 +7,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -146,6 +147,7 @@ class FaceObservation:
     face_image: Optional[np.ndarray] = None  # 8-bit grayscale, HxW
     label: Optional[Label] = None
     score: Optional[float] = None
+    image_path: Optional[str] = None  # absolute path face_image was read from
 
     def __post_init__(self):
         if self.face_image is not None:
@@ -189,7 +191,6 @@ class PictureRecord:
 @dataclass(frozen=True)
 class Dataset:
     records: tuple[PictureRecord, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -240,13 +241,14 @@ def _face_from_dict(d: dict, base_dir: Optional[Path]) -> FaceObservation:
         else:
             feats[name] = float(v)
     features = FaceFeatures(**feats)
-    image = None
+    image = image_path = None
     path = d.get("face_image_path")
     if path:
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
         image = read_pgm(p)
+        image_path = os.path.abspath(p)
     label = Label.parse(d["label"]) if d.get("label") else None
     score = d.get("score")
     return FaceObservation(
@@ -255,6 +257,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path]) -> FaceObservation:
         face_image=image,
         label=label,
         score=None if score is None else float(score),
+        image_path=image_path,
     )
 
 
@@ -297,7 +300,6 @@ def validate_dataset(
     raw_records: Sequence[dict],
     *,
     keep_faceless: bool = False,
-    provenance: str = "",
     base_dir: Optional[Path] = None,
 ) -> ValidationResult:
     """Validate raw records into a Dataset.
@@ -327,7 +329,7 @@ def validate_dataset(
         seen_ids.add(pid)
         records.append(rec)
     return ValidationResult(
-        dataset=Dataset(records=tuple(records), provenance=provenance),
+        dataset=Dataset(records=tuple(records)),
         dropped_faces=dropped_faces,
         dropped_records=dropped_records,
     )
@@ -347,6 +349,8 @@ def face_to_dict(face: FaceObservation) -> dict:
         d["label"] = face.label.value
     if face.score is not None:
         d["score"] = face.score
+    if face.image_path is not None:
+        d["face_image_path"] = face.image_path
     return d
 
 
@@ -364,7 +368,12 @@ def record_to_dict(rec: PictureRecord) -> dict:
 
 
 def write_dataset_jsonl(dataset: Dataset, path) -> None:
-    """Emit a dataset as JSON Lines (UTF-8, LF). face_image rasters are not re-emitted."""
+    """Emit a dataset as JSON Lines (UTF-8, LF).
+
+    A face's crop is emitted as the absolute path it was read from, so the
+    output resolves from any directory; raster data is never emitted, and a
+    crop that was not read from a file is dropped.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in dataset.records:
             fh.write(json.dumps(record_to_dict(rec), sort_keys=True))
@@ -404,6 +413,4 @@ def split_dataset(
             parts[1].extend(group)
         else:
             parts[2].extend(group)
-    return tuple(
-        Dataset(records=tuple(p), provenance=dataset.provenance) for p in parts
-    )  # type: ignore[return-value]
+    return tuple(Dataset(records=tuple(p)) for p in parts)  # type: ignore[return-value]

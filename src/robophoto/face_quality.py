@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tinynet
-from .core import Dataset, FaceObservation, Label, MIN_FACE_SIDE
+from .core import Dataset, DatasetError, FaceObservation, Label, MIN_FACE_SIDE
 from .tinynet import NetworkModel, TrainConfig
 
 FACE_CROP_W = 40
@@ -130,7 +130,7 @@ def train_face_ann(
     """Train the feature MLP on labeled faces; z-scoring constants go into metadata."""
     labeled = [f for f in faces if f.label is not None]
     if not labeled:
-        raise ValueError("no labeled faces")
+        raise DatasetError("no labeled faces")
     vectors = np.stack([f.features.as_vector() for f in labeled])
     mean, std = standardize_features(vectors)
     model = build_face_ann(seed=seed)
@@ -150,7 +150,7 @@ def train_face_cnn(
 ) -> tuple[NetworkModel, list[float]]:
     labeled = [f for f in faces if f.label is not None and f.face_image is not None]
     if not labeled:
-        raise ValueError("no labeled faces with images")
+        raise DatasetError("no labeled faces with images")
     samples = [
         (preprocess_face(f.face_image), 1.0 if f.label is Label.GOOD else 0.0) for f in labeled
     ]

@@ -8,7 +8,6 @@ checked against ground truth.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -130,20 +129,14 @@ def _sample_failing_face(rng, t: BaselineThresholds, margin: float):
 
 
 def make_threshold_dataset(
-    n_pictures: int,
-    seed: int,
-    kind: str = "baseline",
-    hidden: Optional[object] = None,
-    margin: float = 0.02,
-    width: int = 3000,
-    height: int = 2000,
+    n_pictures: int, seed: int, kind: str = "baseline", margin: float = 0.02
 ) -> list[PictureRecord]:
-    """Pictures labeled by hidden thresholds, with every face statistic at
-    least `margin` away from each decision boundary."""
+    """Pictures labeled by the DEFAULT_HIDDEN_* thresholds of their kind, with
+    every face statistic at least `margin` away from each decision boundary."""
     rng = np.random.default_rng(seed)
-    if hidden is None:
-        hidden = DEFAULT_HIDDEN_BASELINE if kind == "baseline" else DEFAULT_HIDDEN_HEURISTIC
-    base = hidden.baseline if kind == "heuristic" else hidden
+    width, height = 3000, 2000
+    base = DEFAULT_HIDDEN_BASELINE
+    r_min = DEFAULT_HIDDEN_HEURISTIC.r_min
     pictures = []
     # pixel quantization shifts normalized stats by up to 1/height; keep the
     # sampled margin clear of it
@@ -154,13 +147,13 @@ def make_threshold_dataset(
         rects = [_sample_passing_face(rng, base, eff_margin) for _ in range(n_faces)]
         scores: list[float] = []
         if kind == "heuristic":
-            scores = [float(rng.uniform(hidden.r_min + eff_margin, 1.0)) for _ in range(n_faces)]
+            scores = [float(rng.uniform(r_min + eff_margin, 1.0)) for _ in range(n_faces)]
         if not good:
             if kind == "heuristic" and rng.random() < 0.4:
                 # fail through the face-score path: push every score below
                 # r_min so the good proportion is 0
                 scores = [
-                    float(rng.uniform(0.0, hidden.r_min - eff_margin)) for _ in range(n_faces)
+                    float(rng.uniform(0.0, r_min - eff_margin)) for _ in range(n_faces)
                 ]
             else:
                 rects[int(rng.integers(0, n_faces))] = _sample_failing_face(rng, base, eff_margin)
@@ -265,19 +258,13 @@ def make_layout_dataset(n_pictures: int, seed: int) -> list[PictureRecord]:
     return pictures
 
 
-def make_random_pictures(
-    n_pictures: int,
-    seed: int,
-    with_scores: bool = False,
-    max_faces: int = 4,
-    width: int = 3000,
-    height: int = 2000,
-) -> list[PictureRecord]:
+def make_random_pictures(n_pictures: int, seed: int, with_scores: bool = False) -> list[PictureRecord]:
     """Unconstrained random pictures for property tests."""
     rng = np.random.default_rng(seed)
+    width, height = 3000, 2000
     pictures = []
     for i in range(n_pictures):
-        n_faces = int(rng.integers(1, max_faces + 1))
+        n_faces = int(rng.integers(1, 5))
         faces = []
         for _ in range(n_faces):
             x0 = rng.uniform(0.0, 0.8)

@@ -23,23 +23,24 @@ from .core import Label, PictureRecord
 BASELINE_DIM = 6
 HEURISTIC_DIM = 8
 
+# fixed GA operators: uniform crossover, Gaussian mutation, tournament
+# selection and elitism
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.1
+MUTATION_SIGMA = 0.05
+TOURNAMENT_K = 3
+ELITISM_COUNT = 2
+
 
 @dataclass(frozen=True)
 class GAConfig:
     population_size: int = 64
     generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_sigma: float = 0.05
-    tournament_k: int = 3
-    elitism_count: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.elitism_count >= self.population_size:
-            raise ValueError("elitism_count must be < population_size")
+        if self.population_size <= ELITISM_COUNT:
+            raise ValueError(f"population_size must be > {ELITISM_COUNT}, the elite count")
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,14 @@ class FitnessReport:
 
 
 def genome_to_thresholds(kind: str, genome: Sequence[float]):
-    g = repair_genome(np.asarray(genome, dtype=np.float64), kind)
+    g = repair_genome(np.asarray(genome, dtype=np.float64))
     base = BaselineThresholds(*g[:6])
     if kind == "baseline":
         return base
     return HeuristicThresholds(baseline=base, r_min=g[6], p_min=g[7])
 
 
-def repair_genome(genome: np.ndarray, kind: str) -> np.ndarray:
+def repair_genome(genome: np.ndarray) -> np.ndarray:
     """Clip to [0, 1] and sort the (min, max) pairs; equal pairs get nudged apart."""
     g = np.clip(np.asarray(genome, dtype=np.float64), 0.0, 1.0)
     for lo in (0, 2, 4):
@@ -174,7 +175,7 @@ def ga_optimize(
     cache = _FitnessCache(pictures, kind)
     rng = np.random.default_rng(config.seed)
 
-    pop = np.stack([repair_genome(rng.uniform(0, 1, dim), kind) for _ in range(config.population_size)])
+    pop = np.stack([repair_genome(rng.uniform(0, 1, dim)) for _ in range(config.population_size)])
     fitness = np.array([cache.evaluate(g) for g in pop])
     evaluations = len(pop)
 
@@ -188,24 +189,24 @@ def ga_optimize(
     curve = []
     for gen in range(config.generations):
         curve.append((gen, float(fitness.max()), float(fitness.mean())))
-        elites = [pop[i].copy() for i in order[: config.elitism_count]]
+        elites = [pop[i].copy() for i in order[:ELITISM_COUNT]]
         children = list(elites)
         while len(children) < config.population_size:
             parents = []
             for _ in range(2):
-                contenders = rng.integers(0, config.population_size, size=config.tournament_k)
+                contenders = rng.integers(0, config.population_size, size=TOURNAMENT_K)
                 # fitness only: an L2 tie-break here would bias the whole
                 # population toward the origin whenever fitness plateaus
                 winner = max(contenders, key=lambda i: fitness[i])
                 parents.append(pop[winner].copy())
             a, b = parents
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 mask = rng.random(dim) < 0.5
                 a[mask], b[mask] = b[mask].copy(), a[mask].copy()
             for child in (a, b):
-                mut = rng.random(dim) < config.mutation_rate
-                child[mut] += rng.normal(0.0, config.mutation_sigma, size=mut.sum())
-                children.append(repair_genome(child, kind))
+                mut = rng.random(dim) < MUTATION_RATE
+                child[mut] += rng.normal(0.0, MUTATION_SIGMA, size=mut.sum())
+                children.append(repair_genome(child))
         pop = np.stack(children[: config.population_size])
         fitness = np.array([cache.evaluate(g) for g in pop])
         evaluations += len(pop)

@@ -108,18 +108,23 @@ class NetworkModel:
             raise ShapeError("one weight dict per layer required")
 
 
+MOMENTUM = 0.9
+OPTIMIZERS = ("sgd", "momentum")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 0.05
-    optimizer: str = "sgd"  # sgd | momentum
-    momentum: float = 0.9
+    optimizer: str = "sgd"  # one of OPTIMIZERS
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
             raise ValueError(f"invalid training config {self}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
 
 
 def _init_layer(spec: LayerSpec, rng: np.random.Generator) -> dict:
@@ -305,9 +310,11 @@ def _bce(p: np.ndarray, y: np.ndarray) -> np.floating:
 def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and per-layer weight gradients on a batch.
 
-    When the final layer is a sigmoid, backprop starts from the numerically
+    The final layer must be a sigmoid: backprop starts from the numerically
     stable (p - y) gradient at its pre-activation.
     """
+    if not model.layers or model.layers[-1].kind != "sigmoid":
+        raise ShapeError("the last layer must be a sigmoid for the BCE loss")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     outs, caches = _forward_all(model, x)
@@ -316,15 +323,8 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     n = len(y)
 
     grads: list[dict] = [{} for _ in model.layers]
-    last = len(model.layers) - 1
-    if model.layers[last].kind == "sigmoid":
-        dy = ((p - y) / n).reshape(outs[-1].shape)
-        start = last - 1
-    else:
-        pc = np.clip(p, _EPS, 1.0 - _EPS)
-        dy = ((pc - y) / (pc * (1.0 - pc)) / n).reshape(outs[-1].shape)
-        start = last
-    for idx in range(start, -1, -1):
+    dy = ((p - y) / n).reshape(outs[-1].shape)
+    for idx in range(len(model.layers) - 2, -1, -1):
         spec, params = model.layers[idx], model.weights[idx]
         dy, g = _layer_backward(spec, params, caches[idx], outs[idx], dy)
         grads[idx] = g
@@ -358,7 +358,7 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
             for layer_w, layer_v, layer_g in zip(weights, velocity, grads):
                 for key, g in layer_g.items():
                     if config.optimizer == "momentum":
-                        layer_v[key] = config.momentum * layer_v[key] - config.learning_rate * g
+                        layer_v[key] = MOMENTUM * layer_v[key] - config.learning_rate * g
                         layer_w[key] += layer_v[key]
                     else:
                         layer_w[key] -= config.learning_rate * g
@@ -435,6 +435,7 @@ def save_model(model: NetworkModel, path) -> None:
 
 
 def load_model(path) -> NetworkModel:
+    """Read a model file; its weights are read-only arrays over the bytes read."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC) + 1)
         if magic[: len(MAGIC)] != MAGIC:
@@ -445,8 +446,14 @@ def load_model(path) -> NetworkModel:
             raise ModelFormatError(f"bad version marker {magic!r}") from None
         if version != FORMAT_VERSION:
             raise UnsupportedVersionError(f"model format version {version} not supported")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise ModelFormatError("truncated header length")
+        (header_len,) = struct.unpack("<Q", raw)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as e:  # undecodable or truncated header
+            raise ModelFormatError(f"malformed header: {e}") from None
         layers = tuple(LayerSpec(**d) for d in header["layers"])
         weights = []
         for keys, shapes in zip(header["params"], header["shapes"]):
@@ -457,6 +464,10 @@ def load_model(path) -> NetworkModel:
                 raw = fh.read(count * 8)
                 if len(raw) != count * 8:
                     raise ModelFormatError("truncated weight blob")
-                w[key] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                # one bytes object per array keeps it aligned, which BLAS needs
+                # for full speed; slicing one whole-file buffer would not
+                w[key] = np.frombuffer(raw, dtype="<f8").reshape(shape)
             weights.append(w)
+        if fh.read(1):
+            raise ModelFormatError("trailing bytes after the weights")
     return NetworkModel(layers=layers, weights=tuple(weights), metadata=header["metadata"])

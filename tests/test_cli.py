@@ -21,8 +21,16 @@ from robophoto.composition import (
     thresholds_from_json,
     thresholds_to_json,
 )
-from robophoto.core import Dataset, Label, read_records_jsonl, validate_dataset, write_dataset_jsonl
+from robophoto.core import (
+    Dataset,
+    Label,
+    face_to_dict,
+    read_records_jsonl,
+    validate_dataset,
+    write_dataset_jsonl,
+)
 from robophoto.face_quality import score_face, train_face_ann
+from robophoto.pgm import write_pgm
 from robophoto.synthetic import (
     DEFAULT_HIDDEN_BASELINE,
     DEFAULT_HIDDEN_HEURISTIC,
@@ -206,6 +214,65 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_version_flag_exits_zero(capsys):
     assert main(["--version"]) == 0
+
+
+def test_ingest_and_split_keep_crops_for_face_cnn(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    (raw / "crops").mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    records = []
+    for i, face in enumerate(make_face_feature_dataset(8, seed=0)):
+        write_pgm(rng.integers(0, 256, size=(40, 40), dtype=np.uint8), raw / f"crops/{i}.pgm")
+        face_dict = {**face_to_dict(face), "face_image_path": f"crops/{i}.pgm"}
+        records.append(
+            {"picture_id": f"p{i}", "burst_id": f"b{i}", "width": 100, "height": 100, "faces": [face_dict]}
+        )
+    (raw / "faces.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    clean, splits = tmp_path / "clean" / "faces.jsonl", tmp_path / "splits"
+    clean.parent.mkdir()
+    assert main(["ingest", "--dataset", str(raw / "faces.jsonl"), "--out", str(clean)]) == EXIT_OK
+    paths = [f["face_image_path"] for r in read_records_jsonl(clean) for f in r["faces"]]
+    assert paths == [str(raw / f"crops/{i}.pgm") for i in range(8)]
+    assert main(["split", "--dataset", str(clean), "--out-dir", str(splits)]) == EXIT_OK
+    code = main(
+        [
+            "train-face-cnn",
+            "--dataset", str(splits / "train.jsonl"),
+            "--out", str(tmp_path / "cnn.tnet"),
+            "--epochs", "1",
+            "--batch-size", "4",
+        ]
+    )
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["train-face-ann", "train-face-cnn"])
+def test_face_training_without_usable_faces_is_data_error(tmp_path, dataset_path, command, capsys):
+    # dataset_path holds unlabeled faces without crops
+    code = main([command, "--dataset", str(dataset_path), "--out", str(tmp_path / "m.tnet")])
+    assert code == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keep", [9, -8], ids=["header", "weights"])
+def test_truncated_picture_model_is_data_error(
+    tmp_path, dataset_path, threshold_paths, picture_model_path, keep, capsys
+):
+    picture_model_path.write_bytes(picture_model_path.read_bytes()[:keep])
+    bp, hp = threshold_paths
+    code = main(
+        [
+            "evaluate",
+            "--dataset", str(dataset_path),
+            "--baseline-thresholds", str(bp),
+            "--heuristic-thresholds", str(hp),
+            "--picture-model", str(picture_model_path),
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
 
 
 def test_heuristic_without_scores_or_model_fails(tmp_path, capsys):

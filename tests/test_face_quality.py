@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_face, neutral_features
 from robophoto import tinynet
-from robophoto.core import BoundingBox, FaceObservation, Label
+from robophoto.core import BoundingBox, DatasetError, FaceObservation, Label
 from robophoto.face_quality import (
     FACE_CROP_H,
     FACE_CROP_W,
@@ -113,7 +113,7 @@ def test_train_ann_deterministic():
 
 
 def test_train_ann_requires_labels():
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError):
         train_face_ann([make_face(0, 0, 100, 100)], tinynet.TrainConfig(epochs=1))
 
 

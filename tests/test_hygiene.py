@@ -1,4 +1,5 @@
-"""Lint step: every name a package module imports must be used in it.
+"""Lint steps: every name a package module imports must be used in it, and
+every function parameter other than self or cls must be read in its body.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -36,3 +37,30 @@ def test_no_unused_imports(path):
     imported = _imported_names(tree, source.splitlines())
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [
+            f"{node.name}({p.arg}) (line {node.lineno})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    unused = _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name} has parameters its functions never read: {', '.join(unused)}"

@@ -25,7 +25,7 @@ FAST_GA = GAConfig(population_size=32, generations=30, seed=0)
 
 
 def test_repair_clips_and_orders():
-    g = repair_genome(np.array([0.9, 0.1, -0.5, 2.0, 0.3, 0.3]), "baseline")
+    g = repair_genome(np.array([0.9, 0.1, -0.5, 2.0, 0.3, 0.3]))
     assert (g >= 0).all() and (g <= 1).all()
     assert g[0] < g[1] and g[2] < g[3] and g[4] < g[5]
     assert g[0] == 0.1 and g[1] == 0.9
@@ -33,7 +33,7 @@ def test_repair_clips_and_orders():
 
 
 def test_repair_nudges_equal_pair_at_one():
-    g = repair_genome(np.array([1.0, 1.0, 0.1, 0.9, 0.1, 0.9]), "baseline")
+    g = repair_genome(np.array([1.0, 1.0, 0.1, 0.9, 0.1, 0.9]))
     assert g[0] < g[1] == 1.0
 
 
@@ -41,8 +41,14 @@ def test_repair_idempotent_property():
     rng = np.random.default_rng(0)
     for _ in range(200):
         g = rng.uniform(-0.5, 1.5, 8)
-        once = repair_genome(g, "heuristic")
-        assert np.array_equal(repair_genome(once, "heuristic"), once)
+        once = repair_genome(g)
+        assert np.array_equal(repair_genome(once), once)
+
+
+def test_ga_config_needs_more_than_the_elites():
+    with pytest.raises(ValueError):
+        GAConfig(population_size=2)
+    assert GAConfig(population_size=3).population_size == 3
 
 
 def test_genome_roundtrip_thresholds():
@@ -65,7 +71,7 @@ def test_accuracy_perfect_heuristic():
 def test_fitness_cache_matches_scorer(seed):
     rng = np.random.default_rng(seed)
     pics = make_random_pictures(25, seed=seed, with_scores=True)
-    genome = repair_genome(rng.uniform(0, 1, 8), "heuristic")
+    genome = repair_genome(rng.uniform(0, 1, 8))
     cache = _FitnessCache(pics, "heuristic")
     t = genome_to_thresholds("heuristic", genome)
     expected = accuracy(t, pics)
@@ -77,7 +83,7 @@ def test_fitness_cache_baseline_matches_scorer():
     pics = make_random_pictures(40, seed=3)
     cache = _FitnessCache(pics, "baseline")
     for _ in range(20):
-        genome = repair_genome(rng.uniform(0, 1, 6), "baseline")
+        genome = repair_genome(rng.uniform(0, 1, 6))
         t = genome_to_thresholds("baseline", genome)
         assert cache.evaluate(genome) == pytest.approx(accuracy(t, pics))
 

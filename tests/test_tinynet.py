@@ -156,6 +156,17 @@ def test_gradient_check_random_architectures(seed, hidden, act):
     assert err < 1e-4
 
 
+def test_train_config_rejects_unknown_optimizer():
+    with pytest.raises(ValueError, match="optimizer"):
+        TrainConfig(optimizer="adam")
+
+
+def test_loss_needs_sigmoid_output():
+    m = build_model([dense(3, 1)], seed=0)
+    with pytest.raises(ShapeError, match="sigmoid"):
+        tinynet.loss_and_gradients(m, np.zeros((2, 3)), np.array([0.0, 1.0]))
+
+
 def test_train_rejects_bad_labels():
     with pytest.raises(ValueError):
         train(small_mlp(), [(np.zeros(9), 0.5)], TrainConfig(epochs=1))
@@ -206,3 +217,31 @@ def test_load_truncated(tmp_path):
     path.write_bytes(data[: len(data) - 16])
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda data: data[:9], lambda data: data + b"\x00"], ids=["9_bytes", "trailing_byte"]
+)
+def test_load_rejects_wrong_length(tmp_path, edit):
+    path = tmp_path / "m.tnet"
+    save_model(small_mlp(), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_loaded_weights_are_aligned_read_only_and_trainable(tmp_path):
+    path = tmp_path / "m.tnet"
+    save_model(small_mlp(), path)
+    loaded = load_model(path)
+    assert all(v.flags.aligned for w in loaded.weights for v in w.values())
+    w = loaded.weights[0]["W"]
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    samples = [(np.ones(9), 1.0), (-np.ones(9), 0.0)]
+    trained, _ = train(loaded, samples, TrainConfig(epochs=2, learning_rate=0.1))
+    fresh, _ = train(small_mlp(), samples, TrainConfig(epochs=2, learning_rate=0.1))
+    for wt, wf in zip(trained.weights, fresh.weights):
+        for k in wt:
+            assert np.array_equal(wt[k], wf[k])
