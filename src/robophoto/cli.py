@@ -11,7 +11,8 @@ from . import __version__, tinynet
 from .abstraction import render_abstract, train_picture_cnn
 from .behavior_sim import Scenario, Simulator, write_event_log
 # re-export: the benchmark's tracer tests wrap and call cli.baseline_score
-from .composition import baseline_score, thresholds_from_json, thresholds_to_json  # noqa: F401
+from .composition import baseline_score  # noqa: F401
+from .composition import HeuristicThresholds, thresholds_from_json, thresholds_to_json
 from .core import (
     Dataset,
     DatasetError,
@@ -41,9 +42,11 @@ def _write_run_config(out_path: Path, args: argparse.Namespace) -> None:
     path.write_text(json.dumps(cfg, sort_keys=True, default=str) + "\n", encoding="utf-8")
 
 
-def _load_dataset(path: str, keep_faceless: bool = False) -> ValidationResult:
+def _load_dataset(path: str, keep_faceless: bool = False, read_crops: bool = True) -> ValidationResult:
     raw = read_records_jsonl(path)
-    return validate_dataset(raw, keep_faceless=keep_faceless, base_dir=Path(path).parent)
+    return validate_dataset(
+        raw, keep_faceless=keep_faceless, base_dir=Path(path).parent, read_crops=read_crops
+    )
 
 
 def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = False) -> Dataset:
@@ -53,11 +56,18 @@ def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = F
     return score_dataset(dataset, face_model)
 
 
+def _load_thresholds(path: str, kind: str):
+    thresholds = thresholds_from_json(Path(path).read_text())
+    if isinstance(thresholds, HeuristicThresholds) != (kind == "heuristic"):
+        raise DatasetError(f"{path} does not hold {kind} thresholds")
+    return thresholds
+
+
 def _load_methods(args):
     """Thresholds of both geometric scorers and the layout CNN, from their files."""
     return (
-        thresholds_from_json(Path(args.baseline_thresholds).read_text()),
-        thresholds_from_json(Path(args.heuristic_thresholds).read_text()),
+        _load_thresholds(args.baseline_thresholds, "baseline"),
+        _load_thresholds(args.heuristic_thresholds, "heuristic"),
         tinynet.load_model(args.picture_model),
     )
 
@@ -106,7 +116,8 @@ def _save_trained(args, model, history) -> int:
 
 
 def cmd_train_face_ann(args) -> int:
-    faces = dataset_faces(_load_dataset(args.dataset).dataset)
+    # the MLP reads only the 9 features, so no crop file is opened
+    faces = dataset_faces(_load_dataset(args.dataset, read_crops=False).dataset)
     return _save_trained(args, *train_face_ann(faces, _train_config(args), seed=args.seed))
 
 

@@ -230,7 +230,7 @@ def _parse_likelihood(value) -> float:
     return float(value)
 
 
-def _face_from_dict(d: dict, base_dir: Optional[Path]) -> FaceObservation:
+def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> FaceObservation:
     bbox = BoundingBox(**{k: int(d["bbox"][k]) for k in ("x_tl", "y_tl", "x_br", "y_br")})
     raw = d["features"]
     feats = {}
@@ -243,7 +243,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path]) -> FaceObservation:
     features = FaceFeatures(**feats)
     image = image_path = None
     path = d.get("face_image_path")
-    if path:
+    if path and read_crops:
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
@@ -261,13 +261,15 @@ def _face_from_dict(d: dict, base_dir: Optional[Path]) -> FaceObservation:
     )
 
 
-def _record_from_dict(d: dict, base_dir: Optional[Path]) -> tuple[PictureRecord, int]:
+def _record_from_dict(
+    d: dict, base_dir: Optional[Path], read_crops: bool
+) -> tuple[PictureRecord, int]:
     """Build a record, silently dropping undersized faces. Returns (record, n_dropped)."""
     dropped = 0
     faces = []
     for fd in d.get("faces", []):
         try:
-            faces.append(_face_from_dict(fd, base_dir))
+            faces.append(_face_from_dict(fd, base_dir, read_crops))
         except ValidationError:
             dropped += 1
     rec = PictureRecord(
@@ -301,13 +303,15 @@ def validate_dataset(
     *,
     keep_faceless: bool = False,
     base_dir: Optional[Path] = None,
+    read_crops: bool = True,
 ) -> ValidationResult:
     """Validate raw records into a Dataset.
 
     Faces violating invariants (undersized images, bad boxes) are dropped and
     counted; records that are irreparably malformed are dropped and counted.
     Faceless pictures survive only with keep_faceless (the score-zero path
-    still needs them).
+    still needs them). Without read_crops, faces keep no crop and no crop file
+    is opened, for callers that read only the features.
     """
     records: list[PictureRecord] = []
     seen_ids: set[str] = set()
@@ -318,7 +322,7 @@ def validate_dataset(
         if pid in seen_ids:
             raise ValidationError(f"duplicate picture_id {pid!r}")
         try:
-            rec, n_dropped = _record_from_dict(d, base_dir)
+            rec, n_dropped = _record_from_dict(d, base_dir, read_crops)
         except (ValidationError, KeyError, TypeError, ValueError):
             dropped_records += 1
             continue

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAGIC = b"TNET"
 FORMAT_VERSION = 1
@@ -127,26 +128,27 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
 
 
-def _init_layer(spec: LayerSpec, rng: np.random.Generator) -> dict:
+def _param_shapes(spec: LayerSpec) -> dict:
+    """Shape of each parameter array a layer of this spec holds."""
     if spec.kind == "dense":
-        limit = np.sqrt(6.0 / (spec.in_units + spec.out_units))
-        return {
-            "W": rng.uniform(-limit, limit, size=(spec.in_units, spec.out_units)),
-            "b": np.zeros(spec.out_units),
-        }
+        return {"W": (spec.in_units, spec.out_units), "b": (spec.out_units,)}
     if spec.kind == "conv2d":
-        fan_in = spec.in_channels * spec.filter_h * spec.filter_w
-        fan_out = spec.out_channels * spec.filter_h * spec.filter_w
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
         return {
-            "W": rng.uniform(
-                -limit,
-                limit,
-                size=(spec.out_channels, spec.in_channels, spec.filter_h, spec.filter_w),
-            ),
-            "b": np.zeros(spec.out_channels),
+            "W": (spec.out_channels, spec.in_channels, spec.filter_h, spec.filter_w),
+            "b": (spec.out_channels,),
         }
     return {}
+
+
+def _init_layer(spec: LayerSpec, rng: np.random.Generator) -> dict:
+    shapes = _param_shapes(spec)
+    if not shapes:
+        return {}
+    # Glorot uniform: W is (in, out) or (out, in, fh, fw), so fan_in + fan_out
+    # is the sum of its first two sides times the filter area
+    w = shapes["W"]
+    limit = np.sqrt(6.0 / ((w[0] + w[1]) * int(np.prod(w[2:]))))
+    return {"W": rng.uniform(-limit, limit, size=w), "b": np.zeros(shapes["b"])}
 
 
 def build_model(layers: Sequence[LayerSpec], seed: int = 0, metadata: Optional[dict] = None) -> NetworkModel:
@@ -184,16 +186,15 @@ def conv_output_shape(in_shape: tuple[int, int, int], spec: LayerSpec) -> tuple[
 
 
 def _im2col(x: np.ndarray, spec: LayerSpec):
+    """Patches of x as (n, c*fh*fw, out_h*out_w), rows ordered like W's (c, fh, fw)."""
     n, c, h, w = x.shape
     out_h, out_w, (pt, pb, pl, pr) = _conv_geometry(h, w, spec)
     if pt or pb or pl or pr:
         x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     s, fh, fw = spec.stride, spec.filter_h, spec.filter_w
-    cols = np.empty((n, c, fh, fw, out_h, out_w), dtype=x.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            cols[:, :, i, j] = x[:, :, i : i + s * out_h : s, j : j + s * out_w : s]
-    return cols.reshape(n, c * fh * fw, out_h * out_w), (out_h, out_w, (pt, pb, pl, pr))
+    win = sliding_window_view(x, (fh, fw), axis=(2, 3))[:, :, : s * out_h : s, : s * out_w : s]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * fh * fw, out_h * out_w)
+    return cols, (out_h, out_w, (pt, pb, pl, pr))
 
 
 def _col2im(dcols: np.ndarray, x_shape, spec: LayerSpec, geom):
@@ -219,8 +220,8 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
                 f"layer {idx} (conv2d) expected (*, {spec.in_channels}, H, W), got {x.shape}"
             )
         cols, geom = _im2col(x, spec)
-        wmat = params["W"].reshape(spec.out_channels, -1)
-        out = np.einsum("ok,nkp->nop", wmat, cols) + params["b"][None, :, None]
+        out = params["W"].reshape(spec.out_channels, -1) @ cols
+        out += params["b"][:, None]
         out_h, out_w, _ = geom
         return out.reshape(x.shape[0], spec.out_channels, out_h, out_w), (x.shape, cols, geom)
     if spec.kind == "relu":
@@ -228,25 +229,27 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
     if spec.kind == "leaky_relu":
         return np.where(x > 0, x, LEAKY_SLOPE * x), x
     if spec.kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x)), None  # cache is the output, filled by caller
+        with np.errstate(over="ignore"):  # exp(-x) = inf at x < -709 gives the exact 0
+            return 1.0 / (1.0 + np.exp(-x)), None  # cache is the output, filled by caller
     if spec.kind == "flatten":
         return x.reshape(x.shape[0], -1), x.shape
     raise ShapeError(f"layer {idx}: unknown kind {spec.kind!r}")
 
 
-def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray):
+def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, need_dx: bool):
+    """(input gradient, weight gradients); a dense or conv layer skips dx unless need_dx."""
     if spec.kind == "dense":
         x = cache
-        return dy @ params["W"].T, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        dx = dy @ params["W"].T if need_dx else None
+        return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
     if spec.kind == "conv2d":
         x_shape, cols, geom = cache
-        n = dy.shape[0]
-        dy_mat = dy.reshape(n, spec.out_channels, -1)
+        dy_mat = dy.reshape(dy.shape[0], spec.out_channels, -1)
         wmat = params["W"].reshape(spec.out_channels, -1)
-        dW = np.einsum("nop,nkp->ok", dy_mat, cols).reshape(params["W"].shape)
+        dW = np.tensordot(dy_mat, cols, ([0, 2], [0, 2])).reshape(params["W"].shape)
         db = dy_mat.sum(axis=(0, 2))
-        dcols = np.einsum("ok,nop->nkp", wmat, dy_mat)
-        return _col2im(dcols, x_shape, spec, geom), {"W": dW, "b": db}
+        dx = _col2im(wmat.T @ dy_mat, x_shape, spec, geom) if need_dx else None
+        return dx, {"W": dW, "b": db}
     if spec.kind == "relu":
         return dy * (cache > 0), {}
     if spec.kind == "leaky_relu":
@@ -326,7 +329,8 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     dy = ((p - y) / n).reshape(outs[-1].shape)
     for idx in range(len(model.layers) - 2, -1, -1):
         spec, params = model.layers[idx], model.weights[idx]
-        dy, g = _layer_backward(spec, params, caches[idx], outs[idx], dy)
+        # nothing consumes the network input's gradient
+        dy, g = _layer_backward(spec, params, caches[idx], outs[idx], dy, need_dx=idx > 0)
         grads[idx] = g
     return loss, grads
 
@@ -455,12 +459,20 @@ def load_model(path) -> NetworkModel:
         except ValueError as e:  # undecodable or truncated header
             raise ModelFormatError(f"malformed header: {e}") from None
         layers = tuple(LayerSpec(**d) for d in header["layers"])
+        if not len(layers) == len(header["params"]) == len(header["shapes"]):
+            raise ModelFormatError("header needs one params and one shapes entry per layer")
         weights = []
-        for keys, shapes in zip(header["params"], header["shapes"]):
+        for idx, (spec, keys, shapes) in enumerate(zip(layers, header["params"], header["shapes"])):
+            expected = _param_shapes(spec)
+            found = {key: tuple(shape) for key, shape in shapes.items()}
+            if found != expected or sorted(keys) != sorted(expected):
+                raise ModelFormatError(
+                    f"layer {idx} ({spec.kind}) holds parameters {found}, its spec implies {expected}"
+                )
             w = {}
             for key in keys:
-                shape = tuple(shapes[key])
-                count = int(np.prod(shape)) if shape else 1
+                shape = expected[key]
+                count = int(np.prod(shape))
                 raw = fh.read(count * 8)
                 if len(raw) != count * 8:
                     raise ModelFormatError("truncated weight blob")

@@ -357,3 +357,64 @@ def test_face_model_rescores_evaluate_and_select(
     assert picked
     for sel in picked:
         assert sel["score"] == pytest.approx(alone[sel["picture_id"]][1].value, rel=0, abs=1e-12)
+
+
+def _evaluate(tmp_path, dataset_path, bp, hp, model_path):
+    return main(
+        [
+            "evaluate",
+            "--dataset", str(dataset_path),
+            "--baseline-thresholds", str(bp),
+            "--heuristic-thresholds", str(hp),
+            "--picture-model", str(model_path),
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+
+
+def test_misshaped_picture_model_is_data_error(tmp_path, dataset_path, threshold_paths, capsys):
+    model = build_picture_cnn(seed=0)
+    idx = next(i for i, spec in enumerate(model.layers) if spec.kind == "dense")
+    weights = list(model.weights)
+    weights[idx] = {"W": np.zeros((3000, 1260)), "b": weights[idx]["b"]}
+    path = tmp_path / "misshaped.tnet"
+    tinynet.save_model(replace(model, weights=tuple(weights)), path)
+    assert _evaluate(tmp_path, dataset_path, *threshold_paths, path) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("swap", ["baseline_as_heuristic", "heuristic_as_baseline"])
+def test_swapped_threshold_files_are_data_error(
+    tmp_path, dataset_path, threshold_paths, picture_model_path, swap, capsys
+):
+    bp, hp = threshold_paths
+    args = (bp, bp) if swap == "baseline_as_heuristic" else (hp, hp)
+    assert _evaluate(tmp_path, dataset_path, *args, picture_model_path) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "thresholds" in err and "Traceback" not in err
+
+
+def test_train_face_ann_opens_no_crop(tmp_path, capsys):
+    faces = make_face_feature_dataset(24, seed=4)
+    records = {"with_path": [], "without_path": []}
+    for i, face in enumerate(faces):
+        face_dict = face_to_dict(face)
+        for name, extra in (("with_path", {"face_image_path": "missing/crop.pgm"}), ("without_path", {})):
+            records[name].append(
+                {
+                    "picture_id": f"p{i}",
+                    "burst_id": f"b{i}",
+                    "width": 100,
+                    "height": 100,
+                    "faces": [{**face_dict, **extra}],
+                }
+            )
+    models = []
+    for name, recs in records.items():
+        data, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.tnet"
+        data.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        args = ["train-face-ann", "--dataset", str(data), "--out", str(out), "--epochs", "2"]
+        assert main(args) == EXIT_OK
+        models.append(out.read_bytes())
+    assert models[0] == models[1]

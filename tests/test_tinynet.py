@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robophoto import tinynet
+from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_cnn
 from robophoto.tinynet import (
     ModelFormatError,
     ShapeError,
@@ -14,6 +17,7 @@ from robophoto.tinynet import (
     dense,
     flatten,
     forward,
+    forward_batch,
     gradient_check,
     leaky_relu,
     load_model,
@@ -132,6 +136,120 @@ def test_gradient_check_conv(rng):
     assert err < 1e-4
 
 
+def test_gradient_check_stacked_convs_layout_like(rng):
+    # valid 4x4 stride-3 convs over several channels, as in the layout CNN;
+    # the second conv's input gradient runs through _col2im
+    m = build_model(
+        [
+            conv2d(2, 3, 4, 4, stride=3, padding="valid"),
+            leaky_relu(),
+            conv2d(3, 2, 4, 4, stride=3, padding="valid"),
+            leaky_relu(),
+            flatten(),
+            dense(2 * 2 * 2, 1),
+            sigmoid(),
+        ],
+        seed=13,
+    )
+    err = gradient_check(m, (rng.normal(size=(2, 22, 25)), 1.0), 1e-5)
+    assert err < 1e-4
+
+
+def test_gradient_check_stacked_convs_face_like(rng):
+    # "same" 3x3 stride-2 convs over odd map sizes, as in the face CNN
+    m = build_model(
+        [
+            conv2d(1, 3, 3, 3, stride=2, padding="same"),
+            relu(),
+            conv2d(3, 2, 3, 3, stride=2, padding="same"),
+            relu(),
+            flatten(),
+            dense(2 * 3 * 3, 1),
+            sigmoid(),
+        ],
+        seed=14,
+    )
+    err = gradient_check(m, (rng.normal(size=(1, 9, 11)), 0.0), 1e-5)
+    assert err < 1e-4
+
+
+def _conv_oracle(x, W, b, stride, padding, dy):
+    """Direct nested-loop convolution: output, dW, db and dx for upstream dy."""
+    n, c, h, w = x.shape
+    o, _, fh, fw = W.shape
+    if padding == "same":
+        out_h, out_w = -(-h // stride), -(-w // stride)
+        pad_h = max((out_h - 1) * stride + fh - h, 0)
+        pad_w = max((out_w - 1) * stride + fw - w, 0)
+    else:
+        out_h, out_w = (h - fh) // stride + 1, (w - fw) // stride + 1
+        pad_h = pad_w = 0
+    top, left = pad_h // 2, pad_w // 2
+    xp = np.zeros((n, c, h + pad_h, w + pad_w))
+    xp[:, :, top : top + h, left : left + w] = x
+    out = np.zeros((n, o, out_h, out_w))
+    dW, db, dxp = np.zeros_like(W), np.zeros_like(b), np.zeros_like(xp)
+    for s in range(n):
+        for k in range(o):
+            for i in range(out_h):
+                for j in range(out_w):
+                    rows = slice(i * stride, i * stride + fh)
+                    cols = slice(j * stride, j * stride + fw)
+                    out[s, k, i, j] = np.sum(xp[s, :, rows, cols] * W[k]) + b[k]
+                    dW[k] += dy[s, k, i, j] * xp[s, :, rows, cols]
+                    db[k] += dy[s, k, i, j]
+                    dxp[s, :, rows, cols] += dy[s, k, i, j] * W[k]
+    return out, dW, db, dxp[:, :, top : top + h, left : left + w]
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("filter_hw", [(3, 3), (2, 4)])
+def test_conv_matches_nested_loop_oracle(padding, stride, filter_hw, rng):
+    fh, fw = filter_hw
+    spec = conv2d(2, 3, fh, fw, stride=stride, padding=padding)
+    params = {"W": rng.normal(size=(3, 2, fh, fw)), "b": rng.normal(size=3)}
+    x = rng.normal(size=(2, 2, 7, 9))
+    out, cache = tinynet._layer_forward(0, spec, params, x)
+    dy = rng.normal(size=out.shape)
+    want_out, want_dW, want_db, want_dx = _conv_oracle(x, params["W"], params["b"], stride, padding, dy)
+    assert out.shape == want_out.shape
+    np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    dx, grads = tinynet._layer_backward(spec, params, cache, out, dy, need_dx=True)
+    np.testing.assert_allclose(grads["W"], want_dW, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["b"], want_db, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+    skipped, same_grads = tinynet._layer_backward(spec, params, cache, out, dy, need_dx=False)
+    assert skipped is None
+    for key in grads:
+        assert np.array_equal(same_grads[key], grads[key])
+
+
+def test_face_cnn_training_is_byte_deterministic(tmp_path, rng):
+    samples = [(rng.random((1, FACE_CROP_H, FACE_CROP_W)), float(i % 2)) for i in range(8)]
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.01, optimizer="momentum", seed=5)
+    blobs = []
+    for name in ("a", "b"):
+        trained, _ = train(build_face_cnn(seed=3), samples, config)
+        save_model(trained, tmp_path / f"{name}.tnet")
+        blobs.append((tmp_path / f"{name}.tnet").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_sigmoid_saturates_without_warning_and_matches_plain_formula():
+    m = tinynet.NetworkModel(
+        layers=(dense(1, 1), sigmoid()),
+        weights=({"W": np.ones((1, 1)), "b": np.zeros(1)}, {}),
+    )
+    x = np.linspace(-30.0, 30.0, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extremes = forward_batch(m, np.array([[-1000.0], [1000.0]]))
+        out = forward_batch(m, x[:, None])
+    assert extremes.tolist() == [0.0, 1.0]
+    np.testing.assert_array_max_ulp(out, 1.0 / (1.0 + np.exp(-x)), maxulp=1)
+
+
 def test_gradient_check_zero_weights(rng):
     m = build_model([dense(4, 3), relu(), dense(3, 1), sigmoid()], seed=0)
     zeroed = tinynet.NetworkModel(
@@ -227,6 +345,25 @@ def test_load_rejects_wrong_length(tmp_path, edit):
     save_model(small_mlp(), path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "layer, params",
+    [
+        (0, {"W": np.zeros((9, 5)), "b": np.zeros(4)}),
+        (2, {"W": np.zeros((4, 1)), "b": np.zeros(2)}),
+        (1, {"W": np.zeros((4, 4))}),
+    ],
+    ids=["dense_W", "dense_b", "weightless_layer"],
+)
+def test_load_rejects_params_that_do_not_fit_the_spec(tmp_path, layer, params):
+    m = small_mlp()
+    weights = list(m.weights)
+    weights[layer] = params
+    path = tmp_path / "m.tnet"
+    save_model(tinynet.NetworkModel(layers=m.layers, weights=tuple(weights)), path)
+    with pytest.raises(ModelFormatError, match=f"layer {layer}"):
         load_model(path)
 
 
