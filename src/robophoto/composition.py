@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .core import BoundingBox, PictureRecord
+from .core import BoundingBox, DatasetError, PictureRecord
 
 
 class MissingScoreError(ValueError):
@@ -121,11 +121,26 @@ def thresholds_to_json(t) -> str:
 
 
 def thresholds_from_json(text: str):
-    d = json.loads(text)
-    kind = d.pop("kind")
-    if kind == "baseline":
-        return BaselineThresholds(**d)
+    """Thresholds from `thresholds_to_json` text; anything else raises DatasetError."""
+    try:
+        d = json.loads(text)
+    except ValueError as e:
+        raise DatasetError(f"threshold file is not JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise DatasetError("threshold JSON must be an object")
+    kind = d.get("kind")
+    if kind not in ("baseline", "heuristic"):
+        raise DatasetError(f"unknown threshold kind {kind!r}")
+    names = list(BaselineThresholds.__dataclass_fields__)
     if kind == "heuristic":
-        r_min, p_min = d.pop("r_min"), d.pop("p_min")
-        return HeuristicThresholds(baseline=BaselineThresholds(**d), r_min=r_min, p_min=p_min)
-    raise ValueError(f"unknown threshold kind {kind!r}")
+        names += ["r_min", "p_min"]
+    if d.keys() != {"kind", *names}:
+        raise DatasetError(f"{kind} thresholds need exactly the keys {sorted(names)}, got {sorted(d)}")
+    values = [d[name] for name in names]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise DatasetError(f"threshold values must be numbers, got {values}")
+    try:
+        base = BaselineThresholds(*values[:6])
+        return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])
+    except ValueError as e:  # bounds out of order or outside [0, 1]
+        raise DatasetError(str(e)) from None

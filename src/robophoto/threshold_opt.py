@@ -65,15 +65,15 @@ def genome_to_thresholds(kind: str, genome: Sequence[float]):
 
 
 def repair_genome(genome: np.ndarray) -> np.ndarray:
-    """Clip to [0, 1] and sort the (min, max) pairs; equal pairs get nudged apart."""
+    """Clip to [0, 1] and sort the (min, max) pairs; equal pairs get nudged apart.
+
+    Works on one genome or on a (..., dim) stack of them, row by row."""
     g = np.clip(np.asarray(genome, dtype=np.float64), 0.0, 1.0)
-    for lo in (0, 2, 4):
-        if g[lo] > g[lo + 1]:
-            g[lo], g[lo + 1] = g[lo + 1], g[lo]
-        if g[lo] == g[lo + 1]:
-            g[lo + 1] = min(1.0, g[lo] + 1e-9)
-            if g[lo] == g[lo + 1]:  # both pinned at 1.0
-                g[lo] -= 1e-9
+    a, b = g[..., 0:6:2], g[..., 1:6:2]
+    lo, hi = np.where(a > b, b, a), np.where(a > b, a, b)
+    hi = np.where(lo == hi, np.minimum(1.0, lo + 1e-9), hi)
+    lo = np.where(lo == hi, lo - 1e-9, lo)  # both pinned at 1.0
+    g[..., 0:6:2], g[..., 1:6:2] = lo, hi
     return g
 
 
@@ -94,70 +94,77 @@ def accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
 
 
 class _FitnessCache:
-    """Per-face geometry flattened into arrays so one genome evaluates in a
-    handful of vectorized ops instead of a Python loop over pictures."""
+    """Each picture's faces reduced once to the few numbers the gates need, so
+    a whole population evaluates in one broadcast over (genomes, pictures).
+
+    Every face passes `x_tl > x_min` exactly when the picture's smallest x_tl
+    does, and likewise for the other five gates. A faceless picture gets
+    -inf minima and +inf maxima, so it fails every gate and classifies Bad.
+    For `heuristic`, column i of `ranked` holds picture i's face scores in
+    descending order and `fractions` the matching j/k, both padded with
+    -inf: `good/k > p_min` holds exactly when some j has
+    `ranked[j] > r_min` and `fractions[j] > p_min`, since good/k is one of
+    the same float divisions j/k.
+    """
 
     def __init__(self, pictures: Sequence[PictureRecord], kind: str):
         labeled = [p for p in pictures if p.label is not None]
         if not labeled:
             raise ValueError("no labeled pictures")
         self.kind = kind
-        self.n_pictures = len(labeled)
+        self.n_pictures = n = len(labeled)
         self.labels_good = np.array([p.label is Label.GOOD for p in labeled])
-        xtl, xbr, ytl, ybr, occ, r = [], [], [], [], [], []
-        counts, starts = [], []
-        for p in labeled:
-            starts.append(len(xtl))
-            counts.append(max(len(p.faces), 1))
+        self.xtl_min, self.ytl_min, self.occ_min = np.full((3, n), -np.inf)
+        self.xbr_max, self.ybr_max, self.occ_max = np.full((3, n), np.inf)
+        depth = max(len(p.faces) for p in labeled) if kind == "heuristic" else 0
+        self.ranked, self.fractions = np.full((2, depth, n), -np.inf)
+        for i, p in enumerate(labeled):
             if not p.faces:
-                # dummy face that fails every gate, so faceless pictures
-                # always classify Bad
-                xtl.append(-np.inf)
-                xbr.append(np.inf)
-                ytl.append(-np.inf)
-                ybr.append(np.inf)
-                occ.append(-np.inf)
-                if kind == "heuristic":
-                    r.append(-np.inf)
                 continue
-            for f in p.faces:
-                xtl.append(f.bbox.x_tl / p.width)
-                xbr.append(f.bbox.x_br / p.width)
-                ytl.append(f.bbox.y_tl / p.height)
-                ybr.append(f.bbox.y_br / p.height)
-                occ.append(f.bbox.area / (p.width * p.height))
-                if kind == "heuristic":
-                    if f.score is None:
-                        raise ValueError(f"face in {p.picture_id} has no quality score")
-                    r.append(f.score)
-        self.counts = np.array(counts)
-        self.xtl, self.xbr = np.array(xtl), np.array(xbr)
-        self.ytl, self.ybr = np.array(ytl), np.array(ybr)
-        self.occ = np.array(occ)
-        self.r = np.array(r) if kind == "heuristic" else None
-        self.starts = np.array(starts)
+            occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+            self.xtl_min[i] = min(f.bbox.x_tl / p.width for f in p.faces)
+            self.xbr_max[i] = max(f.bbox.x_br / p.width for f in p.faces)
+            self.ytl_min[i] = min(f.bbox.y_tl / p.height for f in p.faces)
+            self.ybr_max[i] = max(f.bbox.y_br / p.height for f in p.faces)
+            self.occ_min[i], self.occ_max[i] = min(occs), max(occs)
+            if kind == "heuristic":
+                if any(f.score is None for f in p.faces):
+                    raise ValueError(f"face in {p.picture_id} has no quality score")
+                k = len(p.faces)
+                self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
+                self.fractions[:k, i] = [j / k for j in range(1, k + 1)]
 
-    def evaluate(self, genome: np.ndarray) -> float:
-        x_min, x_max, y_min, y_max, occ_min, occ_max = genome[:6]
-        ok = (
-            (self.xtl > x_min)
-            & (self.xbr < x_max)
-            & (self.ytl > y_min)
-            & (self.ybr < y_max)
-            & (self.occ > occ_min)
-            & (self.occ < occ_max)
+    def evaluate(self, population: np.ndarray) -> np.ndarray:
+        """Training accuracy of each genome in a (P, dim) population."""
+        t = population.T[:, :, None]  # (dim, P, 1)
+        pred = (
+            (self.xtl_min > t[0])
+            & (self.xbr_max < t[1])
+            & (self.ytl_min > t[2])
+            & (self.ybr_max < t[3])
+            & (self.occ_min > t[4])
+            & (self.occ_max < t[5])
         )
-        pred = np.logical_and.reduceat(ok, self.starts)
         if self.kind == "heuristic":
-            r_min, p_min = genome[6], genome[7]
-            good = np.add.reduceat(self.r > r_min, self.starts)
-            pred &= good / self.counts > p_min
-        return float(np.mean(pred == self.labels_good))
+            r_min, p_min = t[6][:, None], t[7][:, None]  # (P, 1, 1)
+            pred &= ((self.ranked > r_min) & (self.fractions > p_min)).any(axis=1)
+        return np.count_nonzero(pred == self.labels_good, axis=1) / self.n_pictures
 
 
-def _rank_key(acc: float, genome: np.ndarray):
-    # higher accuracy first; ties by smaller L2 norm, then lexicographic genome
-    return (-acc, float(np.dot(genome, genome)), tuple(genome))
+def _ranking(pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Row order: higher fitness first; ties by smaller L2 norm, then
+    lexicographic genome, then position (the sort is stable)."""
+    # per row the bits of np.dot(g, g); einsum and sum() add in another order
+    norms = (pop[:, None, :] @ pop[:, :, None]).ravel()
+    return np.lexsort((*pop.T[::-1], norms, -fitness))
+
+
+def _tournament(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """A copy of the fittest of TOURNAMENT_K random picks; the first maximum wins."""
+    contenders = rng.integers(0, len(pop), size=TOURNAMENT_K)
+    # fitness only: an L2 tie-break here would bias the whole population
+    # toward the origin whenever fitness plateaus
+    return pop[contenders[fitness[contenders].argmax()]].copy()
 
 
 def ga_optimize(
@@ -168,58 +175,40 @@ def ga_optimize(
     """Evolve a threshold genome maximizing training-set accuracy.
 
     Deterministic for a fixed seed; returns the best individual ever seen.
+    The elites lead every new population, so the best ever seen is the top
+    of the last one.
     """
     if kind not in ("baseline", "heuristic"):
         raise ValueError(f"unknown kind {kind!r}")
     dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
+    size = config.population_size
     cache = _FitnessCache(pictures, kind)
     rng = np.random.default_rng(config.seed)
 
-    pop = np.stack([repair_genome(rng.uniform(0, 1, dim)) for _ in range(config.population_size)])
-    fitness = np.array([cache.evaluate(g) for g in pop])
-    evaluations = len(pop)
-
-    def best_of(pop, fitness):
-        order = sorted(range(len(pop)), key=lambda i: _rank_key(fitness[i], pop[i]))
-        return order
-
-    order = best_of(pop, fitness)
-    best_genome = pop[order[0]].copy()
-    best_acc = fitness[order[0]]
+    pop = repair_genome(rng.uniform(0, 1, (size, dim)))
+    fitness = cache.evaluate(pop)
     curve = []
     for gen in range(config.generations):
         curve.append((gen, float(fitness.max()), float(fitness.mean())))
-        elites = [pop[i].copy() for i in order[:ELITISM_COUNT]]
-        children = list(elites)
-        while len(children) < config.population_size:
-            parents = []
-            for _ in range(2):
-                contenders = rng.integers(0, config.population_size, size=TOURNAMENT_K)
-                # fitness only: an L2 tie-break here would bias the whole
-                # population toward the origin whenever fitness plateaus
-                winner = max(contenders, key=lambda i: fitness[i])
-                parents.append(pop[winner].copy())
-            a, b = parents
+        children = list(pop[_ranking(pop, fitness)[:ELITISM_COUNT]])
+        while len(children) < size:
+            a, b = _tournament(rng, pop, fitness), _tournament(rng, pop, fitness)
             if rng.random() < CROSSOVER_RATE:
                 mask = rng.random(dim) < 0.5
                 a[mask], b[mask] = b[mask].copy(), a[mask].copy()
             for child in (a, b):
                 mut = rng.random(dim) < MUTATION_RATE
-                child[mut] += rng.normal(0.0, MUTATION_SIGMA, size=mut.sum())
-                children.append(repair_genome(child))
-        pop = np.stack(children[: config.population_size])
-        fitness = np.array([cache.evaluate(g) for g in pop])
-        evaluations += len(pop)
-        order = best_of(pop, fitness)
-        cand_acc, cand = fitness[order[0]], pop[order[0]]
-        if _rank_key(cand_acc, cand) < _rank_key(best_acc, best_genome):
-            best_acc, best_genome = cand_acc, cand.copy()
+                child[mut] += rng.normal(0.0, MUTATION_SIGMA, size=np.count_nonzero(mut))
+                children.append(child)
+        pop = repair_genome(np.stack(children[:size]))
+        fitness = cache.evaluate(pop)
+    best = _ranking(pop, fitness)[0]
     return FitnessReport(
         kind=kind,
-        best_genome=tuple(best_genome),
-        best_accuracy=float(best_acc),
+        best_genome=tuple(pop[best]),
+        best_accuracy=float(fitness[best]),
         curve=tuple(curve),
-        evaluations=evaluations,
+        evaluations=size * (config.generations + 1),
     )
 
 
@@ -231,9 +220,10 @@ def grid_search_oracle(
 ) -> FitnessReport:
     """Exhaustive accuracy maximization over a uniform threshold grid.
 
-    Independent of the scorer code path: each picture is reduced to min/max
-    face statistics and the grid is swept with factorized boolean tables.
-    Ties resolve to the first point in lexicographic genome order.
+    Independent of the scorer and of the GA's search: it starts from the
+    same per-picture reduction as the GA fitness, which tests check against
+    the scorer, and sweeps the grid with factorized boolean tables. Ties
+    resolve to the first point in lexicographic genome order.
     """
     if kind not in ("baseline", "heuristic"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -242,51 +232,20 @@ def grid_search_oracle(
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
 
-    labeled = [p for p in pictures if p.label is not None]
-    if not labeled:
-        raise ValueError("no labeled pictures")
-    n = len(labeled)
-    labels_good = np.array([p.label is Label.GOOD for p in labeled])
-
-    neg_inf = -np.inf
-    pos_inf = np.inf
-    min_xtl = np.full(n, neg_inf)
-    max_xbr = np.full(n, pos_inf)
-    min_ytl = np.full(n, neg_inf)
-    max_ybr = np.full(n, pos_inf)
-    min_occ = np.full(n, neg_inf)
-    max_occ = np.full(n, pos_inf)
-    face_r: list[np.ndarray] = []
-    for i, p in enumerate(labeled):
-        if p.faces:
-            min_xtl[i] = min(f.bbox.x_tl / p.width for f in p.faces)
-            max_xbr[i] = max(f.bbox.x_br / p.width for f in p.faces)
-            min_ytl[i] = min(f.bbox.y_tl / p.height for f in p.faces)
-            max_ybr[i] = max(f.bbox.y_br / p.height for f in p.faces)
-            occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
-            min_occ[i], max_occ[i] = min(occs), max(occs)
-        if kind == "heuristic":
-            scores = [f.score for f in p.faces]
-            if any(s is None for s in scores):
-                raise ValueError(f"face in {p.picture_id} has no quality score")
-            face_r.append(np.array(scores, dtype=np.float64))
-
+    cache = _FitnessCache(pictures, kind)
+    n, labels_good = cache.n_pictures, cache.labels_good
     values = np.linspace(0.0, 1.0, steps_per_axis)
+    column = values[:, None]
     # condition tables, one row per grid value
-    c_xmin = min_xtl[None, :] > values[:, None]
-    c_xmax = max_xbr[None, :] < values[:, None]
-    c_ymin = min_ytl[None, :] > values[:, None]
-    c_ymax = max_ybr[None, :] < values[:, None]
-    c_omin = min_occ[None, :] > values[:, None]
-    c_omax = max_occ[None, :] < values[:, None]
+    c_xmin, c_ymin, c_omin = (m > column for m in (cache.xtl_min, cache.ytl_min, cache.occ_min))
+    c_xmax, c_ymax, c_omax = (m < column for m in (cache.xbr_max, cache.ybr_max, cache.occ_max))
 
     if kind == "heuristic":
-        props = np.zeros((steps_per_axis, n))
-        for i, rs in enumerate(face_r):
-            if len(rs):
-                props[:, i] = np.mean(rs[None, :] > values[:, None], axis=1)
+        # props[a, i]: share of picture i's faces scoring above values[a]
+        faces = np.maximum(np.count_nonzero(cache.ranked > -np.inf, axis=0), 1)
+        props = np.count_nonzero(cache.ranked > column[:, :, None], axis=1) / faces
         # tail[a, b, i]: proportion at r_min=values[a] exceeds p_min=values[b]
-        tail = props[:, None, :] > values[None, :, None]
+        tail = props[:, None, :] > column[None]
 
     best_matches = -1
     best_genome: Optional[tuple[float, ...]] = None

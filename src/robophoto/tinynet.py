@@ -19,6 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MAGIC = b"TNET"
 FORMAT_VERSION = 1
+# a header may hold more keys (save_model adds format_version), never fewer
+HEADER_KEYS = frozenset({"layers", "metadata", "params", "shapes"})
 
 
 class ShapeError(ValueError):
@@ -39,9 +41,12 @@ class UnsupportedVersionError(ModelFormatError):
     pass
 
 
+LAYER_KINDS = ("dense", "conv2d", "relu", "leaky_relu", "sigmoid", "flatten")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str  # dense | conv2d | relu | leaky_relu | sigmoid | flatten
+    kind: str  # one of LAYER_KINDS
     in_units: int = 0
     out_units: int = 0
     in_channels: int = 0
@@ -52,6 +57,8 @@ class LayerSpec:
     padding: str = "valid"  # conv2d only: valid | same
 
     def __post_init__(self):
+        if self.kind not in LAYER_KINDS:
+            raise ShapeError(f"unknown layer kind {self.kind!r}")
         if self.kind == "dense" and (self.in_units <= 0 or self.out_units <= 0):
             raise ShapeError(f"dense layer needs positive unit counts: {self}")
         if self.kind == "conv2d":
@@ -361,11 +368,16 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
             total += loss * len(idx)
             for layer_w, layer_v, layer_g in zip(weights, velocity, grads):
                 for key, g in layer_g.items():
+                    # in place, no weight-sized temporaries; the same bits as
+                    # v = MOMENTUM * v - lr * g; w += v  (or w -= lr * g)
+                    g *= config.learning_rate
                     if config.optimizer == "momentum":
-                        layer_v[key] = MOMENTUM * layer_v[key] - config.learning_rate * g
-                        layer_w[key] += layer_v[key]
+                        v = layer_v[key]
+                        v *= MOMENTUM
+                        v -= g
+                        layer_w[key] += v
                     else:
-                        layer_w[key] -= config.learning_rate * g
+                        layer_w[key] -= g
         history.append(total / n)
     meta = dict(model.metadata)
     meta["epochs_trained"] = meta.get("epochs_trained", 0) + config.epochs
@@ -420,6 +432,16 @@ def _spec_to_dict(spec: LayerSpec) -> dict:
     return {k: getattr(spec, k) for k in LayerSpec.__dataclass_fields__}
 
 
+def _spec_from_dict(d) -> LayerSpec:
+    fields = LayerSpec.__dataclass_fields__
+    if not isinstance(d, dict) or d.keys() != fields.keys():
+        raise ModelFormatError(f"layer spec {d!r} must hold exactly the keys {sorted(fields)}")
+    try:
+        return LayerSpec(**d)
+    except (ShapeError, TypeError) as e:  # out-of-range or mistyped values
+        raise ModelFormatError(f"bad layer spec {d!r}: {e}") from None
+
+
 def save_model(model: NetworkModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
@@ -458,7 +480,11 @@ def load_model(path) -> NetworkModel:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as e:  # undecodable or truncated header
             raise ModelFormatError(f"malformed header: {e}") from None
-        layers = tuple(LayerSpec(**d) for d in header["layers"])
+        if not isinstance(header, dict) or not HEADER_KEYS <= header.keys():
+            raise ModelFormatError(f"header must be an object with keys {sorted(HEADER_KEYS)}")
+        if not all(isinstance(header[k], list) for k in ("layers", "params", "shapes")):
+            raise ModelFormatError("header layers, params and shapes must be lists")
+        layers = tuple(_spec_from_dict(d) for d in header["layers"])
         if not len(layers) == len(header["params"]) == len(header["shapes"]):
             raise ModelFormatError("header needs one params and one shapes entry per layer")
         weights = []

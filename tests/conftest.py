@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,3 +46,11 @@ def make_picture(faces, width=3000, height=2000, picture_id="p0", burst_id="b0",
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def rewrite_model_header(path, edit):
+    """Replace a saved model's JSON header by edit(header), keeping the weights."""
+    data = path.read_bytes()
+    (n,) = struct.unpack("<Q", data[5:13])
+    blob = json.dumps(edit(json.loads(data[13 : 13 + n]))).encode("utf-8")
+    path.write_bytes(data[:5] + struct.pack("<Q", len(blob)) + blob + data[13 + n :])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import rewrite_model_header
 from robophoto import tinynet
 from robophoto.abstraction import build_picture_cnn
 from robophoto.cli import (
@@ -382,6 +383,36 @@ def test_misshaped_picture_model_is_data_error(tmp_path, dataset_path, threshold
     assert _evaluate(tmp_path, dataset_path, *threshold_paths, path) == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {**h, "layers": [{**h["layers"][0], "colour": 1}, *h["layers"][1:]]},
+        lambda h: {k: v for k, v in h.items() if k != "metadata"},
+        lambda h: [h],
+    ],
+    ids=["layer_unknown_key", "no_metadata", "header_list"],
+)
+def test_malformed_picture_model_header_is_data_error(
+    tmp_path, dataset_path, threshold_paths, picture_model_path, edit, capsys
+):
+    rewrite_model_header(picture_model_path, edit)
+    assert _evaluate(tmp_path, dataset_path, *threshold_paths, picture_model_path) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
+def test_threshold_file_without_x_max_is_data_error(
+    tmp_path, dataset_path, threshold_paths, picture_model_path, capsys
+):
+    bp, hp = threshold_paths
+    d = json.loads(bp.read_text())
+    del d["x_max"]
+    bp.write_text(json.dumps(d))
+    assert _evaluate(tmp_path, dataset_path, bp, hp, picture_model_path) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "x_max" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("swap", ["baseline_as_heuristic", "heuristic_as_baseline"])

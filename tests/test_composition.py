@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from robophoto.composition import (
     thresholds_from_json,
     thresholds_to_json,
 )
-from robophoto.core import BoundingBox
+from robophoto.core import BoundingBox, DatasetError
 
 WIDE = BaselineThresholds(0.01, 0.99, 0.01, 0.99, 0.001, 0.9)
 
@@ -143,6 +145,65 @@ def test_threshold_json_roundtrip():
 def test_threshold_json_unknown_kind():
     with pytest.raises(ValueError):
         thresholds_from_json('{"kind": "mystery"}')
+
+
+def _baseline_dict(**changes):
+    d = {"kind": "baseline", **asdict(WIDE), **changes}
+    return {k: v for k, v in d.items() if v is not None}
+
+
+MALFORMED_THRESHOLD_JSON = {
+    "not_json": "{x_min: 0.1",
+    "array": "[0.1, 0.9]",
+    "number": "0.5",
+    "null": "null",
+    "missing_key": json.dumps(_baseline_dict(x_max=None)),
+    "unknown_key": json.dumps(_baseline_dict(z_min=0.1)),
+    "no_kind": json.dumps(_baseline_dict(kind=None)),
+    "unknown_kind": json.dumps(_baseline_dict(kind="mystery")),
+    "unhashable_kind": json.dumps(_baseline_dict(kind=["baseline"])),
+    "string_value": json.dumps(_baseline_dict(x_min="0.1")),
+    "bool_value": json.dumps(_baseline_dict(x_min=False)),
+    "bounds_out_of_order": json.dumps(_baseline_dict(x_min=0.995)),
+    "heuristic_missing_p_min": json.dumps({**_baseline_dict(kind="heuristic"), "r_min": 0.5}),
+    "heuristic_r_min_above_one": json.dumps(
+        {**_baseline_dict(kind="heuristic"), "r_min": 1.5, "p_min": 0.2}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED_THRESHOLD_JSON.values(), ids=MALFORMED_THRESHOLD_JSON.keys()
+)
+def test_threshold_json_malformed_is_dataset_error(text):
+    with pytest.raises(DatasetError):
+        thresholds_from_json(text)
+
+
+_THRESHOLD_NAMES = [*asdict(WIDE), "r_min", "p_min"]
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly well-formed objects, so the property reaches the per-key checks
+_threshold_like = st.dictionaries(
+    st.sampled_from(["kind", "extra", *_THRESHOLD_NAMES]),
+    st.sampled_from(["baseline", "heuristic"]) | st.floats(-0.5, 1.5) | _json_scalars,
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values | _threshold_like)
+def test_threshold_json_is_thresholds_or_dataset_error(value):
+    try:
+        t = thresholds_from_json(json.dumps(value))
+    except DatasetError:
+        return
+    assert isinstance(t, (BaselineThresholds, HeuristicThresholds))
+    assert thresholds_from_json(thresholds_to_json(t)) == t
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rewrite_model_header
 from robophoto import tinynet
 from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_cnn
 from robophoto.tinynet import (
@@ -236,6 +238,35 @@ def test_face_cnn_training_is_byte_deterministic(tmp_path, rng):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("optimizer", tinynet.OPTIMIZERS)
+def test_update_matches_the_written_out_formula_bit_for_bit(optimizer, rng):
+    samples = [(rng.normal(size=9), float(i % 2)) for i in range(6)]
+    lr, epochs, seed = 0.1, 3, 2
+    config = TrainConfig(epochs=epochs, batch_size=6, learning_rate=lr, optimizer=optimizer, seed=seed)
+    trained, _ = train(small_mlp(), samples, config)
+
+    # one full batch per epoch, so each epoch is one step
+    xs = np.stack([x for x, _ in samples])
+    ys = np.array([y for _, y in samples])
+    model = small_mlp()
+    weights = [dict(w) for w in model.weights]
+    velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
+    order_rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = order_rng.permutation(len(samples))
+        _, grads = tinynet.loss_and_gradients(replace(model, weights=tuple(weights)), xs[order], ys[order])
+        for w, v, g in zip(weights, velocity, grads):
+            for k in g:
+                if optimizer == "momentum":
+                    v[k] = tinynet.MOMENTUM * v[k] - lr * g[k]
+                    w[k] = w[k] + v[k]
+                else:
+                    w[k] = w[k] - lr * g[k]
+    for got, want in zip(trained.weights, weights):
+        for k in want:
+            assert np.array_equal(got[k], want[k])
+
+
 def test_sigmoid_saturates_without_warning_and_matches_plain_formula():
     m = tinynet.NetworkModel(
         layers=(dense(1, 1), sigmoid()),
@@ -364,6 +395,43 @@ def test_load_rejects_params_that_do_not_fit_the_spec(tmp_path, layer, params):
     path = tmp_path / "m.tnet"
     save_model(tinynet.NetworkModel(layers=m.layers, weights=tuple(weights)), path)
     with pytest.raises(ModelFormatError, match=f"layer {layer}"):
+        load_model(path)
+
+
+def _edit_layer0(h, change):
+    return {**h, "layers": [change(dict(h["layers"][0])), *h["layers"][1:]]}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "layer_unknown_key": lambda h: _edit_layer0(h, lambda d: {**d, "colour": 1}),
+    "layer_missing_key": lambda h: _edit_layer0(h, lambda d: _without(d, "stride")),
+    "layer_missing_kind": lambda h: _edit_layer0(h, lambda d: _without(d, "kind")),
+    "layer_not_object": lambda h: _edit_layer0(h, lambda d: "dense"),
+    "layer_unknown_kind": lambda h: _edit_layer0(h, lambda d: {**d, "kind": "tanh"}),
+    "layer_bad_units": lambda h: _edit_layer0(h, lambda d: {**d, "in_units": -9}),
+    "layer_mistyped_units": lambda h: _edit_layer0(h, lambda d: {**d, "in_units": "9"}),
+    "no_layers": lambda h: _without(h, "layers"),
+    "no_params": lambda h: _without(h, "params"),
+    "no_shapes": lambda h: _without(h, "shapes"),
+    "no_metadata": lambda h: _without(h, "metadata"),
+    "layers_not_list": lambda h: {**h, "layers": 4},
+    "header_list": lambda h: [h],
+    "header_string": lambda h: "header",
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_load_rejects_malformed_header(tmp_path, edit):
+    path = tmp_path / "m.tnet"
+    save_model(small_mlp(), path)
+    rewrite_model_header(path, lambda h: h)
+    assert load_model(path).layers == small_mlp().layers  # the rewrite alone is harmless
+    rewrite_model_header(path, edit)
+    with pytest.raises(ModelFormatError):
         load_model(path)
 
 
