@@ -12,17 +12,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tinynet
-from .core import DatasetError, Label, PictureRecord
+from .core import Label, PictureRecord, UnscoredFaceError
+from .errors import DatasetError
 from .tinynet import NetworkModel, TrainConfig
 
 CANVAS_W = 150
 CANVAS_H = 100
 BACKGROUND = 255
 MAX_RECT_INTENSITY = 245
-
-
-class UnscoredFaceError(ValueError):
-    pass
 
 
 def rect_intensity(score: float) -> int:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import DatasetError
 
 IMAGE_W = 640
 IMAGE_H = 480
@@ -153,6 +156,25 @@ def _wrap(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
+class ScenarioError(DatasetError):
+    pass
+
+
+def _numbers(values, n: int) -> tuple[float, ...]:
+    """values as n floats; anything but a list of n finite numbers raises ScenarioError."""
+    if isinstance(values, (list, tuple)) and len(values) == n and all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    ):
+        return tuple(map(float, values))
+    raise ScenarioError(f"expected {n} finite numbers, got {values!r}")
+
+
+def _window(w, key: str) -> dict:
+    values = [_numbers(p, 2) for p in w[key]] if key == "points" else _numbers(w[key], 3)
+    t_start, t_end = _numbers([w["t_start"], w["t_end"]], 2)
+    return {"t_start": t_start, "t_end": t_end, key: values}
+
+
 @dataclass
 class Scenario:
     dt: float
@@ -162,17 +184,23 @@ class Scenario:
     obstacles: list[dict] = field(default_factory=list)  # {t_start, t_end, points}
     camera_faces: list[dict] = field(default_factory=list)  # {t_start, t_end, counts}
 
+    def __post_init__(self):
+        # checked once here so no run meets a bad value; a wrong structure raises TypeError
+        (self.dt,) = _numbers([self.dt], 1)
+        if not (self.dt > 0 and type(self.steps) is int and self.steps >= 0 and len(self.line) > 1):
+            raise ScenarioError("a scenario needs dt > 0, integer steps >= 0 and 2+ line points")
+        self.line = [_numbers(p, 2) for p in self.line]
+        self.start_pose = _numbers(self.start_pose, 3)
+        self.obstacles = [_window(w, "points") for w in self.obstacles]
+        self.camera_faces = [_window(w, "counts") for w in self.camera_faces]
+
     @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        d = json.loads(text)
-        return cls(
-            dt=float(d["dt"]),
-            steps=int(d["steps"]),
-            line=[tuple(p) for p in d["line"]],
-            start_pose=tuple(d["start_pose"]),
-            obstacles=d.get("obstacles", []),
-            camera_faces=d.get("camera_faces", []),
-        )
+    def from_json(cls, text: str | bytes) -> "Scenario":
+        """A scenario from JSON text or its UTF-8 bytes; anything malformed raises ScenarioError."""
+        try:
+            return cls(**json.loads(text))
+        except (ValueError, RecursionError, TypeError, KeyError, OverflowError) as e:
+            raise ScenarioError(f"malformed scenario: {e}") from None
 
 
 class Simulator:
@@ -185,7 +213,7 @@ class Simulator:
         self.t = 0.0
         self.state = "follow_line"
         self.collision_state = CollisionState()
-        self.vote_history: list[Optional[str]] = []
+        self.vote_history: deque[Optional[str]] = deque(maxlen=PICTURE_TAKING.n_window)
         self.rotate_target = 0.0
         self.return_heading = 0.0
         self.shots_left = 0
@@ -202,7 +230,7 @@ class Simulator:
         dx, dy = qx - self.x, qy - self.y
         y_r = -math.sin(self.heading) * dx + math.cos(self.heading) * dy
         x_r = math.cos(self.heading) * dx + math.sin(self.heading) * dy
-        if x_r <= 0.0 or abs(y_r) > VIEW_HALF_WIDTH_M * 1.1:
+        if not (x_r > 0.0 and abs(y_r) <= VIEW_HALF_WIDTH_M * 1.1):  # NaN is out of view
             return None
         return y_r
 
@@ -223,13 +251,13 @@ class Simulator:
         pts: list[tuple[float, float]] = []
         for ob in self.scenario.obstacles:
             if ob["t_start"] <= self.t < ob["t_end"]:
-                pts.extend(tuple(p) for p in ob["points"])
+                pts.extend(ob["points"])
         return pts
 
-    def _face_counts(self) -> tuple[int, int, int]:
+    def _face_counts(self) -> tuple[float, float, float]:
         for window in self.scenario.camera_faces:
             if window["t_start"] <= self.t < window["t_end"]:
-                return tuple(window["counts"])  # type: ignore[return-value]
+                return window["counts"]
         return (0, 0, 0)
 
     # --- stepping ------------------------------------------------------
@@ -306,7 +334,7 @@ class Simulator:
 
 
 def _closest_on_polyline(line: Sequence[tuple[float, float]], px: float, py: float):
-    best = None
+    best = line[0]  # kept only when every distance overflows
     best_d = math.inf
     for (x1, y1), (x2, y2) in zip(line, line[1:]):
         vx, vy = x2 - x1, y2 - y1
@@ -320,8 +348,6 @@ def _closest_on_polyline(line: Sequence[tuple[float, float]], px: float, py: flo
         if d < best_d:
             best_d = d
             best = (qx, qy)
-    if best is None:
-        raise ValueError("line polyline needs at least two points")
     return best
 
 

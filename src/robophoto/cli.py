@@ -15,21 +15,22 @@ from .composition import baseline_score  # noqa: F401
 from .composition import HeuristicThresholds, thresholds_from_json, thresholds_to_json
 from .core import (
     Dataset,
-    DatasetError,
     ValidationResult,
     read_records_jsonl,
     split_dataset,
     validate_dataset,
     write_dataset_jsonl,
 )
+from .errors import DatasetError, TrainingDivergedError, UsageError
 from .face_quality import dataset_faces, train_face_ann, train_face_cnn
 from .pgm import write_pgm
 from .pipeline import METHODS, evaluate_methods, run_pipeline, score_dataset
 from .stats import welch_t_test
 from .threshold_opt import GAConfig, ga_optimize, write_curve_csv
-from .tinynet import ModelFormatError, TrainConfig, TrainingDivergedError
+from .tinynet import TrainConfig
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -57,7 +58,7 @@ def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = F
 
 
 def _load_thresholds(path: str, kind: str):
-    thresholds = thresholds_from_json(Path(path).read_text())
+    thresholds = thresholds_from_json(Path(path).read_bytes())
     if isinstance(thresholds, HeuristicThresholds) != (kind == "heuristic"):
         raise DatasetError(f"{path} does not hold {kind} thresholds")
     return thresholds
@@ -85,10 +86,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_split(args) -> int:
     dataset = _load_dataset(args.dataset, keep_faceless=True).dataset
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    if len(ratios) != 3:
-        raise ValueError("--ratios needs three comma-separated values")
-    train, test, validation = split_dataset(dataset, ratios, args.seed)
+    train, test, validation = split_dataset(dataset, args.ratios.split(","), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("test", test), ("validation", validation)):
@@ -175,7 +173,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = Scenario.from_json(Path(args.scenario).read_text())
+    scenario = Scenario.from_json(Path(args.scenario).read_bytes())
     sim = Simulator(scenario)
     log = sim.run()
     write_event_log(log, args.out)
@@ -197,9 +195,11 @@ def cmd_render_abstract(args) -> int:
 
 
 def cmd_ttest(args) -> int:
-    sample_a = json.loads(Path(args.sample_a).read_text())
-    sample_b = json.loads(Path(args.sample_b).read_text())
-    result = welch_t_test(sample_a, sample_b)
+    paths = (args.sample_a, args.sample_b)
+    try:
+        result = welch_t_test(*(json.loads(Path(p).read_bytes()) for p in paths))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise DatasetError(f"sample files must hold JSON: {e}") from None
     out = {
         "test": "welch_one_sided",
         "t_statistic": result.t_statistic,
@@ -317,15 +317,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DatasetError, ModelFormatError, FileNotFoundError) as e:
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DatasetError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as e:  # anything else is a bug in robophoto, reported on one line
+        print(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,11 +6,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .core import BoundingBox, DatasetError, PictureRecord
-
-
-class MissingScoreError(ValueError):
-    pass
+from .core import BoundingBox, PictureRecord, UnscoredFaceError
+from .errors import DatasetError
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,7 @@ class BaselineThresholds:
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.occ_min < self.occ_max):
-            raise ValueError(f"threshold bounds out of order: {self}")
+            raise DatasetError(f"threshold bounds out of order: {self}")
 
     def as_genome(self) -> tuple[float, ...]:
         return (self.x_min, self.x_max, self.y_min, self.y_max, self.occ_min, self.occ_max)
@@ -38,7 +35,7 @@ class HeuristicThresholds:
 
     def __post_init__(self):
         if not (0.0 <= self.r_min <= 1.0 and 0.0 <= self.p_min <= 1.0):
-            raise ValueError(f"r_min/p_min outside [0, 1]: {self}")
+            raise DatasetError(f"r_min/p_min outside [0, 1]: {self}")
 
     def as_genome(self) -> tuple[float, ...]:
         return self.baseline.as_genome() + (self.r_min, self.p_min)
@@ -97,7 +94,7 @@ def heuristic_score(picture: PictureRecord, t: HeuristicThresholds) -> PictureSc
     good = 0
     for f in picture.faces:
         if f.score is None:
-            raise MissingScoreError(f"face in {picture.picture_id} has no quality score")
+            raise UnscoredFaceError(f"face in {picture.picture_id} has no quality score")
         if not baseline_gate(f.bbox, picture.width, picture.height, t.baseline):
             return PictureScore(False, 0.0)
         if f.score > t.r_min:
@@ -120,11 +117,11 @@ def thresholds_to_json(t) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def thresholds_from_json(text: str):
-    """Thresholds from `thresholds_to_json` text; anything else raises DatasetError."""
+def thresholds_from_json(text: str | bytes):
+    """Thresholds from `thresholds_to_json` text or bytes; anything else raises DatasetError."""
     try:
         d = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # also undecodable bytes, too deep nesting
         raise DatasetError(f"threshold file is not JSON: {e}") from None
     if not isinstance(d, dict):
         raise DatasetError("threshold JSON must be an object")
@@ -139,8 +136,5 @@ def thresholds_from_json(text: str):
     values = [d[name] for name in names]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise DatasetError(f"threshold values must be numbers, got {values}")
-    try:
-        base = BaselineThresholds(*values[:6])
-        return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])
-    except ValueError as e:  # bounds out of order or outside [0, 1]
-        raise DatasetError(str(e)) from None
+    base = BaselineThresholds(*values[:6])  # bounds out of order raise DatasetError
+    return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import DatasetError, UsageError
 from .pgm import read_pgm
 
 MIN_FACE_SIDE = 30
@@ -42,10 +44,6 @@ FEATURE_NAMES = (
 )
 
 
-class DatasetError(ValueError):
-    pass
-
-
 class ParseError(DatasetError):
     pass
 
@@ -58,18 +56,20 @@ class NoFacesError(DatasetError):
     pass
 
 
+class UnscoredFaceError(DatasetError):
+    pass
+
+
 class Label(str, Enum):
     GOOD = "Good"
     BAD = "Bad"
 
     @classmethod
     def parse(cls, value: str) -> "Label":
-        v = value.strip().lower()
-        if v == "good":
-            return cls.GOOD
-        if v == "bad":
-            return cls.BAD
-        raise ValidationError(f"unknown label {value!r}")
+        key = value.strip().lower() if isinstance(value, str) else None
+        if key not in ("good", "bad"):
+            raise ValidationError(f"unknown label {value!r}")
+        return cls.GOOD if key == "good" else cls.BAD
 
 
 class FaceCountCategory(Enum):
@@ -194,9 +194,9 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        ids = [r.picture_id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate picture_id in dataset")
+        ids = Counter(r.picture_id for r in self.records)
+        if len(ids) != len(self.records):
+            raise ValidationError(f"duplicate picture_id {ids.most_common(1)[0][0]!r}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -222,12 +222,12 @@ def face_count_category(picture: PictureRecord) -> FaceCountCategory:
 
 
 def _parse_likelihood(value) -> float:
-    if isinstance(value, str):
-        try:
-            return LIKELIHOOD_LEVELS[value]
-        except KeyError:
-            raise ValidationError(f"unknown likelihood level {value!r}") from None
-    return float(value)
+    """A level name or a number; an unknown name raises KeyError, which drops the face."""
+    return LIKELIHOOD_LEVELS[value] if isinstance(value, str) else float(value)
+
+
+# what a bad face or record raises, DatasetError included: it is dropped and counted
+_BAD_INPUT = (LookupError, TypeError, ValueError, ArithmeticError, OSError)
 
 
 def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> FaceObservation:
@@ -264,13 +264,13 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
 def _record_from_dict(
     d: dict, base_dir: Optional[Path], read_crops: bool
 ) -> tuple[PictureRecord, int]:
-    """Build a record, silently dropping undersized faces. Returns (record, n_dropped)."""
+    """Build a record, dropping its bad faces. Returns (record, n_dropped)."""
     dropped = 0
     faces = []
     for fd in d.get("faces", []):
         try:
             faces.append(_face_from_dict(fd, base_dir, read_crops))
-        except ValidationError:
+        except _BAD_INPUT:
             dropped += 1
     rec = PictureRecord(
         picture_id=str(d["picture_id"]),
@@ -284,17 +284,20 @@ def _record_from_dict(
 
 
 def read_records_jsonl(path) -> list[dict]:
-    """Parse a JSON Lines dataset file into raw dicts."""
+    """Raw dicts from a JSON Lines file; a line not holding a UTF-8 JSON object is a ParseError."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: malformed JSON line: {e}") from None
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+            except (ValueError, RecursionError) as e:  # not UTF-8, not JSON or nested too deep
+                raise ParseError(f"{path}:{lineno}: malformed line: {e}") from None
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}:{lineno}: a record must be a JSON object")
+            records.append(record)
     return records
 
 
@@ -307,30 +310,25 @@ def validate_dataset(
 ) -> ValidationResult:
     """Validate raw records into a Dataset.
 
-    Faces violating invariants (undersized images, bad boxes) are dropped and
-    counted; records that are irreparably malformed are dropped and counted.
+    Bad faces (box, features, a missing, corrupt or undersized crop) and bad
+    records are dropped and counted; a duplicate kept picture_id raises.
     Faceless pictures survive only with keep_faceless (the score-zero path
     still needs them). Without read_crops, faces keep no crop and no crop file
     is opened, for callers that read only the features.
     """
     records: list[PictureRecord] = []
-    seen_ids: set[str] = set()
     dropped_faces = 0
     dropped_records = 0
     for d in raw_records:
-        pid = str(d.get("picture_id", ""))
-        if pid in seen_ids:
-            raise ValidationError(f"duplicate picture_id {pid!r}")
         try:
             rec, n_dropped = _record_from_dict(d, base_dir, read_crops)
-        except (ValidationError, KeyError, TypeError, ValueError):
+        except _BAD_INPUT:
             dropped_records += 1
             continue
         dropped_faces += n_dropped
         if not rec.faces and not keep_faceless:
             dropped_records += 1
             continue
-        seen_ids.add(pid)
         records.append(rec)
     return ValidationResult(
         dataset=Dataset(records=tuple(records)),
@@ -390,10 +388,14 @@ def split_dataset(
     """Deterministic train/test/validation split, atomic in bursts.
 
     All pictures of one burst land in the same partition so near-identical
-    burst frames never leak across splits.
+    burst frames never leak across splits. Ratios may be numbers or their text.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios {ratios} do not sum to 1")
+    try:
+        ratios = tuple(float(r) for r in ratios)
+    except ValueError:
+        raise UsageError(f"split ratios {ratios} are not numbers") from None
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise UsageError(f"split ratios {ratios} must be three values >= 0 that sum to 1")
     bursts: dict[str, list[PictureRecord]] = {}
     order: list[str] = []
     for rec in dataset.records:

@@ -8,18 +8,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tinynet
-from .core import Dataset, DatasetError, FaceObservation, Label, MIN_FACE_SIDE
+from .core import Dataset, FaceObservation, Label, MIN_FACE_SIDE
+from .errors import DatasetError
 from .tinynet import NetworkModel, TrainConfig
 
 FACE_CROP_W = 40
 FACE_CROP_H = 30
 
 
-class UndersizedFaceError(ValueError):
+class UndersizedFaceError(DatasetError):
     pass
 
 
-class MissingInputError(ValueError):
+class MissingInputError(DatasetError):
     pass
 
 
@@ -161,7 +162,7 @@ def evaluate_face_model(model: NetworkModel, faces: Sequence[FaceObservation]) -
     """Fraction of labeled faces where (score >= 0.5) agrees with the label."""
     labeled = [f for f in faces if f.label is not None]
     if not labeled:
-        raise ValueError("no labeled faces to evaluate")
+        raise DatasetError("no labeled faces to evaluate")
     pred_good = score_faces(model, labeled) >= 0.5
     actual_good = np.array([f.label is Label.GOOD for f in labeled])
     return int(np.count_nonzero(pred_good == actual_good)) / len(labeled)

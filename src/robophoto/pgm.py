@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DatasetError
 
-class PGMError(ValueError):
+
+class PGMError(DatasetError):
     pass
 
 
@@ -38,9 +40,11 @@ def read_pgm(path) -> np.ndarray:
     w_tok, pos = _read_token(data, pos)
     h_tok, pos = _read_token(data, pos)
     maxval_tok, pos = _read_token(data, pos)
+    if not (w_tok.isdigit() and h_tok.isdigit() and maxval_tok.isdigit()):
+        raise PGMError(f"PGM size and maxval must be decimal: {w_tok!r} {h_tok!r} {maxval_tok!r}")
     width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    if maxval != 255:
-        raise PGMError(f"only maxval 255 supported, got {maxval}")
+    if width * height == 0 or maxval != 255:
+        raise PGMError(f"need a non-empty image and maxval 255, got {width}x{height}/{maxval}")
     pos += 1  # single whitespace after maxval
     pixels = data[pos : pos + width * height]
     if len(pixels) != width * height:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .abstraction import classify_pictures
 from .composition import baseline_score, heuristic_score
-from .core import Dataset, DatasetError, Label, NoFacesError, PictureRecord, face_count_category
+from .core import Dataset, Label, PictureRecord, face_count_category
+from .errors import DatasetError
 from .face_quality import dataset_faces, score_faces
 from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
 from .tinynet import NetworkModel
@@ -56,13 +57,6 @@ def method_scores(
     return out
 
 
-def _category_name(rec: PictureRecord) -> str:
-    try:
-        return face_count_category(rec).value
-    except NoFacesError:
-        return "no_faces"
-
-
 def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -> dict:
     """Accuracy of all three methods on the same labeled split, overall and
     per face-count category present in the split."""
@@ -70,7 +64,7 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
     if not labeled:
         raise DatasetError("no labeled pictures to evaluate")
     actual = np.array([r.label is Label.GOOD for r in labeled])
-    categories = np.array([_category_name(r) for r in labeled])
+    categories = np.array([face_count_category(r).value if r.faces else "no_faces" for r in labeled])
     n = len(labeled)
     report: dict = {"n_pictures": n, "methods": {}}
     for method, (passed, _) in method_scores(labeled, baseline_t, heuristic_t, picture_model).items():

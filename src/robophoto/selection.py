@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import FaceCountCategory
+from .errors import UsageError
 
 CROP_STEP_W = 600
 CROP_STEP_H = 400
@@ -20,6 +21,10 @@ CATEGORY_ORDER = (FaceCountCategory.ONE, FaceCountCategory.TWO, FaceCountCategor
 @dataclass(frozen=True)
 class SelectionConstraints:
     per_category_quota: int = 8
+
+    def __post_init__(self):
+        if self.per_category_quota < 0:
+            raise UsageError(f"quota must be >= 0, got {self.per_category_quota}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import DatasetError
+
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -85,15 +87,17 @@ def t_sf(t: float, df: float) -> float:
 def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     """Welch's t statistic with a one-sided p-value for the observed direction.
 
-    Identical samples give T = 0 and p = 0.5. Zero variance in both samples
-    with equal means is undefined and raises.
+    Identical samples give T = 0 and p = 0.5. A sample that is not at least 2
+    numbers within +-1e150, and zero variance in both samples with equal
+    means, raise DatasetError.
     """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("each sample needs at least 2 values")
-    if not all(math.isfinite(v) for v in a + b):
-        raise ValueError("samples must be finite")
+    try:
+        a, b = [float(v) for v in sample_a], [float(v) for v in sample_b]
+    except (TypeError, ValueError, OverflowError):
+        raise DatasetError("each sample must be a list of numbers") from None
+    # 1e150 keeps every square and sum of squares below the float maximum
+    if len(a) < 2 or len(b) < 2 or not all(abs(v) <= 1e150 for v in a + b):
+        raise DatasetError("each sample needs at least 2 values, each within +-1e150")
     na, nb = len(a), len(b)
     ma = sum(a) / na
     mb = sum(b) / nb
@@ -102,7 +106,7 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestR
     se2 = va / na + vb / nb
     if se2 == 0.0:
         if ma == mb:
-            raise ValueError("both samples constant and equal: t statistic undefined")
+            raise DatasetError("both samples constant and equal: t statistic undefined")
         return TTestResult(
             t_statistic=math.inf if ma > mb else -math.inf, df=float(na + nb - 2), p_one_sided=0.0
         )

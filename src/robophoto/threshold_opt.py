@@ -18,7 +18,8 @@ from .composition import (
     baseline_score,
     heuristic_score,
 )
-from .core import Label, PictureRecord
+from .core import Label, PictureRecord, UnscoredFaceError
+from .errors import DatasetError, UsageError
 
 BASELINE_DIM = 6
 HEURISTIC_DIM = 8
@@ -39,8 +40,8 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size <= ELITISM_COUNT:
-            raise ValueError(f"population_size must be > {ELITISM_COUNT}, the elite count")
+        if self.population_size <= ELITISM_COUNT or self.generations < 0:
+            raise UsageError(f"need population_size > {ELITISM_COUNT} and generations >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def classify_with_thresholds(picture: PictureRecord, thresholds) -> Label:
 def accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
     labeled = [p for p in pictures if p.label is not None]
     if not labeled:
-        raise ValueError("no labeled pictures")
+        raise DatasetError("no labeled pictures")
     correct = sum(classify_with_thresholds(p, thresholds) is p.label for p in labeled)
     return correct / len(labeled)
 
@@ -110,7 +111,7 @@ class _FitnessCache:
     def __init__(self, pictures: Sequence[PictureRecord], kind: str):
         labeled = [p for p in pictures if p.label is not None]
         if not labeled:
-            raise ValueError("no labeled pictures")
+            raise DatasetError("no labeled pictures")
         self.kind = kind
         self.n_pictures = n = len(labeled)
         self.labels_good = np.array([p.label is Label.GOOD for p in labeled])
@@ -129,7 +130,7 @@ class _FitnessCache:
             self.occ_min[i], self.occ_max[i] = min(occs), max(occs)
             if kind == "heuristic":
                 if any(f.score is None for f in p.faces):
-                    raise ValueError(f"face in {p.picture_id} has no quality score")
+                    raise UnscoredFaceError(f"face in {p.picture_id} has no quality score")
                 k = len(p.faces)
                 self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
                 self.fractions[:k, i] = [j / k for j in range(1, k + 1)]

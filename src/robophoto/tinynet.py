@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
@@ -17,27 +19,23 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import DatasetError, TrainingDivergedError, UsageError
+
 MAGIC = b"TNET"
 FORMAT_VERSION = 1
 # a header may hold more keys (save_model adds format_version), never fewer
-HEADER_KEYS = frozenset({"layers", "metadata", "params", "shapes"})
+HEADER_TYPES = {"layers": list, "metadata": dict, "params": list, "shapes": list}
 
 
-class ShapeError(ValueError):
-    pass
-
-
-class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"loss became non-finite at epoch {epoch}")
-        self.epoch = epoch
-
-
-class ModelFormatError(ValueError):
+class ModelFormatError(DatasetError):
     pass
 
 
 class UnsupportedVersionError(ModelFormatError):
+    pass
+
+
+class ShapeError(ModelFormatError):  # a model that does not fit its input is a bad model file
     pass
 
 
@@ -59,6 +57,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
+        dims = [getattr(self, k) for k, f in self.__dataclass_fields__.items() if f.type == "int"]
+        if not all(isinstance(v, (int, np.integer)) for v in dims):
+            raise ShapeError(f"layer dims and stride must be integers: {self}")
         if self.kind == "dense" and (self.in_units <= 0 or self.out_units <= 0):
             raise ShapeError(f"dense layer needs positive unit counts: {self}")
         if self.kind == "conv2d":
@@ -130,9 +131,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError(f"invalid training config {self}")
+            raise UsageError(f"invalid training config {self}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
+            raise UsageError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
 
 
 def _param_shapes(spec: LayerSpec) -> dict:
@@ -346,8 +347,6 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
     """Mini-batch training with BCE loss. Deterministic for a fixed seed."""
     xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in samples])
     ys = np.array([float(y) for _, y in samples])
-    if len(xs) == 0:
-        raise ValueError("no training samples")
     if not np.all((ys == 0.0) | (ys == 1.0)):
         raise ValueError("labels must be 0 or 1")
 
@@ -364,7 +363,7 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
             idx = order[start : start + config.batch_size]
             loss, grads = loss_and_gradients(work, xs[idx], ys[idx])
             if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
+                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
             total += loss * len(idx)
             for layer_w, layer_v, layer_g in zip(weights, velocity, grads):
                 for key, g in layer_g.items():
@@ -436,10 +435,7 @@ def _spec_from_dict(d) -> LayerSpec:
     fields = LayerSpec.__dataclass_fields__
     if not isinstance(d, dict) or d.keys() != fields.keys():
         raise ModelFormatError(f"layer spec {d!r} must hold exactly the keys {sorted(fields)}")
-    try:
-        return LayerSpec(**d)
-    except (ShapeError, TypeError) as e:  # out-of-range or mistyped values
-        raise ModelFormatError(f"bad layer spec {d!r}: {e}") from None
+    return LayerSpec(**d)  # a bad value raises ShapeError, a ModelFormatError
 
 
 def save_model(model: NetworkModel, path) -> None:
@@ -460,6 +456,13 @@ def save_model(model: NetworkModel, path) -> None:
                 fh.write(w[key].astype("<f8").tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """n bytes from fh; a file holding fewer raises before n bytes are allocated."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ModelFormatError(f"truncated {what}")
+    return fh.read(n)
+
+
 def load_model(path) -> NetworkModel:
     """Read a model file; its weights are read-only arrays over the bytes read."""
     with open(path, "rb") as fh:
@@ -472,36 +475,31 @@ def load_model(path) -> NetworkModel:
             raise ModelFormatError(f"bad version marker {magic!r}") from None
         if version != FORMAT_VERSION:
             raise UnsupportedVersionError(f"model format version {version} not supported")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise ModelFormatError("truncated header length")
-        (header_len,) = struct.unpack("<Q", raw)
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        blob = _read_exact(fh, header_len, "header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as e:  # undecodable or truncated header
+            header = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON or nested too deep
             raise ModelFormatError(f"malformed header: {e}") from None
-        if not isinstance(header, dict) or not HEADER_KEYS <= header.keys():
-            raise ModelFormatError(f"header must be an object with keys {sorted(HEADER_KEYS)}")
-        if not all(isinstance(header[k], list) for k in ("layers", "params", "shapes")):
-            raise ModelFormatError("header layers, params and shapes must be lists")
+        if not isinstance(header, dict) or not HEADER_TYPES.keys() <= header.keys():
+            raise ModelFormatError(f"header must be an object with keys {sorted(HEADER_TYPES)}")
+        if not all(isinstance(header[k], t) for k, t in HEADER_TYPES.items()):
+            raise ModelFormatError(f"header value types must be {HEADER_TYPES}")
         layers = tuple(_spec_from_dict(d) for d in header["layers"])
         if not len(layers) == len(header["params"]) == len(header["shapes"]):
             raise ModelFormatError("header needs one params and one shapes entry per layer")
         weights = []
         for idx, (spec, keys, shapes) in enumerate(zip(layers, header["params"], header["shapes"])):
             expected = _param_shapes(spec)
-            found = {key: tuple(shape) for key, shape in shapes.items()}
-            if found != expected or sorted(keys) != sorted(expected):
+            # save_model writes sorted keys and JSON lists; == never raises on JSON values
+            if keys != sorted(expected) or shapes != {k: list(v) for k, v in expected.items()}:
                 raise ModelFormatError(
-                    f"layer {idx} ({spec.kind}) holds parameters {found}, its spec implies {expected}"
+                    f"layer {idx} ({spec.kind}) holds parameters {shapes}, its spec implies {expected}"
                 )
             w = {}
             for key in keys:
                 shape = expected[key]
-                count = int(np.prod(shape))
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise ModelFormatError("truncated weight blob")
+                raw = _read_exact(fh, 8 * math.prod(shape), "weight blob")
                 # one bytes object per array keeps it aligned, which BLAS needs
                 # for full speed; slicing one whole-file buffer would not
                 w[key] = np.frombuffer(raw, dtype="<f8").reshape(shape)

@@ -10,6 +10,7 @@ from robophoto.behavior_sim import (
     ControllerParams,
     IMAGE_H,
     IMAGE_W,
+    PICTURE_TAKING,
     PictureTakingParams,
     Scenario,
     Simulator,
@@ -210,6 +211,21 @@ def test_simulator_deterministic():
     a = Simulator(_straight_scenario(steps=300, camera_faces=faces)).run()
     b = Simulator(_straight_scenario(steps=300, camera_faces=faces)).run()
     assert a == b
+
+
+def test_vote_history_stays_within_the_vote_window():
+    # no faces in view, so no camera ever wins and nothing clears the history
+    sim = Simulator(_straight_scenario(steps=5000))
+    log = sim.run()
+    assert all(e["state"] == "follow_line" for e in log)
+    assert len(sim.vote_history) <= PICTURE_TAKING.n_window
+
+
+def test_line_whose_distances_overflow_runs_out_of_view():
+    # segment arithmetic overflows to inf and NaN; the line is then out of view
+    line = [(-1.7e308, -1.7e308), (1.7e308, 1.7e308)]
+    sim = Simulator(Scenario(dt=0.1, steps=20, line=line, start_pose=(0.0, 0.1, 0.5)))
+    assert all(e["command"] == {"v": 0.0, "omega": 0.0} for e in sim.run())
 
 
 def test_scenario_json_roundtrip():

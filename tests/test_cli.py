@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
+import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_model_header
 from robophoto import tinynet
 from robophoto.abstraction import build_picture_cnn
 from robophoto.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     evaluate_methods,
@@ -30,7 +38,7 @@ from robophoto.core import (
     validate_dataset,
     write_dataset_jsonl,
 )
-from robophoto.face_quality import score_face, train_face_ann
+from robophoto.face_quality import build_face_ann, build_face_cnn, score_face, train_face_ann
 from robophoto.pgm import write_pgm
 from robophoto.synthetic import (
     DEFAULT_HIDDEN_BASELINE,
@@ -449,3 +457,275 @@ def test_train_face_ann_opens_no_crop(tmp_path, capsys):
         assert main(args) == EXIT_OK
         models.append(out.read_bytes())
     assert models[0] == models[1]
+
+
+# --- bad input: every probe ends in its documented exit code ---------------------
+
+DEEP = b"[" * 100_000 + b"]" * 100_000  # JSON nested deeper than the recursion limit
+SCENARIO = {"dt": 0.1, "steps": 30, "line": [[0.0, 0.0], [20.0, 0.0]], "start_pose": [0.0, 0.1, 0.0]}
+
+
+def _face_record(pid, **fields):
+    faces = [face_to_dict(f) for f in make_face_feature_dataset(2, seed=len(pid))]
+    return {"picture_id": pid, "burst_id": f"b{pid}", "width": 100, "height": 100, "faces": faces, **fields}
+
+
+def _with_face(record, **fields):
+    record["faces"][0].update(fields)
+    return record
+
+
+def _write(path, *items):
+    """Write JSON values (or raw bytes) one per line, and return the path."""
+    path.write_bytes(b"".join(i if isinstance(i, bytes) else json.dumps(i).encode() + b"\n" for i in items))
+    return str(path)
+
+
+def _ingest(tmp, *lines):
+    return ["ingest", "--dataset", _write(tmp / "in.jsonl", *lines), "--out", str(tmp / "out.jsonl")]
+
+
+def _simulate(tmp, scenario):
+    return ["simulate", "--scenario", _write(tmp / "s.json", scenario), "--out", str(tmp / "log.jsonl")]
+
+
+def _ttest(tmp, sample_b):
+    a, b = _write(tmp / "a.json", [1.0, 2.0, 3.0]), _write(tmp / "b.json", sample_b)
+    return ["ttest", "--sample-a", a, "--sample-b", b]
+
+
+def _methods(tmp, get, picture_model=None, face_model=None):
+    bp, hp = get("threshold_paths")
+    args = ["--dataset", str(get("dataset_path")), "--baseline-thresholds", str(bp)]
+    args += ["--heuristic-thresholds", str(hp), "--picture-model", str(picture_model or get("tiny_layout_model_path"))]
+    return args + (["--face-model", str(face_model)] if face_model else []) + ["--out", str(tmp / "r.json")]
+
+
+def _saved(model, path):
+    tinynet.save_model(model, path)
+    return path
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# name -> (function of (tmp_path, fixture getter) returning argv, exit code, expected stdout)
+BAD_INPUT_PROBES = {
+    "ingest_picture_label_not_string": (
+        lambda tmp, get: _ingest(tmp, _face_record("p0", label=7), _face_record("p1")),
+        EXIT_OK, "ingested 1 records (dropped 1 records, 0 faces)",
+    ),
+    "ingest_face_label_not_string": (
+        lambda tmp, get: _ingest(tmp, _with_face(_face_record("p0"), label=["Good"]), _face_record("p1")),
+        EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
+    ),
+    "ingest_missing_crop": (
+        lambda tmp, get: _ingest(tmp, _with_face(_face_record("p0"), face_image_path="no.pgm"), _face_record("p1")),
+        EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
+    ),
+    "ingest_corrupt_crop": (
+        lambda tmp, get: _ingest(
+            tmp, _with_face(_face_record("p0"), face_image_path=_write(tmp / "bad.pgm", b"P5\n40 x\n255\n")),
+            _face_record("p1"),
+        ),
+        EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
+    ),
+    "ingest_non_object_line": (lambda tmp, get: _ingest(tmp, _face_record("p0"), [1, 2]), EXIT_DATA, ""),
+    "ingest_non_utf8_line": (
+        lambda tmp, get: _ingest(tmp, _face_record("p0"), b'{"picture_id": "\xff"}\n'), EXIT_DATA, ""
+    ),
+    "ingest_duplicate_picture_id": (
+        lambda tmp, get: _ingest(tmp, _face_record("p0"), _face_record("p0")), EXIT_DATA, ""
+    ),
+    "ingest_dataset_is_directory": (
+        lambda tmp, get: ["ingest", "--dataset", str(tmp), "--out", str(tmp / "o.jsonl")], EXIT_DATA, ""
+    ),
+    "ingest_line_nested_too_deep": (
+        lambda tmp, get: _ingest(tmp, _face_record("p0"), DEEP + b"\n"), EXIT_DATA, ""
+    ),
+    "simulate_nested_too_deep": (lambda tmp, get: _simulate(tmp, DEEP), EXIT_DATA, ""),
+    "ttest_nested_too_deep": (lambda tmp, get: _ttest(tmp, DEEP), EXIT_DATA, ""),
+    "simulate_missing_steps": (lambda tmp, get: _simulate(tmp, _without(SCENARIO, "steps")), EXIT_DATA, ""),
+    "simulate_dt_zero": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 0}), EXIT_DATA, ""),
+    "simulate_negative_steps": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "steps": -5}), EXIT_DATA, ""),
+    "simulate_one_point_line": (
+        lambda tmp, get: _simulate(tmp, {**SCENARIO, "line": [[0.0, 0.0]]}), EXIT_DATA, ""
+    ),
+    "simulate_malformed_json": (lambda tmp, get: _simulate(tmp, b'{"dt": 0.1,'), EXIT_DATA, ""),
+    "simulate_non_object": (lambda tmp, get: _simulate(tmp, [SCENARIO]), EXIT_DATA, ""),
+    "ttest_malformed_json": (lambda tmp, get: _ttest(tmp, b"[1.0, 2.0"), EXIT_DATA, ""),
+    "ttest_non_numeric_sample": (lambda tmp, get: _ttest(tmp, ["a", 1.0]), EXIT_DATA, ""),
+    "ttest_one_value": (lambda tmp, get: _ttest(tmp, [1.0]), EXIT_DATA, ""),
+    **{
+        f"split_ratios_{ratios}": (
+            lambda tmp, get, ratios=ratios: [
+                "split", "--dataset", str(get("dataset_path")), "--out-dir", str(tmp / "s"), "--ratios", ratios,
+            ],
+            EXIT_USAGE, "",
+        )
+        for ratios in ("1.5,-0.25,-0.25", "a,b,c", "0.5,0.1")
+    },
+    "evaluate_face_mlp_as_picture_model": (
+        lambda tmp, get: ["evaluate", *_methods(tmp, get, picture_model=_saved(build_face_ann(), tmp / "m"))],
+        EXIT_DATA, "",
+    ),
+    "evaluate_face_cnn_on_faces_without_crops": (
+        lambda tmp, get: ["evaluate", *_methods(tmp, get, face_model=_saved(build_face_cnn(), tmp / "m"))],
+        EXIT_DATA, "",
+    ),
+    "optimize_thresholds_unlabelled": (
+        lambda tmp, get: [
+            "optimize-thresholds", "--dataset", _write(tmp / "u.jsonl", _face_record("p0"), _face_record("p1")),
+            "--kind", "baseline", "--out", str(tmp / "t.json"),
+        ],
+        EXIT_DATA, "",
+    ),
+    "train_epochs_0": (
+        lambda tmp, get: [
+            "train-face-ann", "--dataset", str(get("dataset_path")), "--out", str(tmp / "m"), "--epochs", "0",
+        ],
+        EXIT_USAGE, "",
+    ),
+    **{
+        f"optimize_thresholds_{flag}_{value}": (
+            lambda tmp, get, flag=flag, value=value: [
+                "optimize-thresholds", "--dataset", str(get("dataset_path")), "--kind", "baseline",
+                "--out", str(tmp / "t.json"), f"--{flag}", value,
+            ],
+            EXIT_USAGE, "",
+        )
+        for flag, value in (("population", "2"), ("generations", "-1"))
+    },
+    "select_quota_negative": (
+        lambda tmp, get: ["select", *_methods(tmp, get), "--quota", "-1"], EXIT_USAGE, ""
+    ),
+}
+
+
+def _tiny_layout_model():
+    """A small network that takes the layout canvas, for fast evaluate and select runs."""
+    spec = tinynet.conv2d(1, 2, 4, 4, stride=3)
+    (c, h, w) = tinynet.conv_output_shape((1, 100, 150), spec)
+    layers = [spec, tinynet.leaky_relu(), tinynet.flatten(), tinynet.dense(c * h * w, 1), tinynet.sigmoid()]
+    return tinynet.build_model(layers, seed=0)
+
+
+@pytest.fixture
+def tiny_layout_model_path(tmp_path):
+    return _saved(_tiny_layout_model(), tmp_path / "tiny.tnet")
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
+def test_bad_input_exits_with_its_code(tmp_path, request, capsys, probe):
+    make_argv, code, out = BAD_INPUT_PROBES[probe]
+    assert main(make_argv(tmp_path, request.getfixturevalue)) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "internal error" not in captured.err
+    assert out in captured.out
+
+
+# --- fuzz: corrupted input files never end in a traceback or an internal error ---
+
+JSON_VALUES = (
+    st.none() | st.booleans() | st.integers(-100, 100) | st.floats() | st.text(max_size=4)
+    | st.lists(st.integers(-3, 3) | st.floats(), max_size=3)
+    | st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2)
+)
+
+
+def _paths(value, path=()):
+    """The path of every value nested in a JSON value, its own included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    head, *rest = path
+    if isinstance(value, dict):
+        return {**value, head: _replace(value[head], rest, new)}
+    return [_replace(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+@st.composite
+def _corrupted(draw, data: bytes, json_lines: bool):
+    """data truncated, with one byte replaced, or (JSON files) one value swapped."""
+    how = draw(st.sampled_from(["truncate", "flip", "swap"] if json_lines is not None else ["truncate", "flip"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    lines = data.splitlines() if json_lines else [data]
+    idx = draw(st.integers(0, len(lines) - 1))
+    value = json.loads(lines[idx])
+    path = draw(st.sampled_from(list(_paths(value))))
+    lines[idx] = json.dumps(_replace(value, path, draw(JSON_VALUES))).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Per command: a directory of valid inputs, its argv, and each input file's
+    format (True: JSON Lines, False: JSON, None: binary)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cases = {}
+
+    d = root / "ingest"
+    (d / "crops").mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(3):
+        write_pgm(rng.integers(0, 256, size=(40, 40), dtype=np.uint8), d / f"crops/{i}.pgm")
+        records.append(_with_face(_face_record(f"p{i}", label="Good"), face_image_path=f"crops/{i}.pgm"))
+    _write(d / "in.jsonl", *records)
+    files = {"in.jsonl": True, **{f"crops/{i}.pgm": None for i in range(3)}}
+    cases["ingest"] = (d, ["ingest", "--dataset", "in.jsonl", "--out", "out.jsonl"], files)
+
+    d = root / "simulate"
+    d.mkdir()
+    windows = {
+        "obstacles": [{"t_start": 0.5, "t_end": 1.0, "points": [[0.4, 1.0]] * 12}],
+        "camera_faces": [{"t_start": 0.0, "t_end": 2.0, "counts": [3, 0, 0]}],
+    }
+    _write(d / "s.json", {**SCENARIO, **windows})
+    cases["simulate"] = (d, ["simulate", "--scenario", "s.json", "--out", "log.jsonl"], {"s.json": False})
+
+    d = root / "ttest"
+    d.mkdir()
+    _write(d / "a.json", [4.1, 4.3, 3.9, 4.6])
+    _write(d / "b.json", [3.1, 3.5, 3.0, 3.2])
+    cases["ttest"] = (d, ["ttest", "--sample-a", "a.json", "--sample-b", "b.json"], {"a.json": False, "b.json": False})
+
+    d = root / "evaluate"
+    d.mkdir()
+    write_dataset_jsonl(Dataset(records=tuple(make_threshold_dataset(12, seed=0, kind="heuristic"))), d / "d.jsonl")
+    (d / "b.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_BASELINE))
+    (d / "h.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_HEURISTIC))
+    _saved(_tiny_layout_model(), d / "m.tnet")
+    argv = ["evaluate", "--dataset", "d.jsonl", "--baseline-thresholds", "b.json"]
+    argv += ["--heuristic-thresholds", "h.json", "--picture-model", "m.tnet", "--out", "r.json"]
+    cases["evaluate"] = (d, argv, {"d.jsonl": True, "b.json": False, "h.json": False, "m.tnet": None})
+    return cases
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_corrupted_inputs_exit_with_a_documented_code(fuzz_inputs, data):
+    command = data.draw(st.sampled_from(sorted(fuzz_inputs)))
+    base, argv, files = fuzz_inputs[command]
+    name = data.draw(st.sampled_from(sorted(files)))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "in"
+        shutil.copytree(base, work)
+        (work / name).write_bytes(data.draw(_corrupted((base / name).read_bytes(), files[name])))
+        paths = {*files, "out.jsonl", "log.jsonl", "r.json"}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(work / a) if a in paths else a for a in argv])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()

@@ -10,7 +10,6 @@ from conftest import make_face, make_picture
 from robophoto.composition import (
     BaselineThresholds,
     HeuristicThresholds,
-    MissingScoreError,
     baseline_gate,
     baseline_score,
     center_distance,
@@ -19,7 +18,7 @@ from robophoto.composition import (
     thresholds_from_json,
     thresholds_to_json,
 )
-from robophoto.core import BoundingBox, DatasetError
+from robophoto.core import BoundingBox, DatasetError, UnscoredFaceError
 
 WIDE = BaselineThresholds(0.01, 0.99, 0.01, 0.99, 0.001, 0.9)
 
@@ -114,7 +113,7 @@ def test_heuristic_score_at_r_min_not_good():
 
 def test_heuristic_requires_scores():
     pic = make_picture([make_face(1400, 900, 1600, 1100)])
-    with pytest.raises(MissingScoreError):
+    with pytest.raises(UnscoredFaceError):
         heuristic_score(pic, _heuristic())
 
 
@@ -154,6 +153,8 @@ def _baseline_dict(**changes):
 
 MALFORMED_THRESHOLD_JSON = {
     "not_json": "{x_min: 0.1",
+    "not_utf8": b'{"kind": "\xff"}',
+    "nested_too_deep": "[" * 100_000 + "]" * 100_000,
     "array": "[0.1, 0.9]",
     "number": "0.5",
     "null": "null",

@@ -71,6 +71,24 @@ def test_validate_drops_undersized_face_image(tmp_path):
     assert len(result.dataset.records[0].faces) == 1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"label": 5}, {"face_image_path": "missing.pgm"}, {"face_image_path": "corrupt.pgm"}],
+    ids=["label_not_string", "missing_crop", "corrupt_crop"],
+)
+def test_validate_drops_only_the_bad_face(tmp_path, bad):
+    (tmp_path / "corrupt.pgm").write_bytes(b"P5\n40 40\n255\n")  # no pixel data
+    raw = [_raw_record(faces=[{**_raw_face(), **bad}, _raw_face(500, 500, 800, 800)])]
+    result = validate_dataset(raw, base_dir=tmp_path)
+    assert (result.dropped_faces, result.dropped_records) == (1, 0)
+    assert len(result.dataset.records[0].faces) == 1
+
+
+def test_validate_drops_record_with_non_string_label():
+    result = validate_dataset([_raw_record(label=["Good"]), _raw_record(pid="p1")])
+    assert (len(result.dataset), result.dropped_records) == (1, 1)
+
+
 def test_validate_rejects_degenerate_bbox_record():
     result = validate_dataset([_raw_record(faces=[_raw_face(x_tl=100, x_br=100)])])
     assert result.dropped_records == 1
@@ -85,7 +103,7 @@ def test_validate_faceless_dropped_unless_kept():
 
 
 def test_validate_duplicate_picture_id():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="'p0'"):
         validate_dataset([_raw_record(), _raw_record()])
 
 
@@ -111,6 +129,16 @@ def test_likelihood_levels_mapped():
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(_raw_record()) + "\n{not json\n")
+    with pytest.raises(ParseError, match=":2:"):
+        read_records_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "line", [b"[1, 2]", b'"p0"', b'{"picture_id": "\xff"}'], ids=["list", "string", "not_utf8"]
+)
+def test_line_that_is_not_a_utf8_json_object_fails_the_file(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(json.dumps(_raw_record()).encode() + b"\n" + line + b"\n")
     with pytest.raises(ParseError, match=":2:"):
         read_records_jsonl(path)
 

@@ -1,11 +1,14 @@
-"""Lint steps: every name a package module imports must be used in it, and
-every function parameter other than self or cls must be read in its body.
+"""Lint steps: every name a package module imports must be used in it, every
+function parameter other than self or cls must be read in its body, and every
+exception class derives from one of the three roots in robophoto.errors.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,28 @@ def _unused_parameters(tree: ast.Module) -> list[str]:
 def test_no_unused_parameters(path):
     unused = _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} has parameters its functions never read: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_exceptions_derive_from_a_root(path):
+    from robophoto.errors import DatasetError, TrainingDivergedError, UsageError
+
+    module = importlib.import_module(f"robophoto.{path.stem}")
+    strays = [
+        name
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException)
+        and cls.__module__ == module.__name__
+        and not issubclass(cls, (UsageError, DatasetError, TrainingDivergedError))
+    ]
+    assert not strays, f"{path.name} defines exceptions outside the three roots: {strays}"
+
+
+def test_cli_has_no_value_error_catch_all():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    caught = [
+        ast.unparse(node.type)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    ]
+    assert not [c for c in caught if "ValueError" in c], f"cli.py catches ValueError: {caught}"

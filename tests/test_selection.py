@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robophoto.core import FaceCountCategory
+from robophoto.errors import UsageError
 from robophoto.selection import (
     CATEGORY_ORDER,
     ScoredPicture,
@@ -109,6 +110,13 @@ def test_select_score_tie_breaks_by_id():
 
 def test_select_empty():
     assert select_best([]) == []
+
+
+def test_quota_zero_selects_nothing_and_negative_is_rejected():
+    cands = [_cand(i, FaceCountCategory.ONE, 0.5) for i in range(3)]
+    assert select_best(cands, SelectionConstraints(per_category_quota=0)) == []
+    with pytest.raises(UsageError):
+        SelectionConstraints(per_category_quota=-1)
 
 
 def test_oracle_refuses_large_input():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robophoto.core import Label
+from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
     GAConfig,
     _FitnessCache,
@@ -87,6 +88,14 @@ def test_ga_config_needs_more_than_the_elites():
     with pytest.raises(ValueError):
         GAConfig(population_size=2)
     assert GAConfig(population_size=3).population_size == 3
+
+
+def test_ga_config_rejects_negative_generations_and_runs_zero():
+    with pytest.raises(UsageError):
+        GAConfig(generations=-1)
+    pics = make_threshold_dataset(20, seed=1, kind="baseline")
+    report = ga_optimize(pics, "baseline", GAConfig(population_size=8, generations=0))
+    assert report.evaluations == 8 and report.curve == ()
 
 
 def test_genome_roundtrip_thresholds():

@@ -369,7 +369,13 @@ def test_load_truncated(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit", [lambda data: data[:9], lambda data: data + b"\x00"], ids=["9_bytes", "trailing_byte"]
+    "edit",
+    [
+        lambda data: data[:9],
+        lambda data: data + b"\x00",
+        lambda data: data[:5] + (2**62).to_bytes(8, "little") + data[13:],
+    ],
+    ids=["9_bytes", "trailing_byte", "header_length_beyond_file"],
 )
 def test_load_rejects_wrong_length(tmp_path, edit):
     path = tmp_path / "m.tnet"
@@ -398,6 +404,14 @@ def test_load_rejects_params_that_do_not_fit_the_spec(tmp_path, layer, params):
         load_model(path)
 
 
+def test_load_rejects_a_header_nested_too_deep(tmp_path):
+    blob = b"[" * 100_000 + b"]" * 100_000
+    path = tmp_path / "m.tnet"
+    path.write_bytes(b"TNET1" + len(blob).to_bytes(8, "little") + blob)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 def _edit_layer0(h, change):
     return {**h, "layers": [change(dict(h["layers"][0])), *h["layers"][1:]]}
 
@@ -414,6 +428,10 @@ MALFORMED_HEADERS = {
     "layer_unknown_kind": lambda h: _edit_layer0(h, lambda d: {**d, "kind": "tanh"}),
     "layer_bad_units": lambda h: _edit_layer0(h, lambda d: {**d, "in_units": -9}),
     "layer_mistyped_units": lambda h: _edit_layer0(h, lambda d: {**d, "in_units": "9"}),
+    # 9.0 still equals the 9 in the header's shapes, so only the type check catches it
+    "layer_float_units": lambda h: _edit_layer0(h, lambda d: {**d, "in_units": 9.0}),
+    "shapes_entry_not_object": lambda h: {**h, "shapes": [list(s.values()) for s in h["shapes"]]},
+    "metadata_not_object": lambda h: {**h, "metadata": [1]},
     "no_layers": lambda h: _without(h, "layers"),
     "no_params": lambda h: _without(h, "params"),
     "no_shapes": lambda h: _without(h, "shapes"),
