@@ -24,10 +24,10 @@ def scenarios() -> dict[str, Scenario]:
     }
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default=None, help="write per-scenario JSONL logs here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     for name, scenario in scenarios().items():
         sim = Simulator(scenario)

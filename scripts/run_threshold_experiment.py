@@ -15,7 +15,7 @@ from robophoto.threshold_opt import (
 )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kind", choices=("baseline", "heuristic"), default="baseline")
     ap.add_argument("--n-pictures", type=int, default=500)
@@ -23,7 +23,7 @@ def main() -> None:
     ap.add_argument("--grid-steps", type=int, default=None,
                     help="steps per axis for the oracle (default 9 baseline, 5 heuristic)")
     ap.add_argument("--curve-out", default=None, help="optional CSV path for the GA curve")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     steps = args.grid_steps or (9 if args.kind == "baseline" else 5)
     pictures = make_threshold_dataset(args.n_pictures, seed=args.seed, kind=args.kind)

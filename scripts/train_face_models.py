@@ -10,7 +10,7 @@ from robophoto.face_quality import evaluate_face_model, train_face_ann
 from robophoto.synthetic import make_face_feature_dataset
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-train", type=int, default=2000)
     ap.add_argument("--n-held", type=int, default=500)
@@ -20,7 +20,7 @@ def main() -> None:
     ap.add_argument("--learning-rate", type=float, default=0.005)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional model output path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     train_faces = make_face_feature_dataset(args.n_train, seed=args.seed, label_noise=args.label_noise)
     held_faces = make_face_feature_dataset(args.n_held, seed=args.seed + 1)

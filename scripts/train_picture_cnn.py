@@ -13,7 +13,7 @@ from robophoto.core import Label
 from robophoto.synthetic import make_layout_dataset
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-pictures", type=int, default=2000)
     ap.add_argument("--held-fraction", type=float, default=0.2)
@@ -22,7 +22,7 @@ def main() -> None:
     ap.add_argument("--learning-rate", type=float, default=0.01)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional model output path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     pictures = make_layout_dataset(args.n_pictures, seed=args.seed)
     n_held = int(len(pictures) * args.held_fraction)

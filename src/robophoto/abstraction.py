@@ -12,8 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tinynet
-from .core import Label, PictureRecord, UnscoredFaceError
-from .errors import DatasetError
+from .core import PictureRecord, UnscoredFaceError, labeled_items
 from .tinynet import NetworkModel, TrainConfig
 
 CANVAS_W = 150
@@ -81,20 +80,21 @@ def classify_picture(model: NetworkModel, abstract_image: np.ndarray) -> float:
     return tinynet.forward(model, image_to_input(abstract_image))
 
 
+def _picture_inputs(pictures: Iterable[PictureRecord]):
+    """Network input of each scored picture, produced lazily. Training and
+    scoring both encode pictures here."""
+    return (image_to_input(render_abstract(p)) for p in pictures)
+
+
 def classify_pictures(model: NetworkModel, pictures: Iterable[PictureRecord]) -> np.ndarray:
     """Layout scores for scored pictures, rendered and scored in batches."""
-    return tinynet.forward_many(model, (image_to_input(render_abstract(p)) for p in pictures))
+    return tinynet.forward_many(model, _picture_inputs(pictures))
 
 
 def train_picture_cnn(
     pictures: Sequence[PictureRecord], config: TrainConfig, seed: int = 0
 ) -> tuple[NetworkModel, list[float]]:
     """Train the layout CNN on the abstract renders of the labeled pictures."""
-    samples = [
-        (image_to_input(render_abstract(p)), 1.0 if p.label is Label.GOOD else 0.0)
-        for p in pictures
-        if p.label is not None
-    ]
-    if not samples:
-        raise DatasetError("no labeled pictures to train on")
-    return tinynet.train(build_picture_cnn(seed=seed), samples, config)
+    kept, good = labeled_items(pictures, "pictures")
+    xs = np.stack(list(_picture_inputs(kept)))
+    return tinynet.train(build_picture_cnn(seed=seed), xs, good, config)

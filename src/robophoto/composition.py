@@ -23,9 +23,6 @@ class BaselineThresholds:
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.occ_min < self.occ_max):
             raise DatasetError(f"threshold bounds out of order: {self}")
 
-    def as_genome(self) -> tuple[float, ...]:
-        return (self.x_min, self.x_max, self.y_min, self.y_max, self.occ_min, self.occ_max)
-
 
 @dataclass(frozen=True)
 class HeuristicThresholds:
@@ -36,9 +33,6 @@ class HeuristicThresholds:
     def __post_init__(self):
         if not (0.0 <= self.r_min <= 1.0 and 0.0 <= self.p_min <= 1.0):
             raise DatasetError(f"r_min/p_min outside [0, 1]: {self}")
-
-    def as_genome(self) -> tuple[float, ...]:
-        return self.baseline.as_genome() + (self.r_min, self.p_min)
 
 
 @dataclass(frozen=True)

@@ -183,10 +183,6 @@ class PictureRecord:
                     f"face bbox {b} outside {self.width}x{self.height} image"
                 )
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.width / 2.0, self.height / 2.0)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -207,6 +203,15 @@ class ValidationResult:
     dataset: Dataset
     dropped_faces: int
     dropped_records: int
+
+
+def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
+    """The items that carry a label, and the mask of those labelled Good: the
+    one rule for what trains, fits or scores against a label."""
+    kept = [item for item in items if item.label is not None]
+    if not kept:
+        raise DatasetError(f"no labeled {what}")
+    return kept, np.array([item.label is Label.GOOD for item in kept])
 
 
 def face_count_category(picture: PictureRecord) -> FaceCountCategory:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tinynet
-from .core import Dataset, FaceObservation, Label, MIN_FACE_SIDE
+from .core import FEATURE_NAMES, Dataset, FaceObservation, MIN_FACE_SIDE, labeled_items
 from .errors import DatasetError
-from .tinynet import NetworkModel, TrainConfig
+from .tinynet import ModelFormatError, NetworkModel, TrainConfig
 
 FACE_CROP_W = 40
 FACE_CROP_H = 30
@@ -101,14 +102,32 @@ def standardize_features(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def _feature_scaling(metadata: dict):
+    """The face MLP's (mean, std) rows from its metadata, or None when it reads
+    raw features. Both must be absent, or both 9 finite numbers with std > 0."""
+    pair = metadata.get("feature_mean"), metadata.get("feature_std")
+    if pair[0] is None and pair[1] is None:
+        return None
+    if not all(
+        isinstance(row, list)
+        and len(row) == len(FEATURE_NAMES)
+        # type(), not isinstance: a bool is no number here; abs() <= max is false for inf and nan
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row)
+        for row in pair
+    ) or min(pair[1]) <= 0:
+        raise ModelFormatError(f"feature_mean, feature_std must be 9 finite numbers, std > 0: {pair}")
+    return np.array(pair, dtype=np.float64)
+
+
 def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
-    """Network input of each face, picked by model kind, produced lazily."""
+    """Network input of each face, picked by model kind, produced lazily.
+    Training and scoring both encode faces here."""
     cnn = model.metadata.get("architecture", "") == "face_cnn"
-    mean, std = model.metadata.get("feature_mean"), model.metadata.get("feature_std")
+    scaling = None if cnn else _feature_scaling(model.metadata)
     for obs in faces:
         if not cnn:
             v = obs.features.as_vector()
-            yield v if mean is None or std is None else (v - np.asarray(mean)) / np.asarray(std)
+            yield v if scaling is None else (v - scaling[0]) / scaling[1]
         elif obs.face_image is None:
             raise MissingInputError("face_cnn scoring needs a face image")
         else:
@@ -129,43 +148,26 @@ def train_face_ann(
     faces: Sequence[FaceObservation], config: TrainConfig, seed: int = 0
 ) -> tuple[NetworkModel, list[float]]:
     """Train the feature MLP on labeled faces; z-scoring constants go into metadata."""
-    labeled = [f for f in faces if f.label is not None]
-    if not labeled:
-        raise DatasetError("no labeled faces")
-    vectors = np.stack([f.features.as_vector() for f in labeled])
-    mean, std = standardize_features(vectors)
+    kept, good = labeled_items(faces, "faces")
+    mean, std = standardize_features(np.stack([f.features.as_vector() for f in kept]))
+    scaling = {"feature_mean": mean.tolist(), "feature_std": std.tolist()}
     model = build_face_ann(seed=seed)
-    model = replace(
-        model,
-        metadata={**model.metadata, "feature_mean": mean.tolist(), "feature_std": std.tolist()},
-    )
-    samples = [
-        ((v - mean) / std, 1.0 if f.label is Label.GOOD else 0.0)
-        for v, f in zip(vectors, labeled)
-    ]
-    return tinynet.train(model, samples, config)
+    model = replace(model, metadata={**model.metadata, **scaling})
+    return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
 
 
 def train_face_cnn(
     faces: Sequence[FaceObservation], config: TrainConfig, seed: int = 0
 ) -> tuple[NetworkModel, list[float]]:
-    labeled = [f for f in faces if f.label is not None and f.face_image is not None]
-    if not labeled:
-        raise DatasetError("no labeled faces with images")
-    samples = [
-        (preprocess_face(f.face_image), 1.0 if f.label is Label.GOOD else 0.0) for f in labeled
-    ]
-    return tinynet.train(build_face_cnn(seed=seed), samples, config)
+    kept, good = labeled_items([f for f in faces if f.face_image is not None], "faces with images")
+    model = build_face_cnn(seed=seed)
+    return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
 
 
 def evaluate_face_model(model: NetworkModel, faces: Sequence[FaceObservation]) -> float:
     """Fraction of labeled faces where (score >= 0.5) agrees with the label."""
-    labeled = [f for f in faces if f.label is not None]
-    if not labeled:
-        raise DatasetError("no labeled faces to evaluate")
-    pred_good = score_faces(model, labeled) >= 0.5
-    actual_good = np.array([f.label is Label.GOOD for f in labeled])
-    return int(np.count_nonzero(pred_good == actual_good)) / len(labeled)
+    kept, good = labeled_items(faces, "faces")
+    return int(np.count_nonzero((score_faces(model, kept) >= 0.5) == good)) / len(kept)
 
 
 def dataset_faces(dataset: Dataset) -> list[FaceObservation]:

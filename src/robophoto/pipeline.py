@@ -14,7 +14,7 @@ import numpy as np
 
 from .abstraction import classify_pictures
 from .composition import baseline_score, heuristic_score
-from .core import Dataset, Label, PictureRecord, face_count_category
+from .core import Dataset, PictureRecord, face_count_category, labeled_items
 from .errors import DatasetError
 from .face_quality import dataset_faces, score_faces
 from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
@@ -60,10 +60,7 @@ def method_scores(
 def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -> dict:
     """Accuracy of all three methods on the same labeled split, overall and
     per face-count category present in the split."""
-    labeled = [r for r in dataset.records if r.label is not None]
-    if not labeled:
-        raise DatasetError("no labeled pictures to evaluate")
-    actual = np.array([r.label is Label.GOOD for r in labeled])
+    labeled, actual = labeled_items(dataset.records, "pictures")
     categories = np.array([face_count_category(r).value if r.faces else "no_faces" for r in labeled])
     n = len(labeled)
     report: dict = {"n_pictures": n, "methods": {}}

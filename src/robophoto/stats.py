@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DatasetError
 
@@ -84,20 +83,20 @@ def t_sf(t: float, df: float) -> float:
     return tail if t >= 0 else 1.0 - tail
 
 
-def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
+def welch_t_test(sample_a: list[float], sample_b: list[float]) -> TTestResult:
     """Welch's t statistic with a one-sided p-value for the observed direction.
 
-    Identical samples give T = 0 and p = 0.5. A sample that is not at least 2
-    numbers within +-1e150, and zero variance in both samples with equal
-    means, raise DatasetError.
+    Identical samples give T = 0 and p = 0.5. A sample that is not a list of
+    at least 2 int or float values (bool is not one) within +-1e150, and zero
+    variance in both samples with equal means, raise DatasetError.
     """
-    try:
-        a, b = [float(v) for v in sample_a], [float(v) for v in sample_b]
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetError("each sample must be a list of numbers") from None
-    # 1e150 keeps every square and sum of squares below the float maximum
-    if len(a) < 2 or len(b) < 2 or not all(abs(v) <= 1e150 for v in a + b):
-        raise DatasetError("each sample needs at least 2 values, each within +-1e150")
+    # type(), not isinstance, as a bool is no rating; 1e150 keeps every square
+    # and sum of squares below the float maximum, and abs() <= 1e150 fails for nan
+    if not all(isinstance(s, list) and len(s) >= 2 for s in (sample_a, sample_b)) or not all(
+        type(v) in (int, float) and abs(v) <= 1e150 for v in sample_a + sample_b
+    ):
+        raise DatasetError("each sample must be a list of at least 2 numbers, each within +-1e150")
+    a, b = [float(v) for v in sample_a], [float(v) for v in sample_b]
     na, nb = len(a), len(b)
     ma = sum(a) / na
     mb = sum(b) / nb

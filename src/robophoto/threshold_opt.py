@@ -18,8 +18,8 @@ from .composition import (
     baseline_score,
     heuristic_score,
 )
-from .core import Label, PictureRecord, UnscoredFaceError
-from .errors import DatasetError, UsageError
+from .core import PictureRecord, UnscoredFaceError, labeled_items
+from .errors import UsageError
 
 BASELINE_DIM = 6
 HEURISTIC_DIM = 8
@@ -78,20 +78,12 @@ def repair_genome(genome: np.ndarray) -> np.ndarray:
     return g
 
 
-def classify_with_thresholds(picture: PictureRecord, thresholds) -> Label:
-    if isinstance(thresholds, HeuristicThresholds):
-        score = heuristic_score(picture, thresholds)
-    else:
-        score = baseline_score(picture, thresholds)
-    return Label.GOOD if score.passed else Label.BAD
-
-
 def accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
-    labeled = [p for p in pictures if p.label is not None]
-    if not labeled:
-        raise DatasetError("no labeled pictures")
-    correct = sum(classify_with_thresholds(p, thresholds) is p.label for p in labeled)
-    return correct / len(labeled)
+    """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
+    kept, good = labeled_items(pictures, "pictures")
+    scorer = heuristic_score if isinstance(thresholds, HeuristicThresholds) else baseline_score
+    passed = np.array([scorer(p, thresholds).passed for p in kept])
+    return int(np.count_nonzero(passed == good)) / len(kept)
 
 
 class _FitnessCache:
@@ -109,12 +101,12 @@ class _FitnessCache:
     """
 
     def __init__(self, pictures: Sequence[PictureRecord], kind: str):
-        labeled = [p for p in pictures if p.label is not None]
-        if not labeled:
-            raise DatasetError("no labeled pictures")
+        if kind not in ("baseline", "heuristic"):
+            raise ValueError(f"unknown kind {kind!r}")
+        labeled, self.labels_good = labeled_items(pictures, "pictures")
         self.kind = kind
+        self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
         self.n_pictures = n = len(labeled)
-        self.labels_good = np.array([p.label is Label.GOOD for p in labeled])
         self.xtl_min, self.ytl_min, self.occ_min = np.full((3, n), -np.inf)
         self.xbr_max, self.ybr_max, self.occ_max = np.full((3, n), np.inf)
         depth = max(len(p.faces) for p in labeled) if kind == "heuristic" else 0
@@ -179,11 +171,8 @@ def ga_optimize(
     The elites lead every new population, so the best ever seen is the top
     of the last one.
     """
-    if kind not in ("baseline", "heuristic"):
-        raise ValueError(f"unknown kind {kind!r}")
-    dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-    size = config.population_size
     cache = _FitnessCache(pictures, kind)
+    size, dim = config.population_size, cache.dim
     rng = np.random.default_rng(config.seed)
 
     pop = repair_genome(rng.uniform(0, 1, (size, dim)))
@@ -226,14 +215,11 @@ def grid_search_oracle(
     the scorer, and sweeps the grid with factorized boolean tables. Ties
     resolve to the first point in lexicographic genome order.
     """
-    if kind not in ("baseline", "heuristic"):
-        raise ValueError(f"unknown kind {kind!r}")
-    dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-    total = steps_per_axis**dim
+    cache = _FitnessCache(pictures, kind)
+    total = steps_per_axis**cache.dim
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
 
-    cache = _FitnessCache(pictures, kind)
     n, labels_good = cache.n_pictures, cache.labels_good
     values = np.linspace(0.0, 1.0, steps_per_axis)
     column = values[:, None]

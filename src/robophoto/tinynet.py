@@ -343,12 +343,13 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     return loss, grads
 
 
-def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
-    """Mini-batch training with BCE loss. Deterministic for a fixed seed."""
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in samples])
-    ys = np.array([float(y) for _, y in samples])
-    if not np.all((ys == 0.0) | (ys == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
+    """Mini-batch training with BCE loss on input rows xs and their 0/1 (or
+    boolean) targets ys. Deterministic for a fixed seed."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.shape != xs.shape[:1] or not np.all((ys == 0.0) | (ys == 1.0)):
+        raise ValueError(f"need one 0 or 1 target per input row, got shape {ys.shape}")
 
     weights = [{k: v.copy() for k, v in w.items()} for w in model.weights]
     velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
@@ -384,8 +385,9 @@ def train(model: NetworkModel, samples, config: TrainConfig) -> tuple[NetworkMod
     return replace(work, metadata=meta), history
 
 
-def gradient_check(model: NetworkModel, sample, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(model: NetworkModel, x: np.ndarray, y: float, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the loss on one input x with 0/1 target y.
 
     The finite differences run in extended precision so that round-off in the
     loss difference stays below the comparison tolerance even for parameters
@@ -393,7 +395,6 @@ def gradient_check(model: NetworkModel, sample, epsilon: float = 1e-5) -> float:
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
-    x, y = sample
     x = np.asarray(x, dtype=np.float64)[None, ...]
     y = np.array([float(y)])
     _, grads = loss_and_gradients(model, x, y)

@@ -106,5 +106,5 @@ def test_picture_cnn_gradient_check(rng):
         tinynet.sigmoid(),
     ]
     model = tinynet.build_model(layers, seed=5)
-    err = tinynet.gradient_check(model, (rng.normal(size=(1, 11, 14)), 1.0), 1e-5)
+    err = tinynet.gradient_check(model, rng.normal(size=(1, 11, 14)), 1.0, 1e-5)
     assert err < 1e-4

@@ -15,8 +15,8 @@ from robophoto import tinynet
 from robophoto.abstraction import (
     build_picture_cnn,
     classify_picture,
-    image_to_input,
     render_abstract,
+    train_picture_cnn,
 )
 from robophoto.behavior_sim import (
     CollisionParams,
@@ -93,7 +93,7 @@ def test_criterion_01_gradient_correctness():
         layers += [tinynet.relu() if rng.random() < 0.5 else tinynet.leaky_relu()]
         layers += [tinynet.dense(hidden, 1), tinynet.sigmoid()]
         model = tinynet.build_model(layers, seed=int(rng.integers(0, 10_000)))
-        err = tinynet.gradient_check(model, (x, float(rng.integers(0, 2))), 1e-5)
+        err = tinynet.gradient_check(model, x, float(rng.integers(0, 2)), 1e-5)
         worst = max(worst, err)
     _report(
         "criterion 1 gradient correctness",
@@ -125,14 +125,10 @@ def test_criterion_02_face_ann_learnability():
 def test_criterion_03_picture_cnn_learnability():
     pictures = make_layout_dataset(2000, seed=21)
     train_pics, held_pics = pictures[:1600], pictures[1600:]
-    samples = [
-        (image_to_input(render_abstract(p)), 1.0 if p.label is Label.GOOD else 0.0)
-        for p in train_pics
-    ]
     config = tinynet.TrainConfig(
         epochs=20, batch_size=32, learning_rate=0.01, optimizer="momentum", seed=0
     )
-    model, _ = tinynet.train(build_picture_cnn(seed=0), samples, config)
+    model, _ = train_picture_cnn(train_pics, config, seed=0)
     correct = sum(
         (classify_picture(model, render_abstract(p)) >= 0.5) == (p.label is Label.GOOD)
         for p in held_pics

@@ -510,6 +510,16 @@ def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def _face_mlp(tmp, **metadata):
+    """A face MLP file whose metadata holds the given z-scoring entries."""
+    model = build_face_ann()
+    return _saved(replace(model, metadata={**model.metadata, **metadata}), tmp / "face.tnet")
+
+
+def _evaluate_face_mlp(**metadata):
+    return lambda tmp, get: ["evaluate", *_methods(tmp, get, face_model=_face_mlp(tmp, **metadata))]
+
+
 # name -> (function of (tmp_path, fixture getter) returning argv, exit code, expected stdout)
 BAD_INPUT_PROBES = {
     "ingest_picture_label_not_string": (
@@ -557,6 +567,9 @@ BAD_INPUT_PROBES = {
     "ttest_malformed_json": (lambda tmp, get: _ttest(tmp, b"[1.0, 2.0"), EXIT_DATA, ""),
     "ttest_non_numeric_sample": (lambda tmp, get: _ttest(tmp, ["a", 1.0]), EXIT_DATA, ""),
     "ttest_one_value": (lambda tmp, get: _ttest(tmp, [1.0]), EXIT_DATA, ""),
+    "ttest_numeric_string_value": (lambda tmp, get: _ttest(tmp, ["4.1", 3.0, 5.0]), EXIT_DATA, ""),
+    "ttest_boolean_value": (lambda tmp, get: _ttest(tmp, [True, 3, 5]), EXIT_DATA, ""),
+    "ttest_sample_is_string": (lambda tmp, get: _ttest(tmp, "123"), EXIT_DATA, ""),
     **{
         f"split_ratios_{ratios}": (
             lambda tmp, get, ratios=ratios: [
@@ -574,6 +587,23 @@ BAD_INPUT_PROBES = {
         lambda tmp, get: ["evaluate", *_methods(tmp, get, face_model=_saved(build_face_cnn(), tmp / "m"))],
         EXIT_DATA, "",
     ),
+    "evaluate_face_mlp_unscaled": (_evaluate_face_mlp(), EXIT_OK, "heuristic: accuracy"),
+    "evaluate_face_mlp_integer_scaling": (
+        _evaluate_face_mlp(feature_mean=[0] * 9, feature_std=[2] * 9), EXIT_OK, "heuristic: accuracy"
+    ),
+    **{
+        f"evaluate_face_mlp_{name}": (_evaluate_face_mlp(**metadata), EXIT_DATA, "")
+        for name, metadata in {
+            "mean_of_3": {"feature_mean": [0.0] * 3, "feature_std": [1.0] * 9},
+            "mean_is_string": {"feature_mean": "0" * 9, "feature_std": [1.0] * 9},
+            "mean_of_booleans": {"feature_mean": [False] * 9, "feature_std": [1.0] * 9},
+            "mean_nan": {"feature_mean": [float("nan")] * 9, "feature_std": [1.0] * 9},
+            "mean_too_large": {"feature_mean": [10**400] * 9, "feature_std": [1.0] * 9},
+            "std_zero": {"feature_mean": [0.0] * 9, "feature_std": [1.0] * 8 + [0.0]},
+            "std_nested": {"feature_mean": [0.0] * 9, "feature_std": [[1.0]] * 9},
+            "std_absent": {"feature_mean": [0.0] * 9},
+        }.items()
+    },
     "optimize_thresholds_unlabelled": (
         lambda tmp, get: [
             "optimize-thresholds", "--dataset", _write(tmp / "u.jsonl", _face_record("p0"), _face_record("p1")),
@@ -668,6 +698,9 @@ def _corrupted(draw, data: bytes, json_lines: bool):
     return b"\n".join(lines) + b"\n"
 
 
+ONE_EPOCH = ["--epochs", "1", "--batch-size", "4"]
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """Per command: a directory of valid inputs, its argv, and each input file's
@@ -685,6 +718,16 @@ def fuzz_inputs(tmp_path_factory):
     _write(d / "in.jsonl", *records)
     files = {"in.jsonl": True, **{f"crops/{i}.pgm": None for i in range(3)}}
     cases["ingest"] = (d, ["ingest", "--dataset", "in.jsonl", "--out", "out.jsonl"], files)
+    cases["train-face-cnn"] = (
+        d, ["train-face-cnn", "--dataset", "in.jsonl", "--out", "out.tnet", *ONE_EPOCH], files
+    )
+
+    d = root / "train-face-ann"
+    d.mkdir()
+    _write(d / "in.jsonl", *(_face_record(f"p{i}") for i in range(3)))
+    cases["train-face-ann"] = (
+        d, ["train-face-ann", "--dataset", "in.jsonl", "--out", "out.tnet", *ONE_EPOCH], {"in.jsonl": True}
+    )
 
     d = root / "simulate"
     d.mkdir()
@@ -707,13 +750,23 @@ def fuzz_inputs(tmp_path_factory):
     (d / "b.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_BASELINE))
     (d / "h.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_HEURISTIC))
     _saved(_tiny_layout_model(), d / "m.tnet")
-    argv = ["evaluate", "--dataset", "d.jsonl", "--baseline-thresholds", "b.json"]
-    argv += ["--heuristic-thresholds", "h.json", "--picture-model", "m.tnet", "--out", "r.json"]
-    cases["evaluate"] = (d, argv, {"d.jsonl": True, "b.json": False, "h.json": False, "m.tnet": None})
+    faces = make_face_feature_dataset(8, seed=1)
+    _saved(train_face_ann(faces, tinynet.TrainConfig(epochs=1), seed=0)[0], d / "f.tnet")
+    methods = ["--dataset", "d.jsonl", "--baseline-thresholds", "b.json", "--heuristic-thresholds", "h.json"]
+    methods += ["--picture-model", "m.tnet", "--out", "r.json"]
+    files = {"d.jsonl": True, "b.json": False, "h.json": False, "m.tnet": None}
+    cases["evaluate"] = (d, ["evaluate", *methods], files)
+    cases["select"] = (d, ["select", *methods, "--face-model", "f.tnet"], {**files, "f.tnet": None})
+    cases["render-abstract"] = (
+        d, ["render-abstract", "--dataset", "d.jsonl", "--out-dir", "renders"], {"d.jsonl": True}
+    )
+    cases["train-picture-cnn"] = (
+        d, ["train-picture-cnn", "--dataset", "d.jsonl", "--out", "out.tnet", *ONE_EPOCH], {"d.jsonl": True}
+    )
     return cases
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=270, deadline=None)
 @given(data=st.data())
 def test_corrupted_inputs_exit_with_a_documented_code(fuzz_inputs, data):
     command = data.draw(st.sampled_from(sorted(fuzz_inputs)))
@@ -723,7 +776,7 @@ def test_corrupted_inputs_exit_with_a_documented_code(fuzz_inputs, data):
         work = Path(tmp) / "in"
         shutil.copytree(base, work)
         (work / name).write_bytes(data.draw(_corrupted((base / name).read_bytes(), files[name])))
-        paths = {*files, "out.jsonl", "log.jsonl", "r.json"}
+        paths = {*files, "out.jsonl", "out.tnet", "log.jsonl", "r.json", "renders"}
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([str(work / a) if a in paths else a for a in argv])

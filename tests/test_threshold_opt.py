@@ -12,7 +12,6 @@ from robophoto.threshold_opt import (
     GAConfig,
     _FitnessCache,
     accuracy,
-    classify_with_thresholds,
     ga_optimize,
     genome_to_thresholds,
     grid_search_oracle,

@@ -76,25 +76,22 @@ def _linearly_separable(n, seed):
     w = np.array([1.5, -2.0])
     xs = rng.normal(size=(n, 2))
     ys = (xs @ w + 0.3 > 0).astype(float)
-    return [(x, y) for x, y in zip(xs, ys)]
+    return xs, ys
 
 
 def test_train_learns_linear_separator():
-    samples = _linearly_separable(200, seed=5)
+    xs, ys = _linearly_separable(200, seed=5)
     model = build_model([dense(2, 1), sigmoid()], seed=1)
-    trained, history = train(model, samples, TrainConfig(epochs=300, learning_rate=0.5, seed=2))
-    preds = [forward(trained, x) >= 0.5 for x, _ in samples]
-    acc = np.mean([p == (y == 1.0) for p, (_, y) in zip(preds, samples)])
+    trained, history = train(model, xs, ys, TrainConfig(epochs=300, learning_rate=0.5, seed=2))
+    acc = np.mean((forward_batch(trained, xs) >= 0.5) == (ys == 1.0))
     assert acc >= 0.99
     assert len(history) == 300
 
 
 def test_train_zero_learning_rate_is_noop():
-    samples = _linearly_separable(50, seed=1)
-    model = small_mlp()
-    # dense(9,...) does not fit 2 features; rebuild for the sample shape
+    xs, ys = _linearly_separable(50, seed=1)
     model = build_model([dense(2, 3), relu(), dense(3, 1), sigmoid()], seed=4)
-    trained, history = train(model, samples, TrainConfig(epochs=5, learning_rate=0.0, seed=0))
+    trained, history = train(model, xs, ys, TrainConfig(epochs=5, learning_rate=0.0, seed=0))
     for w0, w1 in zip(model.weights, trained.weights):
         for k in w0:
             assert np.array_equal(w0[k], w1[k])
@@ -102,30 +99,28 @@ def test_train_zero_learning_rate_is_noop():
 
 
 def test_train_deterministic_same_seed():
-    samples = _linearly_separable(80, seed=9)
+    xs, ys = _linearly_separable(80, seed=9)
     model = build_model([dense(2, 4), relu(), dense(4, 1), sigmoid()], seed=0)
     cfg = TrainConfig(epochs=20, learning_rate=0.1, seed=77)
-    a, _ = train(model, samples, cfg)
-    b, _ = train(model, samples, cfg)
+    a, _ = train(model, xs, ys, cfg)
+    b, _ = train(model, xs, ys, cfg)
     for wa, wb in zip(a.weights, b.weights):
         for k in wa:
             assert np.array_equal(wa[k], wb[k])
 
 
 def test_first_step_loss_decreases_small_lr():
-    samples = _linearly_separable(64, seed=2)
+    xs, ys = _linearly_separable(64, seed=2)
     model = build_model([dense(2, 8), relu(), dense(8, 1), sigmoid()], seed=6)
-    xs = np.stack([x for x, _ in samples])
-    ys = np.array([y for _, y in samples])
     before, _ = tinynet.loss_and_gradients(model, xs, ys)
-    trained, _ = train(model, samples, TrainConfig(epochs=1, batch_size=64, learning_rate=1e-4, seed=0))
+    trained, _ = train(model, xs, ys, TrainConfig(epochs=1, batch_size=64, learning_rate=1e-4, seed=0))
     after, _ = tinynet.loss_and_gradients(trained, xs, ys)
     assert after <= before
 
 
 def test_gradient_check_dense(rng):
     m = build_model([dense(9, 4), relu(), dense(4, 1), sigmoid()], seed=11)
-    err = gradient_check(m, (rng.normal(size=9), 1.0), 1e-5)
+    err = gradient_check(m, rng.normal(size=9), 1.0, 1e-5)
     assert err < 1e-4
 
 
@@ -134,7 +129,7 @@ def test_gradient_check_conv(rng):
         [conv2d(1, 2, 3, 3, stride=2, padding="valid"), relu(), flatten(), dense(2 * 2 * 3, 1), sigmoid()],
         seed=12,
     )
-    err = gradient_check(m, (rng.normal(size=(1, 6, 8)), 0.0), 1e-5)
+    err = gradient_check(m, rng.normal(size=(1, 6, 8)), 0.0, 1e-5)
     assert err < 1e-4
 
 
@@ -153,7 +148,7 @@ def test_gradient_check_stacked_convs_layout_like(rng):
         ],
         seed=13,
     )
-    err = gradient_check(m, (rng.normal(size=(2, 22, 25)), 1.0), 1e-5)
+    err = gradient_check(m, rng.normal(size=(2, 22, 25)), 1.0, 1e-5)
     assert err < 1e-4
 
 
@@ -171,7 +166,7 @@ def test_gradient_check_stacked_convs_face_like(rng):
         ],
         seed=14,
     )
-    err = gradient_check(m, (rng.normal(size=(1, 9, 11)), 0.0), 1e-5)
+    err = gradient_check(m, rng.normal(size=(1, 9, 11)), 0.0, 1e-5)
     assert err < 1e-4
 
 
@@ -228,11 +223,11 @@ def test_conv_matches_nested_loop_oracle(padding, stride, filter_hw, rng):
 
 
 def test_face_cnn_training_is_byte_deterministic(tmp_path, rng):
-    samples = [(rng.random((1, FACE_CROP_H, FACE_CROP_W)), float(i % 2)) for i in range(8)]
+    xs, ys = rng.random((8, 1, FACE_CROP_H, FACE_CROP_W)), np.arange(8) % 2
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.01, optimizer="momentum", seed=5)
     blobs = []
     for name in ("a", "b"):
-        trained, _ = train(build_face_cnn(seed=3), samples, config)
+        trained, _ = train(build_face_cnn(seed=3), xs, ys, config)
         save_model(trained, tmp_path / f"{name}.tnet")
         blobs.append((tmp_path / f"{name}.tnet").read_bytes())
     assert blobs[0] == blobs[1]
@@ -240,20 +235,18 @@ def test_face_cnn_training_is_byte_deterministic(tmp_path, rng):
 
 @pytest.mark.parametrize("optimizer", tinynet.OPTIMIZERS)
 def test_update_matches_the_written_out_formula_bit_for_bit(optimizer, rng):
-    samples = [(rng.normal(size=9), float(i % 2)) for i in range(6)]
+    xs, ys = rng.normal(size=(6, 9)), np.arange(6) % 2.0
     lr, epochs, seed = 0.1, 3, 2
     config = TrainConfig(epochs=epochs, batch_size=6, learning_rate=lr, optimizer=optimizer, seed=seed)
-    trained, _ = train(small_mlp(), samples, config)
+    trained, _ = train(small_mlp(), xs, ys, config)
 
     # one full batch per epoch, so each epoch is one step
-    xs = np.stack([x for x, _ in samples])
-    ys = np.array([y for _, y in samples])
     model = small_mlp()
     weights = [dict(w) for w in model.weights]
     velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
     order_rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        order = order_rng.permutation(len(samples))
+        order = order_rng.permutation(len(xs))
         _, grads = tinynet.loss_and_gradients(replace(model, weights=tuple(weights)), xs[order], ys[order])
         for w, v, g in zip(weights, velocity, grads):
             for k in g:
@@ -287,7 +280,7 @@ def test_gradient_check_zero_weights(rng):
         layers=m.layers,
         weights=tuple({k: np.zeros_like(v) for k, v in w.items()} for w in m.weights),
     )
-    err = gradient_check(zeroed, (rng.normal(size=4), 1.0), 1e-5)
+    err = gradient_check(zeroed, rng.normal(size=4), 1.0, 1e-5)
     assert err < 1e-6
 
 
@@ -301,7 +294,7 @@ def test_gradient_check_random_architectures(seed, hidden, act):
     activation = relu() if act == "relu" else leaky_relu()
     m = build_model([dense(3, hidden), activation, dense(hidden, 1), sigmoid()], seed=seed)
     rng = np.random.default_rng(seed)
-    err = gradient_check(m, (rng.normal(size=3), float(rng.integers(0, 2))), 1e-5)
+    err = gradient_check(m, rng.normal(size=3), float(rng.integers(0, 2)), 1e-5)
     assert err < 1e-4
 
 
@@ -318,7 +311,9 @@ def test_loss_needs_sigmoid_output():
 
 def test_train_rejects_bad_labels():
     with pytest.raises(ValueError):
-        train(small_mlp(), [(np.zeros(9), 0.5)], TrainConfig(epochs=1))
+        train(small_mlp(), np.zeros((1, 9)), np.array([0.5]), TrainConfig(epochs=1))
+    with pytest.raises(ValueError):  # one target per input row
+        train(small_mlp(), np.zeros((2, 9)), np.array([1.0]), TrainConfig(epochs=1))
 
 
 def test_save_load_roundtrip(tmp_path, rng):
@@ -462,9 +457,9 @@ def test_loaded_weights_are_aligned_read_only_and_trainable(tmp_path):
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
-    samples = [(np.ones(9), 1.0), (-np.ones(9), 0.0)]
-    trained, _ = train(loaded, samples, TrainConfig(epochs=2, learning_rate=0.1))
-    fresh, _ = train(small_mlp(), samples, TrainConfig(epochs=2, learning_rate=0.1))
+    xs, ys = np.stack([np.ones(9), -np.ones(9)]), np.array([True, False])
+    trained, _ = train(loaded, xs, ys, TrainConfig(epochs=2, learning_rate=0.1))
+    fresh, _ = train(small_mlp(), xs, ys, TrainConfig(epochs=2, learning_rate=0.1))
     for wt, wf in zip(trained.weights, fresh.weights):
         for k in wt:
             assert np.array_equal(wt[k], wf[k])
