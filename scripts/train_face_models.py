@@ -32,7 +32,7 @@ def main(argv=None) -> None:
         seed=args.seed,
     )
     t0 = time.time()
-    model, history = train_face_ann(train_faces, config, seed=args.seed)
+    model, history = train_face_ann(train_faces, config)
     elapsed = time.time() - t0
     acc_train = evaluate_face_model(model, train_faces)
     acc_held = evaluate_face_model(model, held_faces)

@@ -36,7 +36,7 @@ def main(argv=None) -> None:
         seed=args.seed,
     )
     t0 = time.time()
-    model, history = train_picture_cnn(train_pics, config, seed=args.seed)
+    model, history = train_picture_cnn(train_pics, config)
     elapsed = time.time() - t0
 
     pred_good = classify_pictures(model, held_pics) >= 0.5

@@ -92,9 +92,10 @@ def classify_pictures(model: NetworkModel, pictures: Iterable[PictureRecord]) ->
 
 
 def train_picture_cnn(
-    pictures: Sequence[PictureRecord], config: TrainConfig, seed: int = 0
+    pictures: Sequence[PictureRecord], config: TrainConfig
 ) -> tuple[NetworkModel, list[float]]:
-    """Train the layout CNN on the abstract renders of the labeled pictures."""
+    """Train the layout CNN, built from config.seed, on the abstract renders of
+    the labeled pictures."""
     kept, good = labeled_items(pictures, "pictures")
     xs = np.stack(list(_picture_inputs(kept)))
-    return tinynet.train(build_picture_cnn(seed=seed), xs, good, config)
+    return tinynet.train(build_picture_cnn(seed=config.seed), xs, good, config)

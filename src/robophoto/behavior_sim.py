@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, checked_number
 
 IMAGE_W = 640
 IMAGE_H = 480
@@ -160,19 +160,17 @@ class ScenarioError(DatasetError):
     pass
 
 
-def _numbers(values, n: int) -> tuple[float, ...]:
-    """values as n floats; anything but a list of n finite numbers raises ScenarioError."""
-    if isinstance(values, (list, tuple)) and len(values) == n and all(
-        type(v) in (int, float) and math.isfinite(v) for v in values
-    ):
-        return tuple(map(float, values))
-    raise ScenarioError(f"expected {n} finite numbers, got {values!r}")
+def _real(value) -> float:
+    return checked_number(value, ScenarioError, "a scenario value")
 
 
 def _window(w, key: str) -> dict:
-    values = [_numbers(p, 2) for p in w[key]] if key == "points" else _numbers(w[key], 3)
-    t_start, t_end = _numbers([w["t_start"], w["t_end"]], 2)
-    return {"t_start": t_start, "t_end": t_end, key: values}
+    if key == "points":
+        values = [(_real(x), _real(z)) for x, z in w[key]]
+    else:
+        left, front, right = w[key]
+        values = (_real(left), _real(front), _real(right))
+    return {"t_start": _real(w["t_start"]), "t_end": _real(w["t_end"]), key: values}
 
 
 @dataclass
@@ -185,12 +183,14 @@ class Scenario:
     camera_faces: list[dict] = field(default_factory=list)  # {t_start, t_end, counts}
 
     def __post_init__(self):
-        # checked once here so no run meets a bad value; a wrong structure raises TypeError
-        (self.dt,) = _numbers([self.dt], 1)
-        if not (self.dt > 0 and type(self.steps) is int and self.steps >= 0 and len(self.line) > 1):
+        # checked once so no run meets a bad value; a wrong structure raises TypeError or ValueError
+        self.dt = _real(self.dt)
+        self.steps = checked_number(self.steps, ScenarioError, "steps", integer=True)
+        if not (self.dt > 0 and self.steps >= 0 and len(self.line) > 1):
             raise ScenarioError("a scenario needs dt > 0, integer steps >= 0 and 2+ line points")
-        self.line = [_numbers(p, 2) for p in self.line]
-        self.start_pose = _numbers(self.start_pose, 3)
+        self.line = [(_real(x), _real(y)) for x, y in self.line]
+        x, y, heading = self.start_pose
+        self.start_pose = (_real(x), _real(y), _real(heading))
         self.obstacles = [_window(w, "points") for w in self.obstacles]
         self.camera_faces = [_window(w, "counts") for w in self.camera_faces]
 
@@ -199,7 +199,7 @@ class Scenario:
         """A scenario from JSON text or its UTF-8 bytes; anything malformed raises ScenarioError."""
         try:
             return cls(**json.loads(text))
-        except (ValueError, RecursionError, TypeError, KeyError, OverflowError) as e:
+        except (ValueError, RecursionError, TypeError, KeyError) as e:
             raise ScenarioError(f"malformed scenario: {e}") from None
 
 

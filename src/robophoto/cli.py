@@ -116,19 +116,17 @@ def _save_trained(args, model, history) -> int:
 def cmd_train_face_ann(args) -> int:
     # the MLP reads only the 9 features, so no crop file is opened
     faces = dataset_faces(_load_dataset(args.dataset, read_crops=False).dataset)
-    return _save_trained(args, *train_face_ann(faces, _train_config(args), seed=args.seed))
+    return _save_trained(args, *train_face_ann(faces, _train_config(args)))
 
 
 def cmd_train_face_cnn(args) -> int:
     faces = dataset_faces(_load_dataset(args.dataset).dataset)
-    return _save_trained(args, *train_face_cnn(faces, _train_config(args), seed=args.seed))
+    return _save_trained(args, *train_face_cnn(faces, _train_config(args)))
 
 
 def cmd_train_picture_cnn(args) -> int:
     dataset = _load_scored(args.dataset, args.face_model)
-    return _save_trained(
-        args, *train_picture_cnn(dataset.records, _train_config(args), seed=args.seed)
-    )
+    return _save_trained(args, *train_picture_cnn(dataset.records, _train_config(args)))
 
 
 def cmd_optimize_thresholds(args) -> int:

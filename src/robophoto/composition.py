@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .core import BoundingBox, PictureRecord, UnscoredFaceError
-from .errors import DatasetError
+from .errors import DatasetError, checked_number
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,6 @@ def thresholds_from_json(text: str | bytes):
         names += ["r_min", "p_min"]
     if d.keys() != {"kind", *names}:
         raise DatasetError(f"{kind} thresholds need exactly the keys {sorted(names)}, got {sorted(d)}")
-    values = [d[name] for name in names]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise DatasetError(f"threshold values must be numbers, got {values}")
+    values = [checked_number(d[name], DatasetError, name) for name in names]
     base = BaselineThresholds(*values[:6])  # bounds out of order raise DatasetError
     return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])

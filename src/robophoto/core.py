@@ -7,6 +7,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, UsageError
+from .errors import DatasetError, UsageError, checked_number
 from .pgm import read_pgm
 
 MIN_FACE_SIDE = 30
@@ -127,12 +128,12 @@ class FaceFeatures:
     def __post_init__(self):
         for name in ("roll", "pitch", "yaw"):
             v = float(getattr(self, name))
-            if not np.isfinite(v) or not -180.0 <= v <= 180.0:
+            if not -180.0 <= v <= 180.0:  # also false for NaN
                 raise ValidationError(f"{name}={v} outside [-180, 180]")
             object.__setattr__(self, name, v)
         for name in ("joy", "sorrow", "anger", "surprise", "exposure", "blur"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValidationError(f"{name} is not finite")
             object.__setattr__(self, name, _clamp01(v))
 
@@ -226,25 +227,23 @@ def face_count_category(picture: PictureRecord) -> FaceCountCategory:
     return FaceCountCategory.THREE_PLUS
 
 
-def _parse_likelihood(value) -> float:
-    """A level name or a number; an unknown name raises KeyError, which drops the face."""
-    return LIKELIHOOD_LEVELS[value] if isinstance(value, str) else float(value)
-
-
 # what a bad face or record raises, DatasetError included: it is dropped and counted
-_BAD_INPUT = (LookupError, TypeError, ValueError, ArithmeticError, OSError)
+_BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 
 def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> FaceObservation:
-    bbox = BoundingBox(**{k: int(d["bbox"][k]) for k in ("x_tl", "y_tl", "x_br", "y_br")})
+    box = d["bbox"]
+    bbox = BoundingBox(
+        *(checked_number(box[k], ValidationError, k, integer=True) for k in ("x_tl", "y_tl", "x_br", "y_br"))
+    )
     raw = d["features"]
     feats = {}
     for name in FEATURE_NAMES:
         v = raw[name]
-        if name in ("joy", "sorrow", "anger", "surprise"):
-            feats[name] = _parse_likelihood(v)
+        if name in ("joy", "sorrow", "anger", "surprise") and isinstance(v, str):
+            feats[name] = LIKELIHOOD_LEVELS[v]  # an unknown name raises KeyError, which drops the face
         else:
-            feats[name] = float(v)
+            feats[name] = checked_number(v, ValidationError, name)
     features = FaceFeatures(**feats)
     image = image_path = None
     path = d.get("face_image_path")
@@ -261,7 +260,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
         features=features,
         face_image=image,
         label=label,
-        score=None if score is None else float(score),
+        score=None if score is None else checked_number(score, ValidationError, "score"),
         image_path=image_path,
     )
 
@@ -280,8 +279,8 @@ def _record_from_dict(
     rec = PictureRecord(
         picture_id=str(d["picture_id"]),
         burst_id=str(d["burst_id"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
+        width=checked_number(d["width"], ValidationError, "width", integer=True),
+        height=checked_number(d["height"], ValidationError, "height", integer=True),
         faces=tuple(faces),
         label=Label.parse(d["label"]) if d.get("label") else None,
     )
@@ -402,22 +401,17 @@ def split_dataset(
     if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise UsageError(f"split ratios {ratios} must be three values >= 0 that sum to 1")
     bursts: dict[str, list[PictureRecord]] = {}
-    order: list[str] = []
     for rec in dataset.records:
-        if rec.burst_id not in bursts:
-            bursts[rec.burst_id] = []
-            order.append(rec.burst_id)
-        bursts[rec.burst_id].append(rec)
+        bursts.setdefault(rec.burst_id, []).append(rec)
+    groups = list(bursts.values())  # in first-seen order
     rng = np.random.default_rng(np.uint64(seed))
-    perm = rng.permutation(len(order))
-    shuffled = [order[i] for i in perm]
 
     n = len(dataset.records)
     target_train = ratios[0] * n
     target_test = ratios[1] * n
     parts: tuple[list[PictureRecord], ...] = ([], [], [])
-    for bid in shuffled:
-        group = bursts[bid]
+    for i in rng.permutation(len(groups)):
+        group = groups[i]
         if len(parts[0]) < target_train:
             parts[0].extend(group)
         elif len(parts[1]) < target_test:

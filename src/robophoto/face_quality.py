@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from . import tinynet
 from .core import FEATURE_NAMES, Dataset, FaceObservation, MIN_FACE_SIDE, labeled_items
-from .errors import DatasetError
+from .errors import DatasetError, checked_number
 from .tinynet import ModelFormatError, NetworkModel, TrainConfig
 
 FACE_CROP_W = 40
@@ -95,28 +94,30 @@ def preprocess_face(face_image: np.ndarray, bbox=None) -> np.ndarray:
     return (resized / 255.0)[None, :, :]
 
 
+# the smallest feature std: a smaller one would blow z-scores up to inf
+STD_FLOOR = 1e-9
+
+
 def standardize_features(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and std over a training matrix (std floored at 1e-9)."""
+    """Per-feature mean and std over a training matrix (std floored at STD_FLOOR)."""
     mean = vectors.mean(axis=0)
-    std = np.maximum(vectors.std(axis=0), 1e-9)
+    std = np.maximum(vectors.std(axis=0), STD_FLOOR)
     return mean, std
 
 
 def _feature_scaling(metadata: dict):
     """The face MLP's (mean, std) rows from its metadata, or None when it reads
-    raw features. Both must be absent, or both 9 finite numbers with std > 0."""
+    raw features. Both must be absent, or both lists of 9 numbers (see
+    errors.checked_number) with every std at least STD_FLOOR."""
     pair = metadata.get("feature_mean"), metadata.get("feature_std")
     if pair[0] is None and pair[1] is None:
         return None
-    if not all(
-        isinstance(row, list)
-        and len(row) == len(FEATURE_NAMES)
-        # type(), not isinstance: a bool is no number here; abs() <= max is false for inf and nan
-        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row)
-        for row in pair
-    ) or min(pair[1]) <= 0:
-        raise ModelFormatError(f"feature_mean, feature_std must be 9 finite numbers, std > 0: {pair}")
-    return np.array(pair, dtype=np.float64)
+    if not all(isinstance(row, list) and len(row) == len(FEATURE_NAMES) for row in pair):
+        raise ModelFormatError(f"feature_mean, feature_std must be lists of 9 numbers: {pair}")
+    mean, std = ([checked_number(v, ModelFormatError, "a feature scaling entry") for v in row] for row in pair)
+    if min(std) < STD_FLOOR:
+        raise ModelFormatError(f"every feature_std entry must be at least {STD_FLOOR}: {std}")
+    return np.array([mean, std])
 
 
 def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
@@ -144,23 +145,20 @@ def score_face(model: NetworkModel, obs: FaceObservation) -> float:
     return float(score_faces(model, [obs])[0])
 
 
-def train_face_ann(
-    faces: Sequence[FaceObservation], config: TrainConfig, seed: int = 0
-) -> tuple[NetworkModel, list[float]]:
-    """Train the feature MLP on labeled faces; z-scoring constants go into metadata."""
+def train_face_ann(faces: Sequence[FaceObservation], config: TrainConfig) -> tuple[NetworkModel, list[float]]:
+    """Train the feature MLP, built from config.seed, on labeled faces; z-scoring
+    constants go into metadata."""
     kept, good = labeled_items(faces, "faces")
     mean, std = standardize_features(np.stack([f.features.as_vector() for f in kept]))
     scaling = {"feature_mean": mean.tolist(), "feature_std": std.tolist()}
-    model = build_face_ann(seed=seed)
+    model = build_face_ann(seed=config.seed)
     model = replace(model, metadata={**model.metadata, **scaling})
     return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
 
 
-def train_face_cnn(
-    faces: Sequence[FaceObservation], config: TrainConfig, seed: int = 0
-) -> tuple[NetworkModel, list[float]]:
+def train_face_cnn(faces: Sequence[FaceObservation], config: TrainConfig) -> tuple[NetworkModel, list[float]]:
     kept, good = labeled_items([f for f in faces if f.face_image is not None], "faces with images")
-    model = build_face_cnn(seed=seed)
+    model = build_face_cnn(seed=config.seed)
     return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DatasetError
+from .errors import DatasetError, checked_number
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,15 @@ def welch_t_test(sample_a: list[float], sample_b: list[float]) -> TTestResult:
     """Welch's t statistic with a one-sided p-value for the observed direction.
 
     Identical samples give T = 0 and p = 0.5. A sample that is not a list of
-    at least 2 int or float values (bool is not one) within +-1e150, and zero
+    at least 2 numbers (see errors.checked_number) within +-1e150, and zero
     variance in both samples with equal means, raise DatasetError.
     """
-    # type(), not isinstance, as a bool is no rating; 1e150 keeps every square
-    # and sum of squares below the float maximum, and abs() <= 1e150 fails for nan
-    if not all(isinstance(s, list) and len(s) >= 2 for s in (sample_a, sample_b)) or not all(
-        type(v) in (int, float) and abs(v) <= 1e150 for v in sample_a + sample_b
-    ):
-        raise DatasetError("each sample must be a list of at least 2 numbers, each within +-1e150")
-    a, b = [float(v) for v in sample_a], [float(v) for v in sample_b]
+    if not all(isinstance(s, list) and len(s) >= 2 for s in (sample_a, sample_b)):
+        raise DatasetError("each sample must be a list of at least 2 numbers")
+    a, b = ([checked_number(v, DatasetError, "a rating") for v in s] for s in (sample_a, sample_b))
+    # 1e150 keeps every square and sum of squares below the float maximum
+    if max(map(abs, a + b)) > 1e150:
+        raise DatasetError("each rating must be within +-1e150")
     na, nb = len(a), len(b)
     ma = sum(a) / na
     mb = sum(b) / nb

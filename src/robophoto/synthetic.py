@@ -8,6 +8,7 @@ checked against ground truth.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -245,16 +246,7 @@ def make_layout_dataset(n_pictures: int, seed: int) -> list[PictureRecord]:
             height=height,
             faces=obs,
         )
-        pictures.append(
-            PictureRecord(
-                picture_id=pic.picture_id,
-                burst_id=pic.burst_id,
-                width=width,
-                height=height,
-                faces=obs,
-                label=layout_rule_label(pic),
-            )
-        )
+        pictures.append(replace(pic, label=layout_rule_label(pic)))
     return pictures
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DatasetError, TrainingDivergedError, UsageError
+from .errors import DatasetError, TrainingDivergedError, UsageError, checked_number
 
 MAGIC = b"TNET"
 FORMAT_VERSION = 1
@@ -57,9 +57,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        dims = [getattr(self, k) for k, f in self.__dataclass_fields__.items() if f.type == "int"]
-        if not all(isinstance(v, (int, np.integer)) for v in dims):
-            raise ShapeError(f"layer dims and stride must be integers: {self}")
+        for k, f in self.__dataclass_fields__.items():
+            if f.type == "int":
+                checked_number(getattr(self, k), ShapeError, f"layer {k}", integer=True)
         if self.kind == "dense" and (self.in_units <= 0 or self.out_units <= 0):
             raise ShapeError(f"dense layer needs positive unit counts: {self}")
         if self.kind == "conv2d":
@@ -130,6 +130,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        checked_number(self.learning_rate, UsageError, "learning_rate")
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
             raise UsageError(f"invalid training config {self}")
         if self.optimizer not in OPTIMIZERS:

@@ -54,3 +54,13 @@ def rewrite_model_header(path, edit):
     (n,) = struct.unpack("<Q", data[5:13])
     blob = json.dumps(edit(json.loads(data[13 : 13 + n]))).encode("utf-8")
     path.write_bytes(data[:5] + struct.pack("<Q", len(blob)) + blob + data[13 + n :])
+
+
+def set_at(value, path, new):
+    """value with the item at path, a sequence of keys and list indices, replaced by new."""
+    *head, last = path
+    target = value
+    for key in head:
+        target = target[key]
+    target[last] = new
+    return value

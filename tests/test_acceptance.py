@@ -106,9 +106,9 @@ def test_criterion_02_face_ann_learnability():
     faces = make_face_feature_dataset(2000, seed=11, label_noise=0.1)
     held = make_face_feature_dataset(500, seed=12, label_noise=0.1)
     config = tinynet.TrainConfig(epochs=200, batch_size=32, learning_rate=0.005, seed=0)
-    model, history = train_face_ann(faces, config, seed=0)
+    model, history = train_face_ann(faces, config)
     acc = evaluate_face_model(model, held)
-    model2, history2 = train_face_ann(faces, config, seed=0)
+    model2, history2 = train_face_ann(faces, config)
     deterministic = history == history2 and all(
         np.array_equal(wa[k], wb[k])
         for wa, wb in zip(model.weights, model2.weights)
@@ -128,7 +128,7 @@ def test_criterion_03_picture_cnn_learnability():
     config = tinynet.TrainConfig(
         epochs=20, batch_size=32, learning_rate=0.01, optimizer="momentum", seed=0
     )
-    model, _ = train_picture_cnn(train_pics, config, seed=0)
+    model, _ = train_picture_cnn(train_pics, config)
     correct = sum(
         (classify_picture(model, render_abstract(p)) >= 0.5) == (p.label is Label.GOOD)
         for p in held_pics

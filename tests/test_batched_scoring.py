@@ -35,7 +35,7 @@ def faces():
 @pytest.fixture(scope="module")
 def face_ann(faces):
     config = tinynet.TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=0)
-    model, _ = train_face_ann(faces, config, seed=0)
+    model, _ = train_face_ann(faces, config)
     return model
 
 

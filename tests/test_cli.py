@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_model_header
+from conftest import rewrite_model_header, set_at
 from robophoto import tinynet
 from robophoto.abstraction import build_picture_cnn
 from robophoto.cli import (
@@ -326,7 +327,7 @@ def test_evaluate_methods_requires_labels(picture_model_path):
 def face_model_path(tmp_path):
     faces = make_face_feature_dataset(64, seed=2)
     config = tinynet.TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=0)
-    model, _ = train_face_ann(faces, config, seed=0)
+    model, _ = train_face_ann(faces, config)
     path = tmp_path / "face.tnet"
     tinynet.save_model(model, path)
     return path
@@ -494,9 +495,9 @@ def _ttest(tmp, sample_b):
     return ["ttest", "--sample-a", a, "--sample-b", b]
 
 
-def _methods(tmp, get, picture_model=None, face_model=None):
+def _methods(tmp, get, picture_model=None, face_model=None, baseline=None):
     bp, hp = get("threshold_paths")
-    args = ["--dataset", str(get("dataset_path")), "--baseline-thresholds", str(bp)]
+    args = ["--dataset", str(get("dataset_path")), "--baseline-thresholds", str(baseline or bp)]
     args += ["--heuristic-thresholds", str(hp), "--picture-model", str(picture_model or get("tiny_layout_model_path"))]
     return args + (["--face-model", str(face_model)] if face_model else []) + ["--out", str(tmp / "r.json")]
 
@@ -518,6 +519,37 @@ def _face_mlp(tmp, **metadata):
 
 def _evaluate_face_mlp(**metadata):
     return lambda tmp, get: ["evaluate", *_methods(tmp, get, face_model=_face_mlp(tmp, **metadata))]
+
+
+FACE_DROPPED = "ingested 2 records (dropped 0 records, 1 faces)"
+RECORD_DROPPED = "ingested 1 records (dropped 1 records, 0 faces)"
+# a number from input is an int, or a float outside integer fields: never a bool or a string
+INGEST_NUMBER_PROBES = {
+    "bbox_fraction": (("faces", 0, "bbox", "x_tl"), 12.7, FACE_DROPPED),
+    "bbox_numeric_string": (("faces", 0, "bbox", "x_tl"), "12", FACE_DROPPED),
+    "bbox_true": (("faces", 0, "bbox", "x_tl"), True, FACE_DROPPED),
+    "feature_numeric_string": (("faces", 0, "features", "yaw"), "12", FACE_DROPPED),
+    "likelihood_true": (("faces", 0, "features", "joy"), True, FACE_DROPPED),
+    "score_numeric_string": (("faces", 0, "score"), "0.5", FACE_DROPPED),
+    "width_numeric_string": (("width",), "100", RECORD_DROPPED),
+    "width_fraction": (("width",), 100.9, RECORD_DROPPED),
+}
+
+
+def _baseline_file(tmp, **values):
+    return _write(tmp / "b.json", {**json.loads(thresholds_to_json(DEFAULT_HIDDEN_BASELINE)), **values})
+
+
+def _layout_model_file(tmp, **last_dense):
+    """The tiny layout model's file with its last dense layer's spec edited."""
+    path = _saved(_tiny_layout_model(), tmp / "p.tnet")
+
+    def edit(header):
+        *head, dense, sigmoid = header["layers"]
+        return {**header, "layers": [*head, {**dense, **last_dense}, sigmoid]}
+
+    rewrite_model_header(path, edit)
+    return path
 
 
 # name -> (function of (tmp_path, fixture getter) returning argv, exit code, expected stdout)
@@ -600,9 +632,39 @@ BAD_INPUT_PROBES = {
             "mean_nan": {"feature_mean": [float("nan")] * 9, "feature_std": [1.0] * 9},
             "mean_too_large": {"feature_mean": [10**400] * 9, "feature_std": [1.0] * 9},
             "std_zero": {"feature_mean": [0.0] * 9, "feature_std": [1.0] * 8 + [0.0]},
+            "std_subnormal": {"feature_mean": [0.0] * 9, "feature_std": [5e-324] * 9},
             "std_nested": {"feature_mean": [0.0] * 9, "feature_std": [[1.0]] * 9},
             "std_absent": {"feature_mean": [0.0] * 9},
         }.items()
+    },
+    **{
+        f"ingest_{name}": (
+            lambda tmp, get, path=path, value=value: _ingest(
+                tmp, set_at(_face_record("p0"), path, value), _face_record("p1")
+            ),
+            EXIT_OK, summary,
+        )
+        for name, (path, value, summary) in INGEST_NUMBER_PROBES.items()
+    },
+    "evaluate_threshold_minus_infinity": (
+        lambda tmp, get: ["evaluate", *_methods(tmp, get, baseline=_baseline_file(tmp, x_min=-math.inf))],
+        EXIT_DATA, "",
+    ),
+    "evaluate_layer_width_true": (
+        lambda tmp, get: [
+            "evaluate", *_methods(tmp, get, picture_model=_layout_model_file(tmp, out_units=True))
+        ],
+        EXIT_DATA, "",
+    ),
+    **{
+        f"train_learning_rate_{value}": (
+            lambda tmp, get, value=value: [
+                "train-face-ann", "--dataset", str(get("dataset_path")), "--out", str(tmp / "m"),
+                "--epochs", "1", "--learning-rate", value,
+            ],
+            EXIT_USAGE, "",
+        )
+        for value in ("nan", "inf")
     },
     "optimize_thresholds_unlabelled": (
         lambda tmp, get: [
@@ -646,6 +708,8 @@ def tiny_layout_model_path(tmp_path):
     return _saved(_tiny_layout_model(), tmp_path / "tiny.tnet")
 
 
+# a RuntimeWarning would be numpy meeting a value the input checks let through
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
 def test_bad_input_exits_with_its_code(tmp_path, request, capsys, probe):
     make_argv, code, out = BAD_INPUT_PROBES[probe]
@@ -751,7 +815,7 @@ def fuzz_inputs(tmp_path_factory):
     (d / "h.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_HEURISTIC))
     _saved(_tiny_layout_model(), d / "m.tnet")
     faces = make_face_feature_dataset(8, seed=1)
-    _saved(train_face_ann(faces, tinynet.TrainConfig(epochs=1), seed=0)[0], d / "f.tnet")
+    _saved(train_face_ann(faces, tinynet.TrainConfig(epochs=1))[0], d / "f.tnet")
     methods = ["--dataset", "d.jsonl", "--baseline-thresholds", "b.json", "--heuristic-thresholds", "h.json"]
     methods += ["--picture-model", "m.tnet", "--out", "r.json"]
     files = {"d.jsonl": True, "b.json": False, "h.json": False, "m.tnet": None}

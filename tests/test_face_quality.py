@@ -96,7 +96,7 @@ def test_train_ann_learns_rule():
     faces = make_face_feature_dataset(600, seed=3)
     held = make_face_feature_dataset(200, seed=4)
     cfg = tinynet.TrainConfig(epochs=60, batch_size=32, learning_rate=0.005, seed=0)
-    model, history = train_face_ann(faces, cfg, seed=0)
+    model, history = train_face_ann(faces, cfg)
     assert history[-1] < history[0]
     assert evaluate_face_model(model, held) >= 0.75
 
@@ -104,8 +104,8 @@ def test_train_ann_learns_rule():
 def test_train_ann_deterministic():
     faces = make_face_feature_dataset(100, seed=1)
     cfg = tinynet.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=5)
-    a, ha = train_face_ann(faces, cfg, seed=0)
-    b, hb = train_face_ann(faces, cfg, seed=0)
+    a, ha = train_face_ann(faces, cfg)
+    b, hb = train_face_ann(faces, cfg)
     assert ha == hb
     for wa, wb in zip(a.weights, b.weights):
         for k in wa:

@@ -1,6 +1,7 @@
 """Lint steps: every name a package module imports must be used in it, every
-function parameter other than self or cls must be read in its body, and every
-exception class derives from one of the three roots in robophoto.errors.
+function parameter other than self or cls must be read in its body, every
+exception class derives from one of the three roots in robophoto.errors, and
+no module but errors.py decides by hand what counts as a number.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -92,3 +93,22 @@ def test_cli_has_no_value_error_catch_all():
         if isinstance(node, ast.ExceptHandler) and node.type is not None
     ]
     assert not [c for c in caught if "ValueError" in c], f"cli.py catches ValueError: {caught}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_no_hand_written_number_check(path):
+    """A tuple naming both int and float, other than the parameters of a type
+    such as tuple[int, float], marks a hand-written number check;
+    errors.checked_number is the one rule for a number read from input."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    type_parameters = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
+    tuples = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and id(node) not in type_parameters
+        and {"int", "float"} <= {e.id for e in node.elts if isinstance(e, ast.Name)}
+    ]
+    assert not tuples, f"{path.name} checks numbers by hand, use errors.checked_number: {', '.join(tuples)}"

@@ -2,13 +2,15 @@
 DatasetError subclass, whatever the bytes or JSON values it is given."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import neutral_features
+from conftest import neutral_features, rewrite_model_header, set_at
 from robophoto import tinynet
 from robophoto.behavior_sim import Scenario, ScenarioError, Simulator
 from robophoto.core import (
@@ -21,7 +23,12 @@ from robophoto.core import (
     read_records_jsonl,
     validate_dataset,
 )
+from robophoto.composition import thresholds_from_json, thresholds_to_json
+from robophoto.errors import DatasetError
+from robophoto.face_quality import build_face_ann, score_faces
 from robophoto.pgm import PGMError, read_pgm, write_pgm
+from robophoto.stats import welch_t_test
+from robophoto.synthetic import DEFAULT_HIDDEN_BASELINE
 
 PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -171,3 +178,102 @@ def test_scenario_is_runnable_or_scenario_error(text):
     sim = Simulator(scenario)
     for _ in range(min(scenario.steps, 20)):
         sim.step()
+
+
+# --- one rule for a number read from input, whichever reader reads it ---------
+
+# value kind -> the value put in a field, from the field's valid int and float
+NUMBER_KINDS = {
+    "true": lambda valid_int, valid_float: True,
+    "numeric string": lambda valid_int, valid_float: str(valid_int),
+    "NaN": lambda valid_int, valid_float: math.nan,
+    "Infinity": lambda valid_int, valid_float: math.inf,
+    "-Infinity": lambda valid_int, valid_float: -math.inf,
+    "10**400": lambda valid_int, valid_float: 10**400,
+    "whole float": lambda valid_int, valid_float: float(valid_int),
+    "fraction": lambda valid_int, valid_float: valid_float,
+    "int": lambda valid_int, valid_float: valid_int,
+}
+
+
+def _json(value):
+    """value after a round trip through JSON text, as a reader receives it."""
+    return json.loads(json.dumps(value))
+
+
+def _accepts(error, read, *args) -> bool:
+    """Whether read(*args) returns; False when it raises error."""
+    try:
+        read(*args)
+    except error:
+        return False
+    return True
+
+
+def _record_reader(*path):
+    def read(value):
+        result = validate_dataset([_json(set_at(_valid_record(0), path, value))])
+        return len(result.dataset) == 1 and result.dropped_faces == 0  # else dropped and counted
+
+    return read
+
+
+def _scenario_reader(value):
+    return _accepts(ScenarioError, Scenario.from_json, json.dumps(set_at(_json(SCENARIO), ("line", 1, 0), value)))
+
+
+def _threshold_reader(value):
+    text = json.dumps({**json.loads(thresholds_to_json(DEFAULT_HIDDEN_BASELINE)), "x_max": value})
+    return _accepts(DatasetError, thresholds_from_json, text)
+
+
+def _sample_reader(value):
+    return _accepts(DatasetError, welch_t_test, [1.0, 2.0, 3.0], _json([value, 4.0, 5.0]))
+
+
+def _face_mlp_reader(key):
+    def read(value):
+        metadata = set_at({"feature_mean": [0.0] * 9, "feature_std": [1.0] * 9}, (key, 0), value)
+        model = build_face_ann()
+        model = replace(model, metadata=_json({**model.metadata, **metadata}))
+        face = FaceObservation(bbox=BoundingBox(10, 10, 50, 50), features=neutral_features())
+        return _accepts(tinynet.ModelFormatError, score_faces, model, [face])
+
+    return read
+
+
+def _layer_reader(tmp_path):
+    def read(value):
+        path = tmp_path / "layer.tnet"
+        tinynet.save_model(tinynet.build_model([tinynet.dense(3, 1), tinynet.sigmoid()]), path)
+        rewrite_model_header(path, lambda h: set_at(h, ("layers", 0, "in_units"), value))
+        return _accepts(tinynet.ModelFormatError, tinynet.load_model, path)
+
+    return read
+
+
+def _number_readers(tmp_path):
+    """name -> (whether the field takes only an int, a valid int, a valid float, read)"""
+    return {
+        "record bbox": (True, 10, 10.7, _record_reader("faces", 0, "bbox", "x_tl")),
+        "record width": (True, 100, 100.9, _record_reader("width")),
+        "record angle": (False, 12, 12.5, _record_reader("faces", 0, "features", "yaw")),
+        "record likelihood": (False, 1, 0.5, _record_reader("faces", 0, "features", "joy")),
+        "record score": (False, 1, 0.5, _record_reader("faces", 0, "score")),
+        "scenario point": (False, 10, 10.5, _scenario_reader),
+        "threshold": (False, 1, 0.8, _threshold_reader),
+        "t-test sample": (False, 4, 4.5, _sample_reader),
+        "face-MLP feature_mean": (False, 0, 0.5, _face_mlp_reader("feature_mean")),
+        "face-MLP feature_std": (False, 2, 2.5, _face_mlp_reader("feature_std")),
+        "model layer dimension": (True, 3, 3.5, _layer_reader(tmp_path)),
+    }
+
+
+@PROPERTY
+@given(kind=st.sampled_from(sorted(NUMBER_KINDS)))
+def test_every_reader_gives_a_number_the_same_verdict(tmp_path, kind):
+    """A number is an int or, outside integer fields, a float; never a bool or
+    a string, and never NaN, +-Infinity or an int beyond the float range."""
+    for name, (integer, valid_int, valid_float, read) in _number_readers(tmp_path).items():
+        expected = kind == "int" or (kind in ("whole float", "fraction") and not integer)
+        assert read(NUMBER_KINDS[kind](valid_int, valid_float)) == expected, (name, kind)
