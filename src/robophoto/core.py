@@ -174,8 +174,9 @@ class PictureRecord:
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
             raise ValidationError(f"degenerate image size {self.width}x{self.height}")
-        if not self.burst_id:
-            raise ValidationError("empty burst_id")
+        ids = (self.picture_id, self.burst_id)
+        if not (isinstance(ids[0], str) and isinstance(ids[1], str) and all(ids)):
+            raise ValidationError(f"ids must be non-empty strings: {ids}")
         object.__setattr__(self, "faces", tuple(self.faces))
         for f in self.faces:
             b = f.bbox
@@ -277,8 +278,8 @@ def _record_from_dict(
         except _BAD_INPUT:
             dropped += 1
     rec = PictureRecord(
-        picture_id=str(d["picture_id"]),
-        burst_id=str(d["burst_id"]),
+        picture_id=d["picture_id"],
+        burst_id=d["burst_id"],
         width=checked_number(d["width"], ValidationError, "width", integer=True),
         height=checked_number(d["height"], ValidationError, "height", integer=True),
         faces=tuple(faces),

@@ -96,6 +96,9 @@ def preprocess_face(face_image: np.ndarray, bbox=None) -> np.ndarray:
 
 # the smallest feature std: a smaller one would blow z-scores up to inf
 STD_FLOOR = 1e-9
+# the largest z-score a scaling may give a feature within [-180, 180] (every
+# feature's range lies inside it); it keeps the first dense layer's sums finite
+Z_LIMIT = 1e150
 
 
 def standardize_features(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +111,8 @@ def standardize_features(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _feature_scaling(metadata: dict):
     """The face MLP's (mean, std) rows from its metadata, or None when it reads
     raw features. Both must be absent, or both lists of 9 numbers (see
-    errors.checked_number) with every std at least STD_FLOOR."""
+    errors.checked_number), every std at least STD_FLOOR and no in-range
+    feature's z-score beyond Z_LIMIT."""
     pair = metadata.get("feature_mean"), metadata.get("feature_std")
     if pair[0] is None and pair[1] is None:
         return None
@@ -117,6 +121,8 @@ def _feature_scaling(metadata: dict):
     mean, std = ([checked_number(v, ModelFormatError, "a feature scaling entry") for v in row] for row in pair)
     if min(std) < STD_FLOOR:
         raise ModelFormatError(f"every feature_std entry must be at least {STD_FLOOR}: {std}")
+    if max((180.0 + abs(m)) / s for m, s in zip(mean, std)) > Z_LIMIT:  # an overflow gives inf, not an error
+        raise ModelFormatError(f"an in-range feature's z-score exceeds {Z_LIMIT} under {pair}")
     return np.array([mean, std])
 
 

@@ -1,9 +1,9 @@
 """A tiny dense/convolutional network engine in numpy.
 
 Sized for three small architectures: a 9-feature MLP, a face-crop CNN and a
-layout CNN. Double precision throughout so finite-difference gradient checks
-are meaningful. Models are immutable values: forward never mutates, train
-returns a new model.
+layout CNN. Models, files, scoring and gradient checks are float64, so finite
+differences are meaningful; train computes in float32. Models are immutable
+values: forward never mutates, train returns a new model.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _col2im(dcols: np.ndarray, x_shape, spec: LayerSpec, geom):
     out_h, out_w, (pt, pb, pl, pr) = geom
     s, fh, fw = spec.stride, spec.filter_h, spec.filter_w
     dcols = dcols.reshape(n, c, fh, fw, out_h, out_w)
-    dx = np.zeros((n, c, h + pt + pb, w + pl + pr))
+    dx = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=dcols.dtype)
     for i in range(fh):
         for j in range(fw):
             dx[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += dcols[:, :, i, j]
@@ -222,7 +222,9 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
     if spec.kind == "dense":
         if x.ndim != 2 or x.shape[1] != spec.in_units:
             raise ShapeError(f"layer {idx} (dense) expected (*, {spec.in_units}), got {x.shape}")
-        return x @ params["W"] + params["b"], x
+        # one unit: a dot product per row, as BLAS gemv rounds a row by its place in the batch
+        out = np.einsum("ij,j->i", x, params["W"][:, 0])[:, None] if spec.out_units == 1 else x @ params["W"]
+        return out + params["b"], x
     if spec.kind == "conv2d":
         if x.ndim != 4 or x.shape[1] != spec.in_channels:
             raise ShapeError(
@@ -262,7 +264,7 @@ def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, n
     if spec.kind == "relu":
         return dy * (cache > 0), {}
     if spec.kind == "leaky_relu":
-        return dy * np.where(cache > 0, 1.0, LEAKY_SLOPE), {}
+        return np.where(cache > 0, dy, LEAKY_SLOPE * dy), {}
     if spec.kind == "sigmoid":
         return dy * out * (1.0 - out), {}
     if spec.kind == "flatten":
@@ -323,15 +325,17 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and per-layer weight gradients on a batch.
 
     The final layer must be a sigmoid: backprop starts from the numerically
-    stable (p - y) gradient at its pre-activation.
+    stable (p - y) gradient at its pre-activation. Runs in the weights' dtype;
+    the loss is float64, as 1 - _EPS rounds to 1 in float32 (0 * log 0 = NaN).
     """
     if not model.layers or model.layers[-1].kind != "sigmoid":
         raise ShapeError("the last layer must be a sigmoid for the BCE loss")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    dtype = np.result_type(*{v.dtype for w in model.weights for v in w.values()} or {np.float64})
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype).reshape(-1)
     outs, caches = _forward_all(model, x)
     p = outs[-1].reshape(-1)
-    loss = float(_bce(p, y))
+    loss = float(_bce(np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64)))
     n = len(y)
 
     grads: list[dict] = [{} for _ in model.layers]
@@ -346,13 +350,13 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
 
 def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
     """Mini-batch training with BCE loss on input rows xs and their 0/1 (or
-    boolean) targets ys. Deterministic for a fixed seed."""
-    xs = np.asarray(xs, dtype=np.float64)
+    boolean) targets ys, computed in float32. Deterministic for a fixed seed."""
+    xs = np.asarray(xs, dtype=np.float32)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.shape != xs.shape[:1] or not np.all((ys == 0.0) | (ys == 1.0)):
         raise ValueError(f"need one 0 or 1 target per input row, got shape {ys.shape}")
 
-    weights = [{k: v.copy() for k, v in w.items()} for w in model.weights]
+    weights = [{k: v.astype(np.float32) for k, v in w.items()} for w in model.weights]
     velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
     work = NetworkModel(layers=model.layers, weights=tuple(weights), metadata=model.metadata)
     rng = np.random.default_rng(config.seed)
@@ -383,7 +387,11 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
     meta = dict(model.metadata)
     meta["epochs_trained"] = meta.get("epochs_trained", 0) + config.epochs
     meta["train_seed"] = config.seed
-    return replace(work, metadata=meta), history
+    for w0, w in zip(model.weights, weights):  # w0 + float64(w32_end - float32(w0)): lr 0 gives w0
+        for key in w:
+            w[key] -= w0[key].astype(np.float32)
+            w[key] = w0[key] + w[key]  # casts the float32 side in chunks, with no float64 temporary
+    return replace(work, weights=tuple(weights), metadata=meta), history
 
 
 def gradient_check(model: NetworkModel, x: np.ndarray, y: float, epsilon: float = 1e-5) -> float:

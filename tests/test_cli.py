@@ -633,6 +633,8 @@ BAD_INPUT_PROBES = {
             "mean_too_large": {"feature_mean": [10**400] * 9, "feature_std": [1.0] * 9},
             "std_zero": {"feature_mean": [0.0] * 9, "feature_std": [1.0] * 8 + [0.0]},
             "std_subnormal": {"feature_mean": [0.0] * 9, "feature_std": [5e-324] * 9},
+            "z_score_overflows": {"feature_mean": [1e300] * 9, "feature_std": [1e-9] * 9},
+            "z_score_finite_but_huge": {"feature_mean": [1e299] * 9, "feature_std": [1e-9] * 9},
             "std_nested": {"feature_mean": [0.0] * 9, "feature_std": [[1.0]] * 9},
             "std_absent": {"feature_mean": [0.0] * 9},
         }.items()

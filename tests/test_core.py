@@ -89,6 +89,14 @@ def test_validate_drops_record_with_non_string_label():
     assert (len(result.dataset), result.dropped_records) == (1, 1)
 
 
+@pytest.mark.parametrize("key", ["picture_id", "burst_id"])
+@pytest.mark.parametrize("value", [True, 7, ["p0"], ""], ids=["true", "number", "list", "empty"])
+def test_validate_drops_record_whose_id_is_not_a_non_empty_string(key, value):
+    result = validate_dataset([{**_raw_record(), key: value}, _raw_record(pid="p1")])
+    assert (len(result.dataset), result.dropped_records) == (1, 1)
+    assert result.dataset.records[0].picture_id == "p1"
+
+
 def test_validate_rejects_degenerate_bbox_record():
     result = validate_dataset([_raw_record(faces=[_raw_face(x_tl=100, x_br=100)])])
     assert result.dropped_records == 1

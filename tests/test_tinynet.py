@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_model_header
 from robophoto import tinynet
-from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_cnn
+from robophoto.abstraction import CANVAS_H, CANVAS_W, build_picture_cnn
+from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_ann, build_face_cnn
 from robophoto.tinynet import (
     ModelFormatError,
     ShapeError,
@@ -240,9 +241,10 @@ def test_update_matches_the_written_out_formula_bit_for_bit(optimizer, rng):
     config = TrainConfig(epochs=epochs, batch_size=6, learning_rate=lr, optimizer=optimizer, seed=seed)
     trained, _ = train(small_mlp(), xs, ys, config)
 
-    # one full batch per epoch, so each epoch is one step
+    # one full batch per epoch, so each epoch is one step, all in float32
     model = small_mlp()
-    weights = [dict(w) for w in model.weights]
+    start = [{k: v.astype(np.float32) for k, v in w.items()} for w in model.weights]
+    weights = [dict(w) for w in start]
     velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
     order_rng = np.random.default_rng(seed)
     for _ in range(epochs):
@@ -250,14 +252,100 @@ def test_update_matches_the_written_out_formula_bit_for_bit(optimizer, rng):
         _, grads = tinynet.loss_and_gradients(replace(model, weights=tuple(weights)), xs[order], ys[order])
         for w, v, g in zip(weights, velocity, grads):
             for k in g:
+                assert g[k].dtype == np.float32
                 if optimizer == "momentum":
                     v[k] = tinynet.MOMENTUM * v[k] - lr * g[k]
                     w[k] = w[k] + v[k]
                 else:
                     w[k] = w[k] - lr * g[k]
-    for got, want in zip(trained.weights, weights):
-        for k in want:
-            assert np.array_equal(got[k], want[k])
+    # the float64 model moves by the float32 weights' total change
+    for got, w0, w32, s in zip(trained.weights, model.weights, weights, start):
+        for k in w0:
+            assert got[k].dtype == np.float64
+            assert np.array_equal(got[k], w0[k] + (w32[k] - s[k]).astype(np.float64))
+
+
+# kind -> (a layer of that kind, its input shape); a one-unit dense layer has its own path
+LAYER_CASES = {
+    "dense": (dense(4, 3), (2, 4)),
+    "dense_one_unit": (dense(4, 1), (2, 4)),
+    "conv2d": (conv2d(2, 3, 3, 3, stride=2, padding="same"), (2, 2, 5, 6)),
+    **{kind: (tinynet.LayerSpec(kind=kind), (2, 3, 4)) for kind in ("relu", "leaky_relu", "sigmoid", "flatten")},
+}
+
+
+def test_layer_cases_cover_every_kind():
+    assert {spec.kind for spec, _ in LAYER_CASES.values()} == set(tinynet.LAYER_KINDS)
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("case", sorted(LAYER_CASES))
+def test_layers_keep_float32(case, need_dx, rng):
+    spec, shape = LAYER_CASES[case]
+    params = {k: v.astype(np.float32) for k, v in tinynet._init_layer(spec, rng).items()}
+    x = rng.normal(size=shape).astype(np.float32)
+    out, cache = tinynet._layer_forward(0, spec, params, x)
+    assert out.dtype == np.float32
+    dy = rng.normal(size=out.shape).astype(np.float32)
+    dx, grads = tinynet._layer_backward(spec, params, cache, out, dy, need_dx=need_dx)
+    if params and not need_dx:  # dense and conv skip the input gradient
+        assert dx is None
+    else:
+        assert dx.dtype == np.float32
+    assert grads.keys() == params.keys()
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+
+def test_one_unit_dense_output_does_not_depend_on_batch_position(rng):
+    # BLAS gemv rounds a row by its place in the batch; in float32 that moves
+    # the training loss of an unchanged model from one epoch's batching to the next
+    spec = dense(64, 1)
+    params = {k: v.astype(np.float32) for k, v in tinynet._init_layer(spec, rng).items()}
+    x = rng.normal(size=(40, 64)).astype(np.float32)
+    whole, _ = tinynet._layer_forward(0, spec, params, x)
+    for start in range(8):
+        part, _ = tinynet._layer_forward(0, spec, params, x[start : start + 17].copy())
+        assert np.array_equal(part, whole[start : start + 17])
+
+
+def _float32(model):
+    return replace(model, weights=tuple({k: v.astype(np.float32) for k, v in w.items()} for w in model.weights))
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (build_face_ann, (9,)),
+        (build_face_cnn, (1, FACE_CROP_H, FACE_CROP_W)),
+        (build_picture_cnn, (1, CANVAS_H, CANVAS_W)),
+    ],
+    ids=["face_mlp", "face_cnn", "layout_cnn"],
+)
+def test_float32_gradients_match_float64(build, shape, rng):
+    model = build(seed=2)
+    xs, ys = rng.random((4, *shape)), np.arange(4) % 2
+    loss64, grads64 = tinynet.loss_and_gradients(model, xs, ys)
+    loss32, grads32 = tinynet.loss_and_gradients(_float32(model), xs, ys)
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for g32, g64 in zip(grads32, grads64):
+        assert g32.keys() == g64.keys()
+        for k in g64:
+            assert g32[k].dtype == np.float32
+            np.testing.assert_allclose(g32[k], g64[k], rtol=1e-4, atol=1e-4 * np.abs(g64[k]).max())
+
+
+def test_output_saturated_in_float32_gives_a_finite_loss():
+    # sigmoid(100) = 1 - 4e-44 rounds to 1.0 in float32, where 1 - 1e-12 is 1.0 as well
+    model = tinynet.NetworkModel(
+        layers=(dense(1, 1), sigmoid()),
+        weights=({"W": np.full((1, 1), 100.0), "b": np.zeros(1)}, {}),
+    )
+    xs, ys = np.ones((2, 1)), np.array([1.0, 0.0])
+    assert forward_batch(_float32(model), xs.astype(np.float32)).tolist() == [1.0, 1.0]
+    loss, _ = tinynet.loss_and_gradients(_float32(model), xs, ys)
+    assert loss == pytest.approx(-np.log(1e-12) / 2)
+    _, history = train(model, xs, ys, TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3, seed=0))
+    assert np.all(np.isfinite(history))
 
 
 def test_sigmoid_saturates_without_warning_and_matches_plain_formula():
