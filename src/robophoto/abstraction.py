@@ -97,5 +97,5 @@ def train_picture_cnn(
     """Train the layout CNN, built from config.seed, on the abstract renders of
     the labeled pictures."""
     kept, good = labeled_items(pictures, "pictures")
-    xs = np.stack(list(_picture_inputs(kept)))
+    xs = np.fromiter(_picture_inputs(kept), (np.float32, (1, CANVAS_H, CANVAS_W)), len(kept))
     return tinynet.train(build_picture_cnn(seed=config.seed), xs, good, config)

@@ -102,7 +102,7 @@ class _FitnessCache:
 
     def __init__(self, pictures: Sequence[PictureRecord], kind: str):
         if kind not in ("baseline", "heuristic"):
-            raise ValueError(f"unknown kind {kind!r}")
+            raise UsageError(f"unknown kind {kind!r}")
         labeled, self.labels_good = labeled_items(pictures, "pictures")
         self.kind = kind
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
@@ -152,12 +152,21 @@ def _ranking(pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     return np.lexsort((*pop.T[::-1], norms, -fitness))
 
 
-def _tournament(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-    """A copy of the fittest of TOURNAMENT_K random picks; the first maximum wins."""
-    contenders = rng.integers(0, len(pop), size=TOURNAMENT_K)
-    # fitness only: an L2 tie-break here would bias the whole population
-    # toward the origin whenever fitness plateaus
-    return pop[contenders[fitness[contenders].argmax()]].copy()
+def _next_generation(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """The ranked elites, then children bred in whole-array draws: tournament
+    picks, crossover coins, crossover masks, mutation masks, mutation normals."""
+    size, dim = pop.shape
+    pairs = (size - ELITISM_COUNT + 1) // 2
+    contenders = rng.integers(0, size, size=(2 * pairs, TOURNAMENT_K))
+    # first maximum wins, on fitness only: an L2 tie-break would drag plateaus to the origin
+    winners = contenders[np.arange(2 * pairs), fitness[contenders].argmax(axis=1)]
+    parents = pop[winners].reshape(pairs, 2, dim)
+    coins = rng.random(pairs) < CROSSOVER_RATE
+    swap = coins[:, None] & (rng.random((pairs, dim)) < 0.5)
+    children = np.where(swap[:, None, :], parents[:, ::-1], parents).reshape(-1, dim)[: size - ELITISM_COUNT]
+    mutate = rng.random(children.shape) < MUTATION_RATE
+    children[mutate] += rng.normal(0.0, MUTATION_SIGMA, size=np.count_nonzero(mutate))
+    return repair_genome(np.concatenate([pop[_ranking(pop, fitness)[:ELITISM_COUNT]], children]))
 
 
 def ga_optimize(
@@ -180,17 +189,7 @@ def ga_optimize(
     curve = []
     for gen in range(config.generations):
         curve.append((gen, float(fitness.max()), float(fitness.mean())))
-        children = list(pop[_ranking(pop, fitness)[:ELITISM_COUNT]])
-        while len(children) < size:
-            a, b = _tournament(rng, pop, fitness), _tournament(rng, pop, fitness)
-            if rng.random() < CROSSOVER_RATE:
-                mask = rng.random(dim) < 0.5
-                a[mask], b[mask] = b[mask].copy(), a[mask].copy()
-            for child in (a, b):
-                mut = rng.random(dim) < MUTATION_RATE
-                child[mut] += rng.normal(0.0, MUTATION_SIGMA, size=np.count_nonzero(mut))
-                children.append(child)
-        pop = repair_genome(np.stack(children[:size]))
+        pop = _next_generation(rng, pop, fitness)
         fitness = cache.evaluate(pop)
     best = _ranking(pop, fitness)[0]
     return FitnessReport(
@@ -218,7 +217,7 @@ def grid_search_oracle(
     cache = _FitnessCache(pictures, kind)
     total = steps_per_axis**cache.dim
     if total > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
+        raise UsageError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
 
     n, labels_good = cache.n_pictures, cache.labels_good
     values = np.linspace(0.0, 1.0, steps_per_axis)

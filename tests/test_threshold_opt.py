@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from robophoto.core import Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
+    ELITISM_COUNT,
     GAConfig,
     _FitnessCache,
+    _next_generation,
+    _ranking,
     accuracy,
     ga_optimize,
     genome_to_thresholds,
@@ -183,11 +186,12 @@ def test_ga_deterministic():
     assert a.curve == b.curve
 
 
-# sha256 of the reports' repr, taken from the per-genome GA this one replaced;
-# any change to the RNG stream, the tie rules or the fitness moves them
+# sha256 of the reports' repr, taken when each generation's draws became
+# whole-array calls; any change to the RNG stream, the tie rules or the
+# fitness moves them
 GA_REPORT_DIGESTS = {
-    "baseline": "56093143a0861812e821df4ee6b4ae005754cf833371bee45971c574d37d4d58",
-    "heuristic": "6ac774fcc835081aacbfa4581907dd40476b9fb58f3dc36d2f67516a2ce262ce",
+    "baseline": "c80b8fe8f96ef376c4ebc10142079d9a8066d1e64147ee64c89badbbe6cc4b2a",
+    "heuristic": "1513a7db1dc4c0e60731a9903d1b26b3953a9f5322880b7310cb1a7216c11a7e",
 }
 
 
@@ -220,6 +224,39 @@ def test_ga_curve_best_never_decreases_under_elitism():
     best = [b for _, b, _ in report.curve]
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert report.evaluations == FAST_GA.population_size * (FAST_GA.generations + 1)
+
+
+GENERATION_PICTURES = make_random_pictures(40, seed=3, with_scores=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([3, 4, 5, 24, 65]),
+    generations=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["baseline", "heuristic"]),
+)
+def test_generation_step_keeps_size_and_elites(size, generations, seed, kind):
+    # random labels: fitness plateaus, so ties decide the elites
+    pics = GENERATION_PICTURES
+    report = ga_optimize(pics, kind, GAConfig(population_size=size, generations=generations, seed=seed))
+    # replay ga_optimize's stream one generation at a time
+    cache = _FitnessCache(pics, kind)
+    rng = np.random.default_rng(seed)
+    pop = repair_genome(rng.uniform(0, 1, (size, cache.dim)))
+    fitness = cache.evaluate(pop)
+    for gen in range(generations):
+        assert report.curve[gen] == (gen, fitness.max(), fitness.mean())
+        nxt = _next_generation(rng, pop, fitness)
+        assert nxt.shape == (size, cache.dim)
+        elites = pop[_ranking(pop, fitness)[:ELITISM_COUNT]]
+        assert nxt[:ELITISM_COUNT].tobytes() == elites.tobytes()
+        pop, fitness = nxt, cache.evaluate(nxt)
+    best = [b for _, b, _ in report.curve] + [report.best_accuracy]
+    assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
+    assert report.best_accuracy == fitness.max()
+    assert report.best_genome == tuple(pop[_ranking(pop, fitness)[0]])
+    assert report.evaluations == size * (generations + 1)
 
 
 def test_ga_rejects_unknown_kind():
