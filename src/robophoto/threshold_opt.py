@@ -169,6 +169,15 @@ def _next_generation(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndar
     return repair_genome(np.concatenate([pop[_ranking(pop, fitness)[:ELITISM_COUNT]], children]))
 
 
+def _initial_population(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    """Open (min, max) gates, each a half-normal mutation step in from 0 or 1,
+    and uniform face-score genes. Uniform pairs seldom span the faces, so such
+    genomes reject every picture: a plateau with no slope for selection."""
+    edge = np.abs(rng.normal(0.0, MUTATION_SIGMA, (size, BASELINE_DIM)))
+    gates = np.where(np.arange(BASELINE_DIM) % 2, 1.0 - edge, edge)
+    return repair_genome(np.hstack([gates, rng.uniform(0.0, 1.0, (size, dim - BASELINE_DIM))]))
+
+
 def ga_optimize(
     pictures: Sequence[PictureRecord],
     kind: str,
@@ -184,7 +193,7 @@ def ga_optimize(
     size, dim = config.population_size, cache.dim
     rng = np.random.default_rng(config.seed)
 
-    pop = repair_genome(rng.uniform(0, 1, (size, dim)))
+    pop = _initial_population(rng, size, dim)
     fitness = cache.evaluate(pop)
     curve = []
     for gen in range(config.generations):

@@ -12,6 +12,7 @@ from robophoto.threshold_opt import (
     ELITISM_COUNT,
     GAConfig,
     _FitnessCache,
+    _initial_population,
     _next_generation,
     _ranking,
     accuracy,
@@ -187,11 +188,11 @@ def test_ga_deterministic():
 
 
 # sha256 of the reports' repr, taken when each generation's draws became
-# whole-array calls; any change to the RNG stream, the tie rules or the
-# fitness moves them
+# whole-array calls and the gates started wide open; any change to the RNG
+# stream, the starting population, the tie rules or the fitness moves them
 GA_REPORT_DIGESTS = {
-    "baseline": "c80b8fe8f96ef376c4ebc10142079d9a8066d1e64147ee64c89badbbe6cc4b2a",
-    "heuristic": "1513a7db1dc4c0e60731a9903d1b26b3953a9f5322880b7310cb1a7216c11a7e",
+    "baseline": "ffe3abbbfc6759b435512c11a896fe24531d2cdaf65a83af8fecba5e66f89dec",
+    "heuristic": "147dfb480c89563917527f30b2c46b2a8c46818bf954be756ccb71c3f3844c49",
 }
 
 
@@ -216,6 +217,16 @@ def test_ga_recovers_heuristic_rule():
     pics = make_threshold_dataset(200, seed=6, kind="heuristic")
     report = ga_optimize(pics, "heuristic", GAConfig(seed=1))
     assert report.best_accuracy >= 0.98
+
+
+def test_small_ga_leaves_the_reject_everything_plateau():
+    # uniform (min, max) pairs seldom span the faces, so such a start rejects
+    # nearly every picture and selection has no slope to climb
+    pics = make_threshold_dataset(60, seed=3, kind="heuristic")
+    for seed in range(10):
+        config = GAConfig(population_size=16, generations=20, seed=seed)
+        assert ga_optimize(pics, "baseline", config).best_accuracy >= 0.7
+        assert ga_optimize(pics, "heuristic", config).best_accuracy >= 0.95
 
 
 def test_ga_curve_best_never_decreases_under_elitism():
@@ -243,7 +254,7 @@ def test_generation_step_keeps_size_and_elites(size, generations, seed, kind):
     # replay ga_optimize's stream one generation at a time
     cache = _FitnessCache(pics, kind)
     rng = np.random.default_rng(seed)
-    pop = repair_genome(rng.uniform(0, 1, (size, cache.dim)))
+    pop = _initial_population(rng, size, cache.dim)
     fitness = cache.evaluate(pop)
     for gen in range(generations):
         assert report.curve[gen] == (gen, fitness.max(), fitness.mean())
@@ -252,11 +263,8 @@ def test_generation_step_keeps_size_and_elites(size, generations, seed, kind):
         elites = pop[_ranking(pop, fitness)[:ELITISM_COUNT]]
         assert nxt[:ELITISM_COUNT].tobytes() == elites.tobytes()
         pop, fitness = nxt, cache.evaluate(nxt)
-    best = [b for _, b, _ in report.curve] + [report.best_accuracy]
-    assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert report.best_accuracy == fitness.max()
     assert report.best_genome == tuple(pop[_ranking(pop, fitness)[0]])
-    assert report.evaluations == size * (generations + 1)
 
 
 def test_ga_rejects_unknown_kind():
