@@ -829,10 +829,17 @@ def fuzz_inputs(tmp_path_factory):
     cases["train-picture-cnn"] = (
         d, ["train-picture-cnn", "--dataset", "d.jsonl", "--out", "out.tnet", *ONE_EPOCH], {"d.jsonl": True}
     )
+    cases["split"] = (d, ["split", "--dataset", "d.jsonl", "--out-dir", "splits"], {"d.jsonl": True})
+    cases["optimize-thresholds"] = (
+        d,
+        ["optimize-thresholds", "--dataset", "d.jsonl", "--kind", "heuristic", "--out", "t.json",
+         "--population", "8", "--generations", "2"],
+        {"d.jsonl": True},
+    )
     return cases
 
 
-@settings(max_examples=270, deadline=None)
+@settings(max_examples=330, deadline=None)
 @given(data=st.data())
 def test_corrupted_inputs_exit_with_a_documented_code(fuzz_inputs, data):
     command = data.draw(st.sampled_from(sorted(fuzz_inputs)))
@@ -842,7 +849,7 @@ def test_corrupted_inputs_exit_with_a_documented_code(fuzz_inputs, data):
         work = Path(tmp) / "in"
         shutil.copytree(base, work)
         (work / name).write_bytes(data.draw(_corrupted((base / name).read_bytes(), files[name])))
-        paths = {*files, "out.jsonl", "out.tnet", "log.jsonl", "r.json", "renders"}
+        paths = {*files, "out.jsonl", "out.tnet", "log.jsonl", "r.json", "renders", "splits", "t.json"}
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([str(work / a) if a in paths else a for a in argv])
