@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import write_jsonl
 from .errors import DatasetError, checked_number
 
 IMAGE_W = 640
@@ -352,7 +353,4 @@ def _closest_on_polyline(line: Sequence[tuple[float, float]], px: float, py: flo
 
 
 def write_event_log(log: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(log, path)

@@ -12,12 +12,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, checked_number
+from .errors import DatasetError, UsageError, checked_number, checked_numbers
 from .pgm import read_pgm
 
 MIN_FACE_SIDE = 30
@@ -43,6 +44,11 @@ FEATURE_NAMES = (
     "exposure",
     "blur",
 )
+
+# one encoder for every JSON Lines file, where json.dumps(sort_keys=True) builds one per
+# call (the objects written hold no cycles), and the decoder that json.loads wraps
+_JSON_DECODER = json.JSONDecoder()
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 class ParseError(DatasetError):
@@ -103,11 +109,7 @@ class BoundingBox:
         return self.width * self.height
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, float(v)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FaceFeatures:
     """The 9 scalar inputs to the face quality network.
 
@@ -125,17 +127,16 @@ class FaceFeatures:
     exposure: float
     blur: float
 
-    def __post_init__(self):
-        for name in ("roll", "pitch", "yaw"):
-            v = float(getattr(self, name))
-            if not -180.0 <= v <= 180.0:  # also false for NaN
-                raise ValidationError(f"{name}={v} outside [-180, 180]")
-            object.__setattr__(self, name, v)
-        for name in ("joy", "sorrow", "anger", "surprise", "exposure", "blur"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} is not finite")
-            object.__setattr__(self, name, _clamp01(v))
+    def __init__(self, roll, pitch, yaw, joy, sorrow, anger, surprise, exposure, blur):
+        # checked (a range test is False for NaN) and clamped first, so each field is written once
+        roll, pitch, yaw, *rest = map(float, (roll, pitch, yaw, joy, sorrow, anger, surprise, exposure, blur))
+        if not (-180.0 <= roll <= 180.0 and -180.0 <= pitch <= 180.0 and -180.0 <= yaw <= 180.0):
+            raise ValidationError(f"angles {(roll, pitch, yaw)} outside [-180, 180]")
+        if not all(map(math.isfinite, rest)):
+            raise ValidationError(f"likelihoods and image scores {rest} must be finite")
+        # any v <= 0, -0.0 included, becomes 0.0
+        rest = [0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in rest]
+        self.__dict__.update(zip(FEATURE_NAMES, (roll, pitch, yaw, *rest)))
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
@@ -232,28 +233,24 @@ def face_count_category(picture: PictureRecord) -> FaceCountCategory:
 _BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 
-def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> FaceObservation:
-    box = d["bbox"]
-    bbox = BoundingBox(
-        *(checked_number(box[k], ValidationError, k, integer=True) for k in ("x_tl", "y_tl", "x_br", "y_br"))
-    )
-    raw = d["features"]
-    feats = {}
-    for name in FEATURE_NAMES:
-        v = raw[name]
-        if name in ("joy", "sorrow", "anger", "surprise") and isinstance(v, str):
-            feats[name] = LIKELIHOOD_LEVELS[v]  # an unknown name raises KeyError, which drops the face
-        else:
-            feats[name] = checked_number(v, ValidationError, name)
-    features = FaceFeatures(**feats)
+_BBOX_KEYS = ("x_tl", "y_tl", "x_br", "y_br")
+_bbox_row, _feature_row = itemgetter(*_BBOX_KEYS), itemgetter(*FEATURE_NAMES)
+
+
+def _face_from_dict(d: dict, base_dir: str, read_crops: bool) -> FaceObservation:
+    bbox = BoundingBox(*checked_numbers(_bbox_row(d["bbox"]), ValidationError, _BBOX_KEYS, integer=True))
+    values = list(_feature_row(d["features"]))
+    # joy..surprise may be level names; an unknown name stays a string, which the number check rejects
+    values[3:7] = map(LIKELIHOOD_LEVELS.get, values[3:7], values[3:7])
+    features = FaceFeatures(*checked_numbers(values, ValidationError, FEATURE_NAMES))
     image = image_path = None
     path = d.get("face_image_path")
     if path and read_crops:
-        p = Path(path)
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        image = read_pgm(p)
-        image_path = os.path.abspath(p)
+        path = os.path.join(base_dir, path)  # an absolute path ignores base_dir
+        while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib, read "x.pgm/" and "x.pgm/." as x.pgm
+            path = path[:-1]
+        image = read_pgm(path)
+        image_path = os.path.abspath(path)
     label = Label.parse(d["label"]) if d.get("label") else None
     score = d.get("score")
     return FaceObservation(
@@ -266,9 +263,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
     )
 
 
-def _record_from_dict(
-    d: dict, base_dir: Optional[Path], read_crops: bool
-) -> tuple[PictureRecord, int]:
+def _record_from_dict(d: dict, base_dir: str, read_crops: bool) -> tuple[PictureRecord, int]:
     """Build a record, dropping its bad faces. Returns (record, n_dropped)."""
     dropped = 0
     faces = []
@@ -297,7 +292,9 @@ def read_records_jsonl(path) -> list[dict]:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                record, end = _JSON_DECODER.raw_decode(line)
+                if end != len(line):
+                    raise ValueError(f"extra data at column {end + 1}")
             except (ValueError, RecursionError) as e:  # not UTF-8, not JSON or nested too deep
                 raise ParseError(f"{path}:{lineno}: malformed line: {e}") from None
             if not isinstance(record, dict):
@@ -321,12 +318,13 @@ def validate_dataset(
     still needs them). Without read_crops, faces keep no crop and no crop file
     is opened, for callers that read only the features.
     """
+    base = "" if base_dir is None else os.fspath(base_dir)
     records: list[PictureRecord] = []
     dropped_faces = 0
     dropped_records = 0
     for d in raw_records:
         try:
-            rec, n_dropped = _record_from_dict(d, base_dir, read_crops)
+            rec, n_dropped = _record_from_dict(d, base, read_crops)
         except _BAD_INPUT:
             dropped_records += 1
             continue
@@ -343,14 +341,10 @@ def validate_dataset(
 
 
 def face_to_dict(face: FaceObservation) -> dict:
+    b = face.bbox
     d = {
-        "bbox": {
-            "x_tl": face.bbox.x_tl,
-            "y_tl": face.bbox.y_tl,
-            "x_br": face.bbox.x_br,
-            "y_br": face.bbox.y_br,
-        },
-        "features": {n: getattr(face.features, n) for n in FEATURE_NAMES},
+        "bbox": {"x_tl": b.x_tl, "y_tl": b.y_tl, "x_br": b.x_br, "y_br": b.y_br},
+        "features": dict(vars(face.features)),  # the 9 fields, in FEATURE_NAMES order
     }
     if face.label is not None:
         d["label"] = face.label.value
@@ -381,10 +375,13 @@ def write_dataset_jsonl(dataset: Dataset, path) -> None:
     output resolves from any directory; raster data is never emitted, and a
     crop that was not read from a file is dropped.
     """
+    write_jsonl(map(record_to_dict, dataset.records), path)
+
+
+def write_jsonl(rows: Iterable[dict], path) -> None:
+    """Emit one sorted-key JSON object per line (UTF-8, LF)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in dataset.records:
-            fh.write(json.dumps(record_to_dict(rec), sort_keys=True))
-            fh.write("\n")
+        fh.writelines(_JSONL_ENCODER.encode(row) + "\n" for row in rows)
 
 
 def split_dataset(

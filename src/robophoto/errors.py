@@ -1,6 +1,7 @@
 """The three root exceptions (an error's root decides its exit code) and the one input-number check."""
 
 import sys
+from typing import Sequence
 
 
 class UsageError(ValueError):
@@ -16,13 +17,31 @@ class TrainingDivergedError(RuntimeError):
 
 
 _FLOAT_MAX = sys.float_info.max
+# the types a number may have, by integer; type(), not isinstance, keeps bool out
+_KINDS = {False: frozenset((int, float)), True: frozenset((int,))}
+
+
+def _rejected(value, error: type[Exception], what: str, integer: bool) -> Exception:
+    return error(f"{what} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
 
 
 def checked_number(value, error: type[Exception], what: str, integer: bool = False):
     """value as a float (as an int if integer) when it is an int or, unless integer, a float,
     within the float range. Anything else raises the caller's error class: a bool,
     a string, NaN, +-Infinity or an int too large for a float is no number."""
-    kind = type(value)  # type(), not isinstance, keeps bool out
-    if (kind is int or (kind is float and not integer)) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    kind = type(value)
+    if kind in _KINDS[integer] and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return value if integer or kind is float else float(value)
-    raise error(f"{what} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    raise _rejected(value, error, what, integer)
+
+
+def checked_numbers(values: Sequence, error: type[Exception], names, integer: bool = False) -> list:
+    """checked_number over a row in one pass, with its verdict for each value: the row
+    as floats (unchanged if integer), or the caller's error naming the first value
+    rejected (names[i] names values[i])."""
+    kinds = _KINDS[integer]
+    ok = [type(v) in kinds and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in values]
+    if all(ok):
+        return values if integer else list(map(float, values))
+    i = ok.index(False)
+    raise _rejected(values[i], error, names[i], integer)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DatasetError
@@ -11,45 +13,29 @@ class PGMError(DatasetError):
     pass
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise PGMError("unexpected end of PGM header")
-    return data[start:pos], pos
+# magic, width, height and maxval: each token follows whitespace (bytes.isspace) and
+# '#' comments that run to the end of their line. Neither a token nor a comment may
+# stop short, so a parse other than the tokeniser's can only make a token of a
+# comment, and no field takes a token that starts with '#'.
+_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*(\S+)(?!\S)" * 4)
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file needs no buffer
         data = fh.read()
-    magic, pos = _read_token(data, 0)
-    if magic != b"P5":
-        raise PGMError(f"not a binary PGM file: magic {magic!r}")
-    w_tok, pos = _read_token(data, pos)
-    h_tok, pos = _read_token(data, pos)
-    maxval_tok, pos = _read_token(data, pos)
+    header = _HEADER.match(data)
+    if header is None or header[1] != b"P5":
+        raise PGMError(f"not a binary PGM file: header {data[:32]!r}")
+    w_tok, h_tok, maxval_tok = header.groups()[1:]
     if not (w_tok.isdigit() and h_tok.isdigit() and maxval_tok.isdigit()):
         raise PGMError(f"PGM size and maxval must be decimal: {w_tok!r} {h_tok!r} {maxval_tok!r}")
     width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
     if width * height == 0 or maxval != 255:
         raise PGMError(f"need a non-empty image and maxval 255, got {width}x{height}/{maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = data[pos : pos + width * height]
-    if len(pixels) != width * height:
+    pos = header.end() + 1  # single whitespace after maxval
+    if len(data) < pos + width * height:
         raise PGMError("truncated PGM pixel data")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width).copy()
 
 
 def write_pgm(image: np.ndarray, path) -> None:

@@ -100,8 +100,10 @@ def test_cli_has_no_value_error_catch_all():
 )
 def test_no_hand_written_number_check(path):
     """A tuple naming both int and float, other than the parameters of a type
-    such as tuple[int, float], marks a hand-written number check;
-    errors.checked_number is the one rule for a number read from input."""
+    such as tuple[int, float], an is / is not comparison with int or float, and
+    an isinstance call naming int or float each mark a hand-written number check;
+    errors.checked_number and its row form checked_numbers are the one rule for
+    a number read from input."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     type_parameters = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
     tuples = [
@@ -112,3 +114,30 @@ def test_no_hand_written_number_check(path):
         and {"int", "float"} <= {e.id for e in node.elts if isinstance(e, ast.Name)}
     ]
     assert not tuples, f"{path.name} checks numbers by hand, use errors.checked_number: {', '.join(tuples)}"
+
+    def names_a_number_type(node) -> bool:
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(e, ast.Name) and e.id in ("int", "float") for e in elts)
+
+    identity_tests = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(names_a_number_type(operand) for operand in (node.left, *node.comparators))
+    ]
+    assert not identity_tests, (
+        f"{path.name} tests a number's type with is, use errors.checked_number: {', '.join(identity_tests)}"
+    )
+    isinstance_calls = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and names_a_number_type(node.args[1])
+    ]
+    assert not isinstance_calls, (
+        f"{path.name} tests a number's type with isinstance, use errors.checked_number: {', '.join(isinstance_calls)}"
+    )

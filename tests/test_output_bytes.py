@@ -1,0 +1,95 @@
+"""ingest then split, run on a fixed mixed dataset, write exactly the bytes they
+wrote before the record path was rewritten for speed: every output file's sha256
+is pinned. A kept crop is written as its absolute path, so the run directory in
+those paths is replaced by a placeholder before hashing."""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import numpy as np
+import pytest
+
+from robophoto.cli import EXIT_OK, main
+from robophoto.core import record_to_dict
+from robophoto.pgm import write_pgm
+from robophoto.synthetic import make_threshold_dataset
+
+# captured from the code before the rewrite, with the run directory written as <run>
+DIGESTS = {
+    "clean.jsonl": "62e2aa3be5d5f33391d3394856948db5bfa069c25f70ed6195070e8277389c05",
+    "clean.jsonl.config.json": "36387e3733c4e3068819fb9e6f27feee1fc02f18cb232cbd51fe55c21f22406a",
+    "splits/train.jsonl": "d6e2401a460d3c25cea72f7a9ab2640e85f5032a9d4377ddf74d38782d146f15",
+    "splits/test.jsonl": "ee0da64250de28dffd415e244efe849086cd536672861e5d10ff502477f46616",
+    "splits/validation.jsonl": "4a614faa9660066b1af4620ed57973eff7735bcef32117150599893927d7cff9",
+    "splits/split.config.json": "17c05e4f45153bc610147576e779be6e24503f8107b368f81c7b7c4b77832ece",
+}
+
+
+def _face(path, label, score, x=10, **features):
+    base = {
+        "roll": 0.0, "pitch": 0.0, "yaw": 0.0, "joy": 0.5, "sorrow": 0.0,
+        "anger": 0.0, "surprise": 0.0, "exposure": 0.5, "blur": 0.1,
+    }
+    face = {"bbox": {"x_tl": x, "y_tl": 12, "x_br": x + 40, "y_br": 60}, "features": {**base, **features}}
+    for key, value in (("face_image_path", path), ("label", label), ("score", score)):
+        if value is not None:
+            face[key] = value
+    return face
+
+
+def _mixed_records() -> list[dict]:
+    """Threshold-dataset records, face records linking crops, int-valued and
+    likelihood-string features, -0.0, one bad face and one bad record."""
+    records = [record_to_dict(r) for r in make_threshold_dataset(10, seed=4, kind="heuristic")]
+    faces = [
+        [_face("crops/c0.pgm", "good", 0.25, roll=12, pitch=-0.0, joy="LIKELY", sorrow="VERY_UNLIKELY",
+               anger=0, surprise=1, blur=-0.0)],
+        [_face("crops/c1.pgm/", "Bad", None, yaw=-35.5, joy="POSSIBLE", anger="UNLIKELY",
+               surprise="VERY_LIKELY", exposure=1.5, blur=-2)],
+        [_face("./crops/c2.pgm", None, 0.75, yaw=-0.0, sorrow=1e-300),
+         _face("crops/c2.pgm", "good", None, x=60, yaw=500.0)],  # the bad face: yaw beyond 180
+        [_face("crops/c3.pgm", " good ", 1, roll=-180, pitch=180, exposure=0)],
+    ]
+    for i, f in enumerate(faces):
+        burst = f"face-burst-{min(i, 2)}"
+        records.append(
+            {"picture_id": f"face-{i}", "burst_id": burst, "width": 120, "height": 90, "faces": f, "label": "Good"}
+        )
+    records.append({**records[-1], "picture_id": "face-bad", "width": True})  # the bad record
+    return records
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+@pytest.fixture
+def run_dir(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    (tmp_path / "crops").mkdir()
+    for i in range(4):
+        write_pgm(rng.integers(0, 256, size=(36 + i, 40), dtype=np.uint8), tmp_path / f"crops/c{i}.pgm")
+    (tmp_path / "mixed.jsonl").write_text("".join(json.dumps(r) + "\n" for r in _mixed_records()))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_ingest_and_split_write_pinned_bytes(run_dir):
+    ingested = _run(["ingest", "--dataset", "mixed.jsonl", "--out", "clean.jsonl"])
+    split = _run(["split", "--dataset", "clean.jsonl", "--out-dir", "splits", "--ratios", "0.5,0.25,0.25",
+                  "--seed", "5"])
+    assert ingested == "ingested 14 records (dropped 1 records, 1 faces)\n"
+    assert split == "split sizes: train=7 test=4 validation=3\n"
+    here = os.getcwd().encode()
+    digests = {
+        name: hashlib.sha256((run_dir / name).read_bytes().replace(here, b"<run>")).hexdigest()
+        for name in ("clean.jsonl", "clean.jsonl.config.json", "splits/train.jsonl", "splits/test.jsonl",
+                     "splits/validation.jsonl", "splits/split.config.json")
+    }
+    assert digests == DIGESTS
