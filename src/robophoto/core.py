@@ -12,7 +12,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -134,9 +134,9 @@ class FaceFeatures:
             raise ValidationError(f"angles {(roll, pitch, yaw)} outside [-180, 180]")
         if not all(map(math.isfinite, rest)):
             raise ValidationError(f"likelihoods and image scores {rest} must be finite")
-        # any v <= 0, -0.0 included, becomes 0.0
-        rest = [0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in rest]
-        self.__dict__.update(zip(FEATURE_NAMES, (roll, pitch, yaw, *rest)))
+        rest = [0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in rest]  # -0.0 becomes 0.0
+        for name, v in zip(FEATURE_NAMES, (roll, pitch, yaw, *rest)):
+            object.__setattr__(self, name, v)  # a written __dict__ would slow every later attribute read
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
@@ -235,6 +235,7 @@ _BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 _BBOX_KEYS = ("x_tl", "y_tl", "x_br", "y_br")
 _bbox_row, _feature_row = itemgetter(*_BBOX_KEYS), itemgetter(*FEATURE_NAMES)
+_feature_values = attrgetter(*FEATURE_NAMES)
 
 
 def _face_from_dict(d: dict, base_dir: str, read_crops: bool) -> FaceObservation:
@@ -344,7 +345,7 @@ def face_to_dict(face: FaceObservation) -> dict:
     b = face.bbox
     d = {
         "bbox": {"x_tl": b.x_tl, "y_tl": b.y_tl, "x_br": b.x_br, "y_br": b.y_br},
-        "features": dict(vars(face.features)),  # the 9 fields, in FEATURE_NAMES order
+        "features": dict(zip(FEATURE_NAMES, _feature_values(face.features))),
     }
     if face.label is not None:
         d["label"] = face.label.value

@@ -13,10 +13,9 @@ class PGMError(DatasetError):
     pass
 
 
-# magic, width, height and maxval: each token follows whitespace (bytes.isspace) and
-# '#' comments that run to the end of their line. Neither a token nor a comment may
-# stop short, so a parse other than the tokeniser's can only make a token of a
-# comment, and no field takes a token that starts with '#'.
+# magic, width, height and maxval, each after whitespace (bytes.isspace) and '#' comments
+# to the end of a line. Neither a token nor a comment may stop short, so any other parse
+# than the tokeniser's makes a token of a comment, and no field takes one starting '#'.
 _HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*(\S+)(?!\S)" * 4)
 
 
