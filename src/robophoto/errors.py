@@ -17,7 +17,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 _FLOAT_MAX = sys.float_info.max
-# the types a number may have, by integer; type(), not isinstance, keeps bool out
+# the types a number may have, keyed by integer; type(), not isinstance, keeps bool out
 _KINDS = {False: frozenset((int, float)), True: frozenset((int,))}
 
 
@@ -35,10 +35,10 @@ def checked_number(value, error: type[Exception], what: str, integer: bool = Fal
     raise _rejected(value, error, what, integer)
 
 
-def checked_numbers(values: Sequence, error: type[Exception], names, integer: bool = False) -> list:
+def checked_numbers(values: Sequence, error: type[Exception], names, integer: bool = False) -> Sequence:
     """checked_number over a row in one pass, with its verdict for each value: the row
-    as floats (unchanged if integer), or the caller's error naming the first value
-    rejected (names[i] names values[i])."""
+    as a list of floats (values itself if integer), or the caller's error naming the
+    first value rejected (names[i] names values[i])."""
     kinds = _KINDS[integer]
     ok = [type(v) in kinds and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in values]
     if all(ok):

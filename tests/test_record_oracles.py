@@ -132,6 +132,14 @@ def test_row_check_gives_each_value_the_checked_number_verdict(values, integer):
     assert [(type(v), repr(v)) for v in row] == [(type(v), repr(v)) for v in expected]
 
 
+def _converts(value) -> bool:
+    try:
+        float(value)
+    except (ValueError, TypeError, OverflowError):
+        return False
+    return True
+
+
 @PROPERTY
 @given(values=st.lists(NUMBERS | st.sampled_from(["12", "-0.0", " 1e3 ", "x", None, [1.0]])
                        | st.floats().map(np.float64) | st.integers(-200, 200).map(np.int64), min_size=9, max_size=9))
@@ -150,14 +158,6 @@ def test_face_features_built_directly_match_the_old_constructor(values):
     got = FaceFeatures(*values)
     assert [repr(getattr(got, n)) for n in FEATURE_NAMES] == [repr(getattr(expected, n)) for n in FEATURE_NAMES]
     assert all(type(getattr(got, n)) is float for n in FEATURE_NAMES)
-
-
-def _converts(value) -> bool:
-    try:
-        float(value)
-    except (ValueError, TypeError, OverflowError):
-        return False
-    return True
 
 
 WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
