@@ -2,8 +2,9 @@
 
 Models line following (binary mask centroid + P-controller), obstacle
 stopping, the three-camera face vote, and the rotate/burst/rotate-back
-cycle. Physics is purely kinematic; the post-color-mask line image is
-synthesized directly from the robot pose and the course polyline.
+cycle. Physics is purely kinematic. A step reads the line stripe's columns,
+projected from the robot pose and the course polyline; the post-color-mask
+image is rendered from them only for tests and inspection.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class CollisionState:
 
 
 def line_centroid(image: np.ndarray) -> Optional[float]:
-    """Horizontal centroid of the 20-row mask slice, or None when the slice is empty."""
+    """Horizontal centroid of the 20-row mask slice, or None when the slice is empty:
+    the reference for the (lo + hi - 1) / 2 that a step takes from the stripe."""
     sl = image[SLICE_START_ROW : SLICE_START_ROW + SLICE_HEIGHT]
     ind = sl != 0
     m00 = int(ind.sum())
@@ -189,6 +191,8 @@ class Scenario:
         self.steps = checked_number(self.steps, ScenarioError, "steps", integer=True)
         if not (self.dt > 0 and self.steps >= 0 and len(self.line) > 1):
             raise ScenarioError("a scenario needs dt > 0, integer steps >= 0 and 2+ line points")
+        if not math.isfinite(self.dt * self.steps):  # every "t" in the log must be a JSON number
+            raise ScenarioError(f"dt * steps must be finite, got {self.dt} * {self.steps}")
         self.line = [(_real(x), _real(y)) for x, y in self.line]
         x, y, heading = self.start_pose
         self.start_pose = (_real(x), _real(y), _real(heading))
@@ -222,30 +226,28 @@ class Simulator:
 
     # --- world sensing -------------------------------------------------
 
-    def _line_lateral_offset(self) -> Optional[float]:
-        """Lateral offset (robot frame, left positive) of the course at the
-        look-ahead point, or None when outside the camera's view."""
+    def _stripe(self) -> Optional[tuple[int, int]]:
+        """Columns [lo, hi) of the line's stripe in the mask image, clipped to it, or
+        None when the course is out of view or the clipped stripe is empty."""
         lx = self.x + LOOKAHEAD_M * math.cos(self.heading)
         ly = self.y + LOOKAHEAD_M * math.sin(self.heading)
         qx, qy = _closest_on_polyline(self.scenario.line, lx, ly)
         dx, dy = qx - self.x, qy - self.y
-        y_r = -math.sin(self.heading) * dx + math.cos(self.heading) * dy
+        y_r = -math.sin(self.heading) * dx + math.cos(self.heading) * dy  # left positive
         x_r = math.cos(self.heading) * dx + math.sin(self.heading) * dy
         if not (x_r > 0.0 and abs(y_r) <= VIEW_HALF_WIDTH_M * 1.1):  # NaN is out of view
             return None
-        return y_r
-
-    def render_line_image(self) -> np.ndarray:
-        image = np.zeros((IMAGE_H, IMAGE_W), dtype=np.uint8)
-        y_r = self._line_lateral_offset()
-        if y_r is None:
-            return image
         col = IMAGE_W / 2.0 - y_r / VIEW_HALF_WIDTH_M * (IMAGE_W / 2.0)
         lo = int(round(col)) - LINE_STRIPE_PX // 2
-        hi = lo + LINE_STRIPE_PX
-        lo, hi = max(lo, 0), min(hi, IMAGE_W)
-        if hi > lo:
-            image[SLICE_START_ROW : SLICE_START_ROW + SLICE_HEIGHT, lo:hi] = 1
+        lo, hi = max(lo, 0), min(lo + LINE_STRIPE_PX, IMAGE_W)
+        return (lo, hi) if hi > lo else None
+
+    def render_line_image(self) -> np.ndarray:
+        """The post-color-mask image: the stripe in the slice rows, zero elsewhere."""
+        image = np.zeros((IMAGE_H, IMAGE_W), dtype=np.uint8)
+        stripe = self._stripe()
+        if stripe is not None:
+            image[SLICE_START_ROW : SLICE_START_ROW + SLICE_HEIGHT, slice(*stripe)] = 1
         return image
 
     def _scan_points(self) -> list[tuple[float, float]]:
@@ -279,11 +281,9 @@ class Simulator:
 
         if self.state in ("follow_line", "transfer_pause"):
             self.collision_state = collision_update(self._scan_points(), self.collision_state, dt)
-            centroid = line_centroid(self.render_line_image())
-            if self.collision_state.stopped:
-                v = omega = 0.0
-            elif centroid is not None:
-                v, omega = steer(centroid, self.controller)
+            stripe = None if self.collision_state.stopped else self._stripe()
+            if stripe is not None:
+                v, omega = steer((stripe[0] + stripe[1] - 1) / 2, self.controller)
             if self.state == "follow_line":
                 self.vote_history.append(frame_winner(self._face_counts()))
                 winner = camera_vote(self.vote_history)
@@ -312,8 +312,7 @@ class Simulator:
                 event = "shutter"
                 self.shots_left -= 1
             omega = self._rotate_towards(self.return_heading)
-            line_visible = line_centroid(self.render_line_image()) is not None
-            if self.shots_left == 0 and (omega == 0.0 or line_visible):
+            if self.shots_left == 0 and (omega == 0.0 or self._stripe() is not None):
                 self.state = "transfer_pause"
                 self.pause_left = TRANSFER_PAUSE_S
 

@@ -183,6 +183,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_render_abstract(args) -> int:
     dataset = _load_scored(args.dataset, args.face_model)
+    for pid in (r.picture_id for r in dataset.records):
+        if pid in (".", "..") or "/" in pid or "\0" in pid:  # each id names a file in --out-dir
+            raise DatasetError(f"picture_id {pid!r} cannot name a file")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rec in dataset.records:

@@ -490,6 +490,19 @@ def _simulate(tmp, scenario):
     return ["simulate", "--scenario", _write(tmp / "s.json", scenario), "--out", str(tmp / "log.jsonl")]
 
 
+# render-abstract names a file after each picture_id: these are not a file name
+UNSAFE_PICTURE_IDS = {"parent": "../x", "subdirectory": "a/b", "nul": "a\0b"}
+
+
+def _render_abstract(tmp, picture_id):
+    """render-abstract of one scored record, read from tmp/in, into tmp/in/out."""
+    record = _face_record(picture_id)
+    for face in record["faces"]:
+        face["score"] = 0.5
+    (tmp / "in").mkdir()
+    return ["render-abstract", "--dataset", _write(tmp / "in/d.jsonl", record), "--out-dir", str(tmp / "in/out")]
+
+
 def _ttest(tmp, sample_b):
     a, b = _write(tmp / "a.json", [1.0, 2.0, 3.0]), _write(tmp / "b.json", sample_b)
     return ["ttest", "--sample-a", a, "--sample-b", b]
@@ -594,6 +607,15 @@ BAD_INPUT_PROBES = {
     "simulate_one_point_line": (
         lambda tmp, get: _simulate(tmp, {**SCENARIO, "line": [[0.0, 0.0]]}), EXIT_DATA, ""
     ),
+    "simulate_run_time_overflows": (
+        lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 1e308, "steps": 3}), EXIT_DATA, ""
+    ),
+    **{
+        f"render_abstract_picture_id_{name}": (
+            lambda tmp, get, pid=pid: _render_abstract(tmp, pid), EXIT_DATA, ""
+        )
+        for name, pid in UNSAFE_PICTURE_IDS.items()
+    },
     "simulate_malformed_json": (lambda tmp, get: _simulate(tmp, b'{"dt": 0.1,'), EXIT_DATA, ""),
     "simulate_non_object": (lambda tmp, get: _simulate(tmp, [SCENARIO]), EXIT_DATA, ""),
     "ttest_malformed_json": (lambda tmp, get: _ttest(tmp, b"[1.0, 2.0"), EXIT_DATA, ""),
@@ -719,6 +741,19 @@ def test_bad_input_exits_with_its_code(tmp_path, request, capsys, probe):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "internal error" not in captured.err
     assert out in captured.out
+
+
+@pytest.mark.parametrize("picture_id", [*UNSAFE_PICTURE_IDS.values(), ".", "..", "ok"])
+def test_render_abstract_writes_nothing_outside_out_dir(tmp_path, capsys, picture_id):
+    code = main(_render_abstract(tmp_path, picture_id))
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    if picture_id == "ok":
+        assert code == EXIT_OK
+        assert written == ["in/d.jsonl", "in/out/ok.pgm", "in/out/render.config.json"]
+    else:
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: picture_id")
+        assert written == ["in/d.jsonl"]
 
 
 # --- fuzz: corrupted input files never end in a traceback or an internal error ---

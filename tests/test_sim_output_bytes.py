@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robophoto.behavior_sim import IMAGE_W, Scenario, Simulator, line_centroid, write_event_log
+from robophoto.behavior_sim import Scenario, Simulator, line_centroid, write_event_log
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_simulation.py"
 
@@ -65,3 +65,60 @@ def _log_digest(scenario: Scenario, path: Path) -> str:
 def test_event_logs_keep_their_pinned_bytes(tmp_path):
     scenarios = {**_script_scenarios(), "zigzag_20000": zigzag(20000, seed=5)}
     assert {name: _log_digest(s, tmp_path / f"{name}.jsonl") for name, s in scenarios.items()} == DIGESTS
+
+
+# --- the closed-form stripe against the rendered reference ---------------------
+
+
+def _agrees(sim: Simulator) -> bool:
+    """Whether the line is in view, after checking that the stripe's closed-form
+    centroid is the float line_centroid takes from the rendered image."""
+    stripe, centroid = sim._stripe(), line_centroid(sim.render_line_image())
+    assert (stripe is None) == (centroid is None)
+    if stripe is not None:
+        assert (stripe[0] + stripe[1] - 1) / 2 == centroid
+    return stripe is not None
+
+
+def test_stripe_matches_the_reference_at_every_step_of_the_script_scenarios():
+    outcomes = set()
+    for scenario in _script_scenarios().values():
+        sim = Simulator(scenario)
+        for _ in range(scenario.steps):
+            outcomes.add(_agrees(sim))
+            sim.step()
+    assert outcomes == {True, False}  # the line was in view and out of it
+
+
+def _sim_at(pose, course) -> Simulator:
+    """A simulator at pose on a course given in the robot's frame (x ahead, y left)."""
+    x, y, h = pose
+    line = [(x + a * math.cos(h) - b * math.sin(h), y + a * math.sin(h) + b * math.cos(h)) for a, b in course]
+    return Simulator(Scenario(dt=0.1, steps=0, line=line, start_pose=pose))
+
+
+ORIGIN = (0.0, 0.0, 0.0)
+NEAR = st.floats(-3.0, 3.0)
+
+
+# a course parallel to the heading, lateral metres to the left of the robot: its
+# stripe's centre column is 320 - 640 * lateral (-32 at 0.55, 672 at -0.55);
+# beyond 0.55, 1.1x the view's half-width, the course is out of view
+@pytest.mark.parametrize(
+    "lateral, stripe",
+    [(0.56, None), (0.55, None), (0.51, None), (0.505, (0, 2)), (0.0, (315, 325)), (-0.505, (638, 640)),
+     (-0.51, None), (-0.55, None), (-0.56, None)],
+)
+def test_stripe_is_clipped_at_the_image_edges(lateral, stripe):
+    sim = _sim_at(ORIGIN, [(-1.0, lateral), (2.0, lateral)])
+    assert sim._stripe() == stripe
+    _agrees(sim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-math.pi, math.pi)),
+       course=st.lists(st.tuples(NEAR, NEAR), min_size=2, max_size=6))
+@example(pose=ORIGIN, course=[(-2.0, 0.0), (-0.5, 0.0)])  # behind the robot
+@example(pose=(3.0, -2.0, 2.5), course=[(-1.0, 0.503), (2.0, 0.503)])  # clipped at the left edge
+def test_stripe_matches_the_reference_on_random_courses(pose, course):
+    _agrees(_sim_at(pose, course))
