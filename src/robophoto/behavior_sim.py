@@ -172,7 +172,9 @@ def _window(w, key: str) -> dict:
         values = [(_real(x), _real(z)) for x, z in w[key]]
     else:
         left, front, right = w[key]
-        values = (_real(left), _real(front), _real(right))
+        values = tuple(checked_number(c, ScenarioError, "a face count", integer=True) for c in (left, front, right))
+        if min(values) < 0:
+            raise ScenarioError(f"face counts must be >= 0, got {list(values)}")
     return {"t_start": _real(w["t_start"]), "t_end": _real(w["t_end"]), key: values}
 
 
@@ -257,7 +259,7 @@ class Simulator:
                 pts.extend(ob["points"])
         return pts
 
-    def _face_counts(self) -> tuple[float, float, float]:
+    def _face_counts(self) -> tuple[int, int, int]:
         for window in self.scenario.camera_faces:
             if window["t_start"] <= self.t < window["t_end"]:
                 return window["counts"]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import FaceCountCategory
 from .errors import UsageError
@@ -95,43 +94,4 @@ def select_best(
             picked.append(c.picture_id)
             used_bursts.add(c.burst_id)
             taken += 1
-    return picked
-
-
-MAX_ORACLE_CANDIDATES = 20
-
-
-def selection_oracle(
-    candidates: Sequence[ScoredPicture], constraints: SelectionConstraints = SelectionConstraints()
-) -> list[str]:
-    """Same contract as select_best, recomputed by exhaustive enumeration.
-
-    Per category (in the same rarest-first order) every feasible subset is
-    enumerated; the winner maximizes subset size, then is lexicographically
-    smallest in rank order. Test-only: refuses more than 20 candidates.
-    """
-    if len(candidates) > MAX_ORACLE_CANDIDATES:
-        raise ValueError(f"oracle limited to {MAX_ORACLE_CANDIDATES} candidates")
-    used_bursts: set[str] = set()
-    picked: list[str] = []
-    for cat in _sorted_categories(candidates):
-        pool = _ranked(candidates, cat)
-        indexed = list(enumerate(pool))
-        best: Optional[tuple[int, tuple[int, ...]]] = None
-        max_size = min(constraints.per_category_quota, len(pool))
-        for size in range(max_size, -1, -1):
-            for combo in itertools.combinations(indexed, size):
-                bursts = [c.burst_id for _, c in combo]
-                if len(set(bursts)) != size or any(b in used_bursts for b in bursts):
-                    continue
-                ranks = tuple(i for i, _ in combo)
-                if best is None or (-size, ranks) < (-best[0], best[1]):
-                    best = (size, ranks)
-            if best is not None:
-                break
-        assert best is not None
-        for i in best[1]:
-            c = pool[i]
-            picked.append(c.picture_id)
-            used_bursts.add(c.burst_id)
     return picked

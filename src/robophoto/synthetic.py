@@ -248,36 +248,3 @@ def make_layout_dataset(n_pictures: int, seed: int) -> list[PictureRecord]:
         )
         pictures.append(replace(pic, label=layout_rule_label(pic)))
     return pictures
-
-
-def make_random_pictures(n_pictures: int, seed: int, with_scores: bool = False) -> list[PictureRecord]:
-    """Unconstrained random pictures for property tests."""
-    rng = np.random.default_rng(seed)
-    width, height = 3000, 2000
-    pictures = []
-    for i in range(n_pictures):
-        n_faces = int(rng.integers(1, 5))
-        faces = []
-        for _ in range(n_faces):
-            x0 = rng.uniform(0.0, 0.8)
-            y0 = rng.uniform(0.0, 0.8)
-            x1 = rng.uniform(x0 + 0.02, min(x0 + 0.5, 1.0))
-            y1 = rng.uniform(y0 + 0.02, min(y0 + 0.5, 1.0))
-            faces.append(
-                FaceObservation(
-                    bbox=_bbox_from_normalized(x0, y0, x1, y1, width, height),
-                    features=random_features(rng),
-                    score=float(rng.uniform(0, 1)) if with_scores else None,
-                )
-            )
-        pictures.append(
-            PictureRecord(
-                picture_id=f"rand-{i:05d}",
-                burst_id=f"burst-{i // 3:05d}",
-                width=width,
-                height=height,
-                faces=tuple(faces),
-                label=Label.GOOD if rng.random() < 0.5 else Label.BAD,
-            )
-        )
-    return pictures

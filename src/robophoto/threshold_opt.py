@@ -213,6 +213,17 @@ def ga_optimize(
 MAX_GRID_POINTS = 10_000_000
 
 
+def _sweep(tables: Sequence[np.ndarray], pred: np.ndarray):
+    """(index, pred & tables[0][index[0]] & tables[1][index[1]] & ...) for
+    every index in lexicographic order, ANDing one table row per level."""
+    if not tables:
+        yield (), pred
+        return
+    for i, row in enumerate(tables[0]):
+        for rest, leaf in _sweep(tables[1:], pred & row):
+            yield (i, *rest), leaf
+
+
 def grid_search_oracle(
     pictures: Sequence[PictureRecord], kind: str, steps_per_axis: int
 ) -> FitnessReport:
@@ -231,56 +242,30 @@ def grid_search_oracle(
     n, labels_good = cache.n_pictures, cache.labels_good
     values = np.linspace(0.0, 1.0, steps_per_axis)
     column = values[:, None]
-    # condition tables, one row per grid value
+    # condition tables, one row per grid value: (steps, n) for each leading
+    # gene, (steps, steps, n) for the last two, which are swept as one array
     c_xmin, c_ymin, c_omin = (m > column for m in (cache.xtl_min, cache.ytl_min, cache.occ_min))
     c_xmax, c_ymax, c_omax = (m < column for m in (cache.xbr_max, cache.ybr_max, cache.occ_max))
-
-    if kind == "heuristic":
+    leading = [c_xmin, c_xmax, c_ymin, c_ymax]
+    if kind == "baseline":
+        last = c_omin[:, None, :] & c_omax[None, :, :]
+    else:
+        leading += [c_omin, c_omax]
         # props[a, i]: share of picture i's faces scoring above values[a]
         faces = np.maximum(np.count_nonzero(cache.ranked > -np.inf, axis=0), 1)
         props = np.count_nonzero(cache.ranked > column[:, :, None], axis=1) / faces
-        # tail[a, b, i]: proportion at r_min=values[a] exceeds p_min=values[b]
-        tail = props[:, None, :] > column[None]
+        # last[a, b, i]: proportion at r_min=values[a] exceeds p_min=values[b]
+        last = props[:, None, :] > column[None]
 
     best_matches = -1
     best_genome: Optional[tuple[float, ...]] = None
-    for i1 in range(steps_per_axis):
-        p1 = c_xmin[i1]
-        for i2 in range(steps_per_axis):
-            p2 = p1 & c_xmax[i2]
-            for i3 in range(steps_per_axis):
-                p3 = p2 & c_ymin[i3]
-                for i4 in range(steps_per_axis):
-                    p4 = p3 & c_ymax[i4]
-                    if kind == "baseline":
-                        # vectorize the last two axes
-                        pred = p4[None, None, :] & c_omin[:, None, :] & c_omax[None, :, :]
-                        matches = np.sum(pred == labels_good[None, None, :], axis=2)
-                        flat = int(np.argmax(matches))
-                        m = int(matches.reshape(-1)[flat])
-                        if m > best_matches:
-                            i5, i6 = divmod(flat, steps_per_axis)
-                            best_matches = m
-                            best_genome = (
-                                values[i1], values[i2], values[i3],
-                                values[i4], values[i5], values[i6],
-                            )
-                    else:
-                        for i5 in range(steps_per_axis):
-                            p5 = p4 & c_omin[i5]
-                            for i6 in range(steps_per_axis):
-                                p6 = p5 & c_omax[i6]
-                                pred = p6[None, None, :] & tail
-                                matches = np.sum(pred == labels_good[None, None, :], axis=2)
-                                flat = int(np.argmax(matches))
-                                m = int(matches.reshape(-1)[flat])
-                                if m > best_matches:
-                                    i7, i8 = divmod(flat, steps_per_axis)
-                                    best_matches = m
-                                    best_genome = (
-                                        values[i1], values[i2], values[i3], values[i4],
-                                        values[i5], values[i6], values[i7], values[i8],
-                                    )
+    for index, pred in _sweep(leading, np.ones(n, dtype=bool)):
+        matches = np.count_nonzero((pred & last) == labels_good, axis=2)
+        flat = int(np.argmax(matches))
+        m = int(matches.reshape(-1)[flat])
+        if m > best_matches:
+            best_matches = m
+            best_genome = tuple(values[[*index, *divmod(flat, steps_per_axis)]])
     assert best_genome is not None
     return FitnessReport(
         kind=kind,

@@ -1,9 +1,9 @@
 """A tiny dense/convolutional network engine in numpy.
 
 Sized for three small architectures: a 9-feature MLP, a face-crop CNN and a
-layout CNN. Models, files, scoring and gradient checks are float64, so finite
-differences are meaningful; train computes in float32. Models are immutable
-values: forward never mutates, train returns a new model.
+layout CNN. Models, files and scoring are float64, so the finite-difference
+gradient check in the tests is meaningful; train computes in float32. Models
+are immutable values: forward never mutates, train returns a new model.
 """
 
 from __future__ import annotations
@@ -392,49 +392,6 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
             w[key] -= w0[key].astype(np.float32)
             w[key] = w0[key] + w[key]  # casts the float32 side in chunks, with no float64 temporary
     return replace(work, weights=tuple(weights), metadata=meta), history
-
-
-def gradient_check(model: NetworkModel, x: np.ndarray, y: float, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    of the loss on one input x with 0/1 target y.
-
-    The finite differences run in extended precision so that round-off in the
-    loss difference stays below the comparison tolerance even for parameters
-    with very small gradients.
-    """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
-    x = np.asarray(x, dtype=np.float64)[None, ...]
-    y = np.array([float(y)])
-    _, grads = loss_and_gradients(model, x, y)
-
-    xl = x.astype(np.longdouble)
-    yl = y.astype(np.longdouble)
-    eps = np.longdouble(epsilon)
-    weights = [
-        {k: v.astype(np.longdouble) for k, v in w.items()} for w in model.weights
-    ]
-    probe = NetworkModel(layers=model.layers, weights=tuple(weights))
-
-    max_err = 0.0
-    for layer_idx, layer_w in enumerate(weights):
-        for key, arr in layer_w.items():
-            flat = arr.reshape(-1)
-            g_analytic = grads[layer_idx][key].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = _bce(forward_batch(probe, xl), yl)
-                flat[i] = orig - eps
-                lm = _bce(forward_batch(probe, xl), yl)
-                flat[i] = orig
-                g_num = float((lp - lm) / (2.0 * eps))
-                denom = max(abs(g_analytic[i]), abs(g_num), 1e-12)
-                err = abs(g_analytic[i] - g_num) / denom
-                if abs(g_analytic[i]) < 1e-10 and abs(g_num) < 1e-10:
-                    err = abs(g_analytic[i] - g_num)  # both ~0: absolute scale
-                max_err = max(max_err, err)
-    return max_err
 
 
 def _spec_to_dict(spec: LayerSpec) -> dict:

@@ -1,16 +1,20 @@
 """Reference implementations that tests compare the code in src/ against.
 
-Each section is a verbatim copy of code that src/ has since replaced with a
-faster version; the copy keeps the old behaviour as the oracle of the new.
+Some sections are verbatim copies of code that src/ has since replaced with a
+faster version; each copy keeps the old behaviour as the oracle of the new.
+The others are test-only references that the package itself never runs: the
+exhaustive selection oracle, random pictures for property tests and the
+finite-difference gradient check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from robophoto.core import (
 )
 from robophoto.errors import checked_number
 from robophoto.pgm import PGMError
+from robophoto.selection import ScoredPicture, SelectionConstraints, _ranked, _sorted_categories
+from robophoto.synthetic import _bbox_from_normalized, random_features
+from robophoto.tinynet import NetworkModel, _bce, forward_batch, loss_and_gradients
 
 # --- the record reader before one-pass face checks -----------------------------
 # core._face_from_dict and _record_from_dict with a checked_number call per value,
@@ -190,3 +197,127 @@ def read_pgm(path) -> np.ndarray:
     if len(pixels) != width * height:
         raise PGMError("truncated PGM pixel data")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
+
+
+# --- exhaustive selection: select_best's contract by enumeration ---------------
+
+
+MAX_ORACLE_CANDIDATES = 20
+
+
+def selection_oracle(
+    candidates: Sequence[ScoredPicture], constraints: SelectionConstraints = SelectionConstraints()
+) -> list[str]:
+    """Same contract as select_best, recomputed by exhaustive enumeration.
+
+    Per category (in the same rarest-first order) every feasible subset is
+    enumerated; the winner maximizes subset size, then is lexicographically
+    smallest in rank order. Test-only: refuses more than 20 candidates.
+    """
+    if len(candidates) > MAX_ORACLE_CANDIDATES:
+        raise ValueError(f"oracle limited to {MAX_ORACLE_CANDIDATES} candidates")
+    used_bursts: set[str] = set()
+    picked: list[str] = []
+    for cat in _sorted_categories(candidates):
+        pool = _ranked(candidates, cat)
+        indexed = list(enumerate(pool))
+        best: Optional[tuple[int, tuple[int, ...]]] = None
+        max_size = min(constraints.per_category_quota, len(pool))
+        for size in range(max_size, -1, -1):
+            for combo in itertools.combinations(indexed, size):
+                bursts = [c.burst_id for _, c in combo]
+                if len(set(bursts)) != size or any(b in used_bursts for b in bursts):
+                    continue
+                ranks = tuple(i for i, _ in combo)
+                if best is None or (-size, ranks) < (-best[0], best[1]):
+                    best = (size, ranks)
+            if best is not None:
+                break
+        assert best is not None
+        for i in best[1]:
+            c = pool[i]
+            picked.append(c.picture_id)
+            used_bursts.add(c.burst_id)
+    return picked
+
+
+# --- unconstrained random pictures for property tests --------------------------
+
+
+def make_random_pictures(n_pictures: int, seed: int, with_scores: bool = False) -> list[PictureRecord]:
+    """Unconstrained random pictures for property tests."""
+    rng = np.random.default_rng(seed)
+    width, height = 3000, 2000
+    pictures = []
+    for i in range(n_pictures):
+        n_faces = int(rng.integers(1, 5))
+        faces = []
+        for _ in range(n_faces):
+            x0 = rng.uniform(0.0, 0.8)
+            y0 = rng.uniform(0.0, 0.8)
+            x1 = rng.uniform(x0 + 0.02, min(x0 + 0.5, 1.0))
+            y1 = rng.uniform(y0 + 0.02, min(y0 + 0.5, 1.0))
+            faces.append(
+                FaceObservation(
+                    bbox=_bbox_from_normalized(x0, y0, x1, y1, width, height),
+                    features=random_features(rng),
+                    score=float(rng.uniform(0, 1)) if with_scores else None,
+                )
+            )
+        pictures.append(
+            PictureRecord(
+                picture_id=f"rand-{i:05d}",
+                burst_id=f"burst-{i // 3:05d}",
+                width=width,
+                height=height,
+                faces=tuple(faces),
+                label=Label.GOOD if rng.random() < 0.5 else Label.BAD,
+            )
+        )
+    return pictures
+
+
+# --- finite-difference gradients: the reference for backprop -------------------
+
+
+def gradient_check(model: NetworkModel, x: np.ndarray, y: float, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the loss on one input x with 0/1 target y.
+
+    The finite differences run in extended precision so that round-off in the
+    loss difference stays below the comparison tolerance even for parameters
+    with very small gradients.
+    """
+    if not 1e-7 <= epsilon <= 1e-3:
+        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
+    x = np.asarray(x, dtype=np.float64)[None, ...]
+    y = np.array([float(y)])
+    _, grads = loss_and_gradients(model, x, y)
+
+    xl = x.astype(np.longdouble)
+    yl = y.astype(np.longdouble)
+    eps = np.longdouble(epsilon)
+    weights = [
+        {k: v.astype(np.longdouble) for k, v in w.items()} for w in model.weights
+    ]
+    probe = NetworkModel(layers=model.layers, weights=tuple(weights))
+
+    max_err = 0.0
+    for layer_idx, layer_w in enumerate(weights):
+        for key, arr in layer_w.items():
+            flat = arr.reshape(-1)
+            g_analytic = grads[layer_idx][key].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                lp = _bce(forward_batch(probe, xl), yl)
+                flat[i] = orig - eps
+                lm = _bce(forward_batch(probe, xl), yl)
+                flat[i] = orig
+                g_num = float((lp - lm) / (2.0 * eps))
+                denom = max(abs(g_analytic[i]), abs(g_num), 1e-12)
+                err = abs(g_analytic[i] - g_num) / denom
+                if abs(g_analytic[i]) < 1e-10 and abs(g_num) < 1e-10:
+                    err = abs(g_analytic[i] - g_num)  # both ~0: absolute scale
+                max_err = max(max_err, err)
+    return max_err

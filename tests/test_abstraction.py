@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_face, make_picture
+from oracles import gradient_check
 from robophoto import tinynet
 from robophoto.abstraction import (
     BACKGROUND,
@@ -106,5 +107,5 @@ def test_picture_cnn_gradient_check(rng):
         tinynet.sigmoid(),
     ]
     model = tinynet.build_model(layers, seed=5)
-    err = tinynet.gradient_check(model, rng.normal(size=(1, 11, 14)), 1.0, 1e-5)
+    err = gradient_check(model, rng.normal(size=(1, 11, 14)), 1.0, 1e-5)
     assert err < 1e-4

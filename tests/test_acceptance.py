@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gradient_check, make_random_pictures, selection_oracle
 from robophoto import tinynet
 from robophoto.abstraction import (
     build_picture_cnn,
@@ -50,13 +51,11 @@ from robophoto.selection import (
     SelectionConstraints,
     crop_cascade,
     select_best,
-    selection_oracle,
 )
 from robophoto.stats import welch_t_test
 from robophoto.synthetic import (
     make_face_feature_dataset,
     make_layout_dataset,
-    make_random_pictures,
     make_threshold_dataset,
 )
 from robophoto.threshold_opt import GAConfig, ga_optimize, grid_search_oracle
@@ -93,7 +92,7 @@ def test_criterion_01_gradient_correctness():
         layers += [tinynet.relu() if rng.random() < 0.5 else tinynet.leaky_relu()]
         layers += [tinynet.dense(hidden, 1), tinynet.sigmoid()]
         model = tinynet.build_model(layers, seed=int(rng.integers(0, 10_000)))
-        err = tinynet.gradient_check(model, x, float(rng.integers(0, 2)), 1e-5)
+        err = gradient_check(model, x, float(rng.integers(0, 2)), 1e-5)
         worst = max(worst, err)
     _report(
         "criterion 1 gradient correctness",

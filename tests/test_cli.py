@@ -611,6 +611,15 @@ BAD_INPUT_PROBES = {
         lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 1e308, "steps": 3}), EXIT_DATA, ""
     ),
     **{
+        f"simulate_{name}_face_count": (
+            lambda tmp, get, counts=counts: _simulate(
+                tmp, {**SCENARIO, "camera_faces": [{"t_start": 0.0, "t_end": 3.0, "counts": counts}]}
+            ),
+            EXIT_DATA, "",
+        )
+        for name, counts in (("negative", [-1, -3, -3]), ("fractional", [0.5, 0, 0]))
+    },
+    **{
         f"render_abstract_picture_id_{name}": (
             lambda tmp, get, pid=pid: _render_abstract(tmp, pid), EXIT_DATA, ""
         )

@@ -1,7 +1,8 @@
 """Lint steps: every name a package module imports must be used in it, every
 function parameter other than self or cls must be read in its body, every
-exception class derives from one of the three roots in robophoto.errors, and
-no module but errors.py decides by hand what counts as a number.
+exception class derives from one of the three roots in robophoto.errors, no
+module but errors.py decides by hand what counts as a number, and every public
+top-level name in the package has a reader outside tests/.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "robophoto"
+REPO_DIR = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = REPO_DIR / "src" / "robophoto"
 
 
 def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -141,3 +143,49 @@ def test_no_hand_written_number_check(path):
     assert not isinstance_calls, (
         f"{path.name} tests a number's type with isinstance, use errors.checked_number: {', '.join(isinstance_calls)}"
     )
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Each public top-level def, class and assignment target in a module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads: as a name, an attribute, an import or a
+    string (perfbench names the functions it wraps as strings, some dotted)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    """A public name that only tests read is a test oracle: it belongs in tests/oracles.py."""
+    readers = [
+        path
+        for directory in ("src", "scripts", "perfbench")
+        for path in sorted((REPO_DIR / directory).rglob("*.py"))
+        if "tests" not in path.relative_to(REPO_DIR).parts
+    ]
+    read = set().union(*(_names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in readers))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+    assert not unread, f"public names no module outside tests/ reads: {', '.join(unread)}"

@@ -218,8 +218,11 @@ def _record_reader(*path):
     return read
 
 
-def _scenario_reader(value):
-    return _accepts(ScenarioError, Scenario.from_json, json.dumps(set_at(_json(SCENARIO), ("line", 1, 0), value)))
+def _scenario_reader(*path):
+    def read(value):
+        return _accepts(ScenarioError, Scenario.from_json, json.dumps(set_at(_json(SCENARIO), path, value)))
+
+    return read
 
 
 def _threshold_reader(value):
@@ -260,7 +263,8 @@ def _number_readers(tmp_path):
         "record angle": (False, 12, 12.5, _record_reader("faces", 0, "features", "yaw")),
         "record likelihood": (False, 1, 0.5, _record_reader("faces", 0, "features", "joy")),
         "record score": (False, 1, 0.5, _record_reader("faces", 0, "score")),
-        "scenario point": (False, 10, 10.5, _scenario_reader),
+        "scenario point": (False, 10, 10.5, _scenario_reader("line", 1, 0)),
+        "scenario face count": (True, 2, 2.5, _scenario_reader("camera_faces", 0, "counts", 1)),
         "threshold": (False, 1, 0.8, _threshold_reader),
         "t-test sample": (False, 4, 4.5, _sample_reader),
         "face-MLP feature_mean": (False, 0, 0.5, _face_mlp_reader("feature_mean")),

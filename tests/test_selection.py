@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import selection_oracle
 from robophoto.core import FaceCountCategory
 from robophoto.errors import UsageError
 from robophoto.selection import (
@@ -10,7 +11,6 @@ from robophoto.selection import (
     SelectionConstraints,
     crop_cascade,
     select_best,
-    selection_oracle,
 )
 
 

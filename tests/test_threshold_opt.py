@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import make_random_pictures
 from robophoto.core import Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
@@ -25,7 +26,6 @@ from robophoto.threshold_opt import (
 from robophoto.synthetic import (
     DEFAULT_HIDDEN_BASELINE,
     DEFAULT_HIDDEN_HEURISTIC,
-    make_random_pictures,
     make_threshold_dataset,
 )
 
@@ -272,15 +272,17 @@ def test_ga_rejects_unknown_kind():
         ga_optimize(make_random_pictures(5, seed=0), "other")
 
 
-def test_grid_oracle_agrees_with_direct_sweep():
-    # brute force over the same grid through the scorer itself
-    pics = make_threshold_dataset(40, seed=8, kind="baseline")
-    steps = 4
-    report = grid_search_oracle(pics, "baseline", steps)
+@pytest.mark.parametrize("kind, steps", [("baseline", 4), ("heuristic", 3)])
+def test_grid_oracle_agrees_with_direct_sweep(kind, steps):
+    # brute force over the same grid, in lexicographic order, through the GA fitness
+    pics = make_threshold_dataset(40, seed=8, kind=kind)
+    report = grid_search_oracle(pics, kind, steps)
     values = np.linspace(0, 1, steps)
-    cache = _FitnessCache(pics, "baseline")
-    grid = np.stack(np.meshgrid(*[values] * 6, indexing="ij"), axis=-1).reshape(-1, 6)
-    assert report.best_accuracy == cache.evaluate(grid).max()
+    cache = _FitnessCache(pics, kind)
+    grid = np.stack(np.meshgrid(*[values] * cache.dim, indexing="ij"), axis=-1).reshape(-1, cache.dim)
+    fitness = cache.evaluate(grid)
+    assert report.best_accuracy == fitness.max()
+    assert report.best_genome == tuple(grid[np.argmax(fitness)])
 
 
 def test_grid_oracle_heuristic_small():

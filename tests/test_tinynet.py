@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_model_header
+from oracles import gradient_check
 from robophoto import tinynet
 from robophoto.abstraction import CANVAS_H, CANVAS_W, build_picture_cnn
 from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_ann, build_face_cnn
@@ -21,7 +22,6 @@ from robophoto.tinynet import (
     flatten,
     forward,
     forward_batch,
-    gradient_check,
     leaky_relu,
     load_model,
     relu,
