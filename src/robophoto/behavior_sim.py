@@ -9,7 +9,6 @@ image is rendered from them only for tests and inspection.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import write_jsonl
-from .errors import DatasetError, checked_number
+from .errors import DatasetError, checked_number, parsed_json
 
 IMAGE_W = 640
 IMAGE_H = 480
@@ -203,10 +202,11 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Scenario":
-        """A scenario from JSON text or its UTF-8 bytes; anything malformed raises ScenarioError."""
+        """A scenario from one JSON object (errors.parsed_json); anything malformed raises ScenarioError."""
+        fields = parsed_json(text, ScenarioError, "a scenario")
         try:
-            return cls(**json.loads(text))
-        except (ValueError, RecursionError, TypeError, KeyError) as e:
+            return cls(**fields)
+        except (ValueError, TypeError, KeyError) as e:  # a wrong structure, e.g. a point of 3 values
             raise ScenarioError(f"malformed scenario: {e}") from None
 
 

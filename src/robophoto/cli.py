@@ -21,8 +21,8 @@ from .core import (
     validate_dataset,
     write_dataset_jsonl,
 )
-from .errors import DatasetError, TrainingDivergedError, UsageError
-from .face_quality import dataset_faces, train_face_ann, train_face_cnn
+from .errors import DatasetError, TrainingDivergedError, UsageError, parsed_json
+from .face_quality import dataset_faces, reads_crops, train_face_ann, train_face_cnn
 from .pgm import write_pgm
 from .pipeline import METHODS, evaluate_methods, run_pipeline, score_dataset
 from .stats import welch_t_test
@@ -51,10 +51,10 @@ def _load_dataset(path: str, keep_faceless: bool = False, read_crops: bool = Tru
 
 
 def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = False) -> Dataset:
-    """The validated dataset with face scores from the model file, or stored ones."""
-    dataset = _load_dataset(path, keep_faceless).dataset
+    """Validated dataset scored by the face model file, or with stored scores; only a face CNN reads crops."""
     face_model = None if face_model_path is None else tinynet.load_model(face_model_path)
-    return score_dataset(dataset, face_model)
+    read_crops = face_model is not None and reads_crops(face_model)
+    return score_dataset(_load_dataset(path, keep_faceless, read_crops).dataset, face_model)
 
 
 def _load_thresholds(path: str, kind: str):
@@ -114,7 +114,6 @@ def _save_trained(args, model, history) -> int:
 
 
 def cmd_train_face_ann(args) -> int:
-    # the MLP reads only the 9 features, so no crop file is opened
     faces = dataset_faces(_load_dataset(args.dataset, read_crops=False).dataset)
     return _save_trained(args, *train_face_ann(faces, _train_config(args)))
 
@@ -133,7 +132,7 @@ def cmd_optimize_thresholds(args) -> int:
     if args.kind == "heuristic":
         dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
     else:
-        dataset = _load_dataset(args.dataset, keep_faceless=True).dataset
+        dataset = _load_dataset(args.dataset, keep_faceless=True, read_crops=False).dataset
     config = GAConfig(
         population_size=args.population,
         generations=args.generations,
@@ -197,10 +196,7 @@ def cmd_render_abstract(args) -> int:
 
 def cmd_ttest(args) -> int:
     paths = (args.sample_a, args.sample_b)
-    try:
-        result = welch_t_test(*(json.loads(Path(p).read_bytes()) for p in paths))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise DatasetError(f"sample files must hold JSON: {e}") from None
+    result = welch_t_test(*(parsed_json(Path(p).read_bytes(), DatasetError, f"sample {p}", list) for p in paths))
     out = {
         "test": "welch_one_sided",
         "t_statistic": result.t_statistic,
@@ -311,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # built per call, not cached: perfbench/spans.py swaps cli.cmd_* between calls to time each handler
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

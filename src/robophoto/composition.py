@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .core import BoundingBox, PictureRecord, UnscoredFaceError
-from .errors import DatasetError, checked_number
+from .errors import DatasetError, checked_number, parsed_json
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,8 @@ def thresholds_to_json(t) -> str:
 
 
 def thresholds_from_json(text: str | bytes):
-    """Thresholds from `thresholds_to_json` text or bytes; anything else raises DatasetError."""
-    try:
-        d = json.loads(text)
-    except (ValueError, RecursionError) as e:  # also undecodable bytes, too deep nesting
-        raise DatasetError(f"threshold file is not JSON: {e}") from None
-    if not isinstance(d, dict):
-        raise DatasetError("threshold JSON must be an object")
+    """Thresholds from one JSON object (errors.parsed_json) as `thresholds_to_json` writes it, else DatasetError."""
+    d = parsed_json(text, DatasetError, "a threshold file")
     kind = d.get("kind")
     if kind not in ("baseline", "heuristic"):
         raise DatasetError(f"unknown threshold kind {kind!r}")

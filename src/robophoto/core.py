@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, checked_number, checked_numbers
+from .errors import DatasetError, UsageError, checked_number, checked_numbers, parsed_json
 from .pgm import read_pgm
 
 MIN_FACE_SIDE = 30
@@ -45,9 +45,7 @@ FEATURE_NAMES = (
     "blur",
 )
 
-# one encoder for every JSON Lines file, where json.dumps(sort_keys=True) builds one per
-# call (the objects written hold no cycles), and the decoder that json.loads wraps
-_JSON_DECODER = json.JSONDecoder()
+# one encoder for every JSON Lines file (json.dumps builds one per call); rows hold no cycles
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
@@ -285,23 +283,14 @@ def _record_from_dict(d: dict, base_dir: str, read_crops: bool) -> tuple[Picture
 
 
 def read_records_jsonl(path) -> list[dict]:
-    """Raw dicts from a JSON Lines file; a line not holding a UTF-8 JSON object is a ParseError."""
-    records = []
+    """Raw dicts from a JSON Lines file: a line of JSON whitespace is skipped, and any
+    other line not holding one JSON object (see errors.parsed_json) is a ParseError."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record, end = _JSON_DECODER.raw_decode(line)
-                if end != len(line):
-                    raise ValueError(f"extra data at column {end + 1}")
-            except (ValueError, RecursionError) as e:  # not UTF-8, not JSON or nested too deep
-                raise ParseError(f"{path}:{lineno}: malformed line: {e}") from None
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: a record must be a JSON object")
-            records.append(record)
-    return records
+        return [
+            parsed_json(raw, ParseError, f"{path}:{lineno}: a record")
+            for lineno, raw in enumerate(fh, start=1)
+            if raw.strip(b" \t\r\n")
+        ]
 
 
 def validate_dataset(

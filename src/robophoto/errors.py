@@ -1,5 +1,7 @@
-"""The three root exceptions (an error's root decides its exit code) and the one input-number check."""
+"""The three root exceptions (an error's root decides its exit code), the one
+rule for JSON read from input and the one input-number check."""
 
+import json
 import sys
 from typing import Sequence
 
@@ -14,6 +16,23 @@ class DatasetError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite (exit 4)."""
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parsed_json(data, error: type[Exception], what: str, kind: type = dict):
+    """The one JSON value, of type kind (dict or list), in data: str, or UTF-8 bytes with no BOM.
+    Anything else raises the caller's error class: bytes not UTF-8, a BOM, text around the
+    value other than JSON whitespace, nesting past the recursion limit, or another type."""
+    try:  # strip, not decode(), which matches JSON whitespace with two regex calls: same verdict, faster
+        text = (data if isinstance(data, str) else data.decode("utf-8")).strip(" \t\r\n")
+        value, end = _raw_decode(text)
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise error(f"{what} is not JSON: {e}") from None
+    if end < len(text) or not isinstance(value, kind):
+        raise error(f"{what} must hold one JSON {'object' if kind is dict else 'array'} and nothing after it")
+    return value
 
 
 _FLOAT_MAX = sys.float_info.max

@@ -126,10 +126,15 @@ def _feature_scaling(metadata: dict):
     return np.array([mean, std])
 
 
+def reads_crops(model: NetworkModel) -> bool:
+    """Whether a face model scores crops (the face CNN) rather than the 9 features."""
+    return model.metadata.get("architecture", "") == "face_cnn"
+
+
 def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
     """Network input of each face, picked by model kind, produced lazily.
     Training and scoring both encode faces here."""
-    cnn = model.metadata.get("architecture", "") == "face_cnn"
+    cnn = reads_crops(model)
     scaling = None if cnn else _feature_scaling(model.metadata)
     for obs in faces:
         if not cnn:

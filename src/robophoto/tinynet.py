@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DatasetError, TrainingDivergedError, UsageError, checked_number
+from .errors import DatasetError, TrainingDivergedError, UsageError, checked_number, parsed_json
 
 MAGIC = b"TNET"
 FORMAT_VERSION = 1
@@ -241,7 +241,7 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
         return np.where(x > 0, x, LEAKY_SLOPE * x), x
     if spec.kind == "sigmoid":
         with np.errstate(over="ignore"):  # exp(-x) = inf at x < -709 gives the exact 0
-            return 1.0 / (1.0 + np.exp(-x)), None  # cache is the output, filled by caller
+            return 1.0 / (1.0 + np.exp(-x)), None  # no cache: backward reads the output, passed as out
     if spec.kind == "flatten":
         return x.reshape(x.shape[0], -1), x.shape
     raise ShapeError(f"layer {idx}: unknown kind {spec.kind!r}")
@@ -444,14 +444,9 @@ def load_model(path) -> NetworkModel:
             raise UnsupportedVersionError(f"model format version {version} not supported")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
         blob = _read_exact(fh, header_len, "header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON or nested too deep
-            raise ModelFormatError(f"malformed header: {e}") from None
-        if not isinstance(header, dict) or not HEADER_TYPES.keys() <= header.keys():
-            raise ModelFormatError(f"header must be an object with keys {sorted(HEADER_TYPES)}")
-        if not all(isinstance(header[k], t) for k, t in HEADER_TYPES.items()):
-            raise ModelFormatError(f"header value types must be {HEADER_TYPES}")
+        header = parsed_json(blob, ModelFormatError, "the model header")
+        if not all(isinstance(header.get(k), t) for k, t in HEADER_TYPES.items()):
+            raise ModelFormatError(f"the model header needs keys of these types: {HEADER_TYPES}")
         layers = tuple(_spec_from_dict(d) for d in header["layers"])
         if not len(layers) == len(header["params"]) == len(header["shapes"]):
             raise ModelFormatError("header needs one params and one shapes entry per layer")

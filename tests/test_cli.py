@@ -460,6 +460,51 @@ def test_train_face_ann_opens_no_crop(tmp_path, capsys):
     assert models[0] == models[1]
 
 
+# name -> (function of (dataset path, output dir, tmp_path, fixture getter) returning argv);
+# none is given a face CNN, so none needs a crop
+CROP_FREE_COMMANDS = {
+    **{
+        f"optimize_thresholds_{kind}": lambda data, out, tmp, get, kind=kind: [
+            "optimize-thresholds", "--dataset", data, "--kind", kind, "--out", f"{out}/t.json",
+            "--population", "8", "--generations", "3",
+        ]
+        for kind in ("baseline", "heuristic")
+    },
+    "evaluate": lambda data, out, tmp, get: ["evaluate", *_crop_free_methods(data, out, get)],
+    "evaluate_face_mlp": lambda data, out, tmp, get: [
+        "evaluate", *_crop_free_methods(data, out, get), "--face-model", str(_face_mlp(tmp)),
+    ],
+    "select": lambda data, out, tmp, get: ["select", *_crop_free_methods(data, out, get)],
+    "train_picture_cnn": lambda data, out, tmp, get: [
+        "train-picture-cnn", "--dataset", data, "--out", f"{out}/p.tnet", "--epochs", "1",
+    ],
+    "render_abstract": lambda data, out, tmp, get: ["render-abstract", "--dataset", data, "--out-dir", out],
+}
+
+
+def _crop_free_methods(data, out, get):
+    bp, hp = get("threshold_paths")
+    return [
+        "--dataset", data, "--baseline-thresholds", str(bp), "--heuristic-thresholds", str(hp),
+        "--picture-model", str(get("tiny_layout_model_path")), "--out", f"{out}/r.json",
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(CROP_FREE_COMMANDS))
+def test_commands_without_a_face_cnn_open_no_crop(tmp_path, request, capsys, command):
+    """A crop path naming no file changes no output of a command that reads no crop."""
+    records = [json.loads(line) for line in request.getfixturevalue("dataset_path").read_text().splitlines()]
+    outputs = []
+    for name, extra in (("with_path", {"face_image_path": "missing/crop.pgm"}), ("without_path", {})):
+        data, out = tmp_path / f"{name}.jsonl", tmp_path / name
+        out.mkdir()
+        lines = (json.dumps({**r, "faces": [{**f, **extra} for f in r["faces"]]}) + "\n" for r in records)
+        data.write_text("".join(lines))
+        assert main(CROP_FREE_COMMANDS[command](str(data), str(out), tmp_path, request.getfixturevalue)) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".config.json")})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 # --- bad input: every probe ends in its documented exit code ---------------------
 
 DEEP = b"[" * 100_000 + b"]" * 100_000  # JSON nested deeper than the recursion limit
@@ -601,6 +646,23 @@ BAD_INPUT_PROBES = {
     ),
     "simulate_nested_too_deep": (lambda tmp, get: _simulate(tmp, DEEP), EXIT_DATA, ""),
     "ttest_nested_too_deep": (lambda tmp, get: _ttest(tmp, DEEP), EXIT_DATA, ""),
+    # one rule for JSON framing (errors.parsed_json): UTF-8, no BOM, only JSON whitespace around the value
+    "ingest_line_nbsp_padded": (
+        lambda tmp, get: _ingest(tmp, _face_record("p0"), f"\u00a0{json.dumps(_face_record('p1'))}\n".encode()),
+        EXIT_DATA, "",
+    ),
+    "simulate_utf8_bom": (
+        lambda tmp, get: _simulate(tmp, b"\xef\xbb\xbf" + json.dumps(SCENARIO).encode()), EXIT_DATA, ""
+    ),
+    "ttest_utf16": (lambda tmp, get: _ttest(tmp, json.dumps([4.0, 5.0, 6.0]).encode("utf-16")), EXIT_DATA, ""),
+    "evaluate_threshold_file_utf8_bom": (
+        lambda tmp, get: [
+            "evaluate", *_methods(tmp, get, baseline=_write(
+                tmp / "b.json", b"\xef\xbb\xbf" + thresholds_to_json(DEFAULT_HIDDEN_BASELINE).encode()
+            )),
+        ],
+        EXIT_DATA, "",
+    ),
     "simulate_missing_steps": (lambda tmp, get: _simulate(tmp, _without(SCENARIO, "steps")), EXIT_DATA, ""),
     "simulate_dt_zero": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 0}), EXIT_DATA, ""),
     "simulate_negative_steps": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "steps": -5}), EXIT_DATA, ""),

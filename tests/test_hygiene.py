@@ -1,8 +1,8 @@
 """Lint steps: every name a package module imports must be used in it, every
 function parameter other than self or cls must be read in its body, every
 exception class derives from one of the three roots in robophoto.errors, no
-module but errors.py decides by hand what counts as a number, and every public
-top-level name in the package has a reader outside tests/.
+module but errors.py decides by hand what counts as a number or parses JSON,
+and every public top-level name in the package has a reader outside tests/.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -144,6 +144,28 @@ def test_no_hand_written_number_check(path):
         f"{path.name} tests a number's type with isinstance, use errors.checked_number: {', '.join(isinstance_calls)}"
     )
 
+
+# json.loads, json.load, json.JSONDecoder and its raw_decode each parse JSON by hand
+_JSON_READERS = {"loads", "load", "JSONDecoder", "raw_decode"}
+
+
+def _reads_json(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(alias.name in _JSON_READERS for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        on_json = isinstance(node.value, ast.Name) and node.value.id == "json"
+        return node.attr in _JSON_READERS and (on_json or node.attr == "raw_decode")
+    return False
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_no_hand_written_json_reader(path):
+    """errors.parsed_json is the one rule for JSON read from input."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"line {node.lineno}" for node in ast.walk(tree) if _reads_json(node)]
+    assert not found, f"{path.name} reads JSON by hand, use errors.parsed_json: {', '.join(found)}"
 
 def _public_definitions(tree: ast.Module) -> list[str]:
     """Each public top-level def, class and assignment target in a module."""

@@ -1,8 +1,10 @@
 """Every reader of outside input returns a valid value or raises its module's
 DatasetError subclass, whatever the bytes or JSON values it is given."""
 
+import argparse
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import neutral_features, rewrite_model_header, set_at
 from robophoto import tinynet
 from robophoto.behavior_sim import Scenario, ScenarioError, Simulator
+from robophoto.cli import cmd_ttest
 from robophoto.core import (
     BoundingBox,
     FaceObservation,
@@ -281,3 +284,72 @@ def test_every_reader_gives_a_number_the_same_verdict(tmp_path, kind):
     for name, (integer, valid_int, valid_float, read) in _number_readers(tmp_path).items():
         expected = kind == "int" or (kind in ("whole float", "fraction") and not integer)
         assert read(NUMBER_KINDS[kind](valid_int, valid_float)) == expected, (name, kind)
+
+
+# --- one rule for JSON read from input, whichever reader reads it -------------
+
+# framing -> (function of a reader's valid document and of its wrapper into another
+# top-level type, returning the bytes the reader gets; whether the reader accepts them)
+JSON_FRAMINGS = {
+    "plain": (lambda doc, wrap: doc, True),
+    "JSON whitespace padding": (lambda doc, wrap: b"\n \t\r" + doc + b"\r\t \n", True),
+    "UTF-8 BOM": (lambda doc, wrap: b"\xef\xbb\xbf" + doc, False),
+    "UTF-16": (lambda doc, wrap: doc.decode().encode("utf-16"), False),
+    "UTF-32": (lambda doc, wrap: doc.decode().encode("utf-32"), False),
+    "non-UTF-8 byte": (lambda doc, wrap: doc[:-1] + b"\xff" + doc[-1:], False),
+    "NBSP padding": (lambda doc, wrap: "\u00a0".encode() + doc, False),
+    "\\x1c padding": (lambda doc, wrap: b"\x1c" + doc, False),
+    "trailing data": (lambda doc, wrap: doc + b" 0", False),
+    "nested too deep": (lambda doc, wrap: b"[" * 100_000 + b"]" * 100_000, False),
+    "wrong top-level type": (lambda doc, wrap: wrap(doc), False),
+}
+
+
+def _in_list(doc: bytes) -> bytes:
+    return b"[" + doc + b"]"
+
+
+def _json_readers(tmp_path):
+    """name -> (a valid document, its wrapper into another top-level type,
+    whether read(bytes) returns, not raising the reader's own error class)"""
+    records, sample = tmp_path / "d.jsonl", tmp_path / "b.json"
+    model = tmp_path / "m.tnet"
+    tinynet.save_model(tinynet.build_model([tinynet.dense(3, 1), tinynet.sigmoid()]), model)
+    saved = model.read_bytes()
+    (n,) = struct.unpack("<Q", saved[5:13])
+
+    def read_records(data):
+        records.write_bytes(data + b"\n")
+        return _accepts(ParseError, read_records_jsonl, records)
+
+    def read_header(data):
+        model.write_bytes(saved[:5] + struct.pack("<Q", len(data)) + data + saved[13 + n :])
+        return _accepts(tinynet.ModelFormatError, tinynet.load_model, model)
+
+    def read_sample(data):
+        sample.write_bytes(data)
+        (tmp_path / "a.json").write_text("[1.0, 2.0, 3.0]")
+        args = argparse.Namespace(sample_a=str(tmp_path / "a.json"), sample_b=str(sample), out=None)
+        return _accepts(DatasetError, cmd_ttest, args)
+
+    return {
+        "record line": (json.dumps(_valid_record(0)).encode(), _in_list, read_records),
+        "threshold file": (
+            thresholds_to_json(DEFAULT_HIDDEN_BASELINE).encode(), _in_list,
+            lambda data: _accepts(DatasetError, thresholds_from_json, data),
+        ),
+        "scenario": (
+            json.dumps(SCENARIO).encode(), _in_list, lambda data: _accepts(ScenarioError, Scenario.from_json, data)
+        ),
+        "model header": (saved[13 : 13 + n], _in_list, read_header),
+        "t-test sample": (b"[4.0, 5.0, 6.5]", lambda doc: b'{"ratings": ' + doc + b"}", read_sample),
+    }
+
+
+@pytest.mark.parametrize("framing", sorted(JSON_FRAMINGS))
+def test_every_reader_gives_a_json_framing_the_same_verdict(tmp_path, capsys, framing):
+    """Only UTF-8 with no BOM holding one JSON value of the reader's type, with
+    only JSON whitespace around it, is read (errors.parsed_json)."""
+    frame, accepted = JSON_FRAMINGS[framing]
+    for name, (doc, wrap, read) in _json_readers(tmp_path).items():
+        assert read(frame(doc, wrap)) == accepted, (name, framing)
