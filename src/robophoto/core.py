@@ -285,12 +285,15 @@ def _record_from_dict(d: dict, base_dir: str, read_crops: bool) -> tuple[Picture
 def read_records_jsonl(path) -> list[dict]:
     """Raw dicts from a JSON Lines file: a line of JSON whitespace is skipped, and any
     other line not holding one JSON object (see errors.parsed_json) is a ParseError."""
+    records = []
     with open(path, "rb") as fh:
-        return [
-            parsed_json(raw, ParseError, f"{path}:{lineno}: a record")
-            for lineno, raw in enumerate(fh, start=1)
-            if raw.strip(b" \t\r\n")
-        ]
+        try:  # the path:line prefix is built only for the line that fails
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.strip(b" \t\r\n"):
+                    records.append(parsed_json(raw, ParseError, "a record"))
+        except ParseError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+    return records
 
 
 def validate_dataset(

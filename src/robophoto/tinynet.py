@@ -343,8 +343,8 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     for idx in range(len(model.layers) - 2, -1, -1):
         spec, params = model.layers[idx], model.weights[idx]
         # nothing consumes the network input's gradient
-        dy, g = _layer_backward(spec, params, caches[idx], outs[idx], dy, need_dx=idx > 0)
-        grads[idx] = g
+        dy, grads[idx] = _layer_backward(spec, params, caches[idx], outs[idx], dy, need_dx=idx > 0)
+        caches[idx] = outs[idx] = None  # freed once read: a step holds no spent activation
     return loss, grads
 
 
@@ -383,10 +383,12 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
                         layer_w[key] += v
                     else:
                         layer_w[key] -= g
+            del grads  # free this step's gradients before the next step makes its own
         history.append(total / n)
     meta = dict(model.metadata)
     meta["epochs_trained"] = meta.get("epochs_trained", 0) + config.epochs
     meta["train_seed"] = config.seed
+    del velocity  # the write-back needs only the weights
     for w0, w in zip(model.weights, weights):  # w0 + float64(w32_end - float32(w0)): lr 0 gives w0
         for key in w:
             w[key] -= w0[key].astype(np.float32)
@@ -420,7 +422,7 @@ def save_model(model: NetworkModel, path) -> None:
         fh.write(blob)
         for w in model.weights:
             for key in sorted(w.keys()):
-                fh.write(w[key].astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(w[key], dtype="<f8"))  # no copy of a contiguous <f8 array
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

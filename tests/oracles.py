@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the code in src/ against.
 
 Some sections are verbatim copies of code that src/ has since replaced with a
-faster version; each copy keeps the old behaviour as the oracle of the new.
+faster or leaner version; each copy keeps the old behaviour as the oracle of the new.
 The others are test-only references that the package itself never runs: the
 exhaustive selection oracle, random pictures for property tests and the
 finite-difference gradient check.
@@ -10,8 +10,10 @@ finite-difference gradient check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,7 +33,15 @@ from robophoto.errors import checked_number
 from robophoto.pgm import PGMError
 from robophoto.selection import ScoredPicture, SelectionConstraints, _ranked, _sorted_categories
 from robophoto.synthetic import _bbox_from_normalized, random_features
-from robophoto.tinynet import NetworkModel, _bce, forward_batch, loss_and_gradients
+from robophoto.tinynet import (
+    FORMAT_VERSION,
+    MAGIC,
+    NetworkModel,
+    _bce,
+    _spec_to_dict,
+    forward_batch,
+    loss_and_gradients,
+)
 
 # --- the record reader before one-pass face checks -----------------------------
 # core._face_from_dict and _record_from_dict with a checked_number call per value,
@@ -275,6 +285,28 @@ def make_random_pictures(n_pictures: int, seed: int, with_scores: bool = False) 
             )
         )
     return pictures
+
+
+# --- the model writer before it wrote each weight buffer as it is -------------
+# tinynet.save_model with two float64 copies of every array: astype, then tobytes.
+
+
+def save_model(model: NetworkModel, path) -> None:
+    header = {
+        "format_version": FORMAT_VERSION,
+        "layers": [_spec_to_dict(s) for s in model.layers],
+        "metadata": model.metadata,
+        "params": [sorted(w.keys()) for w in model.weights],
+        "shapes": [{k: list(w[k].shape) for k in sorted(w.keys())} for w in model.weights],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + str(FORMAT_VERSION).encode("ascii"))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for w in model.weights:
+            for key in sorted(w.keys()):
+                fh.write(w[key].astype("<f8").tobytes())
 
 
 # --- finite-difference gradients: the reference for backprop -------------------

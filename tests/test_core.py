@@ -141,6 +141,19 @@ def test_parse_error_names_line(tmp_path):
         read_records_jsonl(path)
 
 
+def test_parse_error_names_the_file_and_the_line_that_fails(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(_raw_record()).encode()
+    path.write_bytes(good + b"\n \n{not json\n")  # the skipped blank line 2 still counts
+    with pytest.raises(ParseError) as err:
+        read_records_jsonl(path)
+    assert str(err.value).startswith(f"{path}:3: a record is not JSON: Expecting property name")
+    path.write_bytes(good + b"\n\n[1]\n" + good + b"\n")
+    with pytest.raises(ParseError) as err:
+        read_records_jsonl(path)
+    assert str(err.value) == f"{path}:3: a record must hold one JSON object and nothing after it"
+
+
 @pytest.mark.parametrize(
     "line", [b"[1, 2]", b'"p0"', b'{"picture_id": "\xff"}'], ids=["list", "string", "not_utf8"]
 )

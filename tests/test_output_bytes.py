@@ -1,21 +1,26 @@
 """ingest then split, run on a fixed mixed dataset, write exactly the bytes they
 wrote before the record path was rewritten for speed: every output file's sha256
 is pinned. A kept crop is written as its absolute path, so the run directory in
-those paths is replaced by a placeholder before hashing."""
+those paths is replaced by a placeholder before hashing. train-picture-cnn writes
+the model bytes it wrote before training and saving held fewer weight copies."""
 
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robophoto
 from robophoto.cli import EXIT_OK, main
-from robophoto.core import record_to_dict
+from robophoto.core import Dataset, record_to_dict, write_dataset_jsonl
 from robophoto.pgm import write_pgm
-from robophoto.synthetic import make_threshold_dataset
+from robophoto.synthetic import make_layout_dataset, make_threshold_dataset
 
 # captured from the code before the rewrite, with the run directory written as <run>
 DIGESTS = {
@@ -93,3 +98,31 @@ def test_ingest_and_split_write_pinned_bytes(run_dir):
                      "splits/validation.jsonl", "splits/split.config.json")
     }
     assert digests == DIGESTS
+
+
+# sha256 of the .tnet of a 2-step train-picture-cnn run, taken before train freed its spent
+# gradients and velocity and save_model stopped copying. Float32 GEMMs round as the BLAS build
+# and its thread count do, so the run has one BLAS thread and the digests are checked only under
+# the numpy and BLAS build they were taken with.
+TNET_ENV = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64")
+TNET_DIGESTS = {
+    "momentum": "d97d0533b047ea193858f880d190c7ec37b90a517030f3435007a281ba2212f0",
+    "sgd": "aea2dae120427ad11be7104dc76d46a7e2803c8d6d46fab410e08f9917aea8fb",
+}
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@pytest.mark.parametrize("optimizer", sorted(TNET_DIGESTS))
+def test_train_picture_cnn_writes_pinned_bytes(tmp_path, optimizer):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration")
+    if (np.__version__, blas) != TNET_ENV:
+        pytest.skip(f"digests taken under numpy {TNET_ENV[0]}, {TNET_ENV[1]}")
+    write_dataset_jsonl(Dataset(records=tuple(make_layout_dataset(16, seed=5))), tmp_path / "layout.jsonl")
+    argv = ["train-picture-cnn", "--dataset", str(tmp_path / "layout.jsonl"), "--out", str(tmp_path / "p.tnet"),
+            "--epochs", "1", "--batch-size", "8", "--learning-rate", "0.01", "--optimizer", optimizer]
+    src = str(Path(robophoto.__file__).parents[1])
+    subprocess.run(  # a child process, as the BLAS thread count is fixed when numpy loads
+        [sys.executable, "-c", "import sys; from robophoto.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, **ONE_THREAD, "PYTHONPATH": src}, check=True, capture_output=True,
+    )
+    assert hashlib.sha256((tmp_path / "p.tnet").read_bytes()).hexdigest() == TNET_DIGESTS[optimizer]

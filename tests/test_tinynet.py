@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_model_header
+import oracles
 from oracles import gradient_check
 from robophoto import tinynet
 from robophoto.abstraction import CANVAS_H, CANVAS_W, build_picture_cnn
@@ -551,3 +553,74 @@ def test_loaded_weights_are_aligned_read_only_and_trainable(tmp_path):
     for wt, wf in zip(trained.weights, fresh.weights):
         for k in wt:
             assert np.array_equal(wt[k], wf[k])
+
+
+def _conv_model():
+    layers = [conv2d(1, 2, 3, 3, stride=2, padding="same"), relu(), flatten(), dense(2 * 3 * 4, 1), sigmoid()]
+    return build_model(layers, seed=8, metadata={"architecture": "test"})
+
+
+# each way a caller may hold its weights: the writer must give the old writer's bytes for all
+WEIGHT_LAYOUTS = {
+    "float64": lambda v: v,
+    "float32": lambda v: v.astype(np.float32),
+    "transposed": lambda v: np.ascontiguousarray(v.T).T,  # the same values, not C-contiguous
+    "big_endian": lambda v: v.astype(">f8"),
+}
+
+
+@pytest.mark.parametrize("layout", WEIGHT_LAYOUTS.values(), ids=WEIGHT_LAYOUTS.keys())
+def test_save_model_writes_the_bytes_of_the_copying_writer(tmp_path, layout):
+    m = _conv_model()
+    m = replace(m, weights=tuple({k: layout(v) for k, v in w.items()} for w in m.weights))
+    if layout is WEIGHT_LAYOUTS["transposed"]:
+        assert not m.weights[0]["W"].flags.c_contiguous
+    save_model(m, tmp_path / "new.tnet")
+    oracles.save_model(m, tmp_path / "old.tnet")
+    assert (tmp_path / "new.tnet").read_bytes() == (tmp_path / "old.tnet").read_bytes()
+
+
+def test_save_model_of_a_loaded_model_gives_its_file_back(tmp_path):
+    path = tmp_path / "m.tnet"
+    save_model(_conv_model(), path)
+    loaded = load_model(path)  # read-only arrays over the bytes read
+    save_model(loaded, tmp_path / "again.tnet")
+    oracles.save_model(loaded, tmp_path / "old.tnet")
+    assert (tmp_path / "again.tnet").read_bytes() == path.read_bytes() == (tmp_path / "old.tnet").read_bytes()
+
+
+def _traced_peak(fn) -> int:
+    """Bytes tracemalloc sees allocated at the peak of fn(), above what was allocated when it
+    started: this process's own allocations, not its RSS, so the figure does not depend on the host."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _nbytes(model) -> int:
+    return sum(v.nbytes for w in model.weights for v in w.values())
+
+
+@pytest.mark.parametrize("optimizer", tinynet.OPTIMIZERS)
+def test_training_the_layout_cnn_holds_one_spare_copy_of_the_weights(optimizer, rng):
+    model = build_picture_cnn()
+    xs = rng.random((64, 1, CANVAS_H, CANVAS_W), dtype=np.float32)
+    config = TrainConfig(epochs=1, batch_size=32, learning_rate=0.01, optimizer=optimizer)
+    peak = _traced_peak(lambda: train(model, xs, np.arange(64) % 2, config))
+    # float32 weights, velocity and one step's gradients are 1.5x the float64 model, the
+    # step's activations about 0.5x more; keeping a second gradient set or the velocity
+    # through the float64 write-back read 2.57x
+    assert peak <= 2.2 * _nbytes(model), f"traced peak {peak / _nbytes(model):.2f}x the model"
+
+
+def test_save_model_copies_no_float64_weights(tmp_path):
+    model = build_picture_cnn()
+    peak = _traced_peak(lambda: save_model(model, tmp_path / "m.tnet"))
+    assert peak < 2**20, f"saving a {_nbytes(model)}-byte model raised the traced peak by {peak} bytes"
