@@ -138,7 +138,7 @@ def cmd_optimize_thresholds(args) -> int:
         generations=args.generations,
         seed=args.seed,
     )
-    report = ga_optimize(dataset.records, args.kind, config)
+    report = ga_optimize(dataset, args.kind, config)
     Path(args.out).write_text(thresholds_to_json(report.best_thresholds) + "\n", encoding="utf-8")
     write_curve_csv(report, str(args.out) + ".curve.csv")
     _write_run_config(Path(args.out), args)

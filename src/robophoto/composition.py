@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .core import BoundingBox, PictureRecord, UnscoredFaceError
-from .errors import DatasetError, checked_number, parsed_json
+from .errors import DatasetError, checked_numbers, parsed_json
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,6 @@ def thresholds_from_json(text: str | bytes):
         names += ["r_min", "p_min"]
     if d.keys() != {"kind", *names}:
         raise DatasetError(f"{kind} thresholds need exactly the keys {sorted(names)}, got {sorted(d)}")
-    values = [checked_number(d[name], DatasetError, name) for name in names]
+    values = checked_numbers([d[name] for name in names], DatasetError, names)
     base = BaselineThresholds(*values[:6])  # bounds out of order raise DatasetError
     return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])

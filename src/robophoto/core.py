@@ -1,7 +1,9 @@
 """Domain types and dataset handling shared by the whole pipeline.
 
-All types are immutable after construction; every operation here is a pure
-function, so values can be shared freely across threads.
+A Dataset holds its pictures and faces as columns, which the record path
+(validate, write, split) and the GA read directly. The record types are
+immutable; a Dataset's records are views of its rows, built on first access
+for the code that scores or renders one picture at a time.
 """
 
 from __future__ import annotations
@@ -10,15 +12,16 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, checked_number, checked_numbers, parsed_json
+from .errors import DatasetError, UsageError, number_verdicts, parsed_json
 from .pgm import read_pgm
 
 MIN_FACE_SIDE = 30
@@ -151,14 +154,9 @@ class FaceObservation:
 
     def __post_init__(self):
         if self.face_image is not None:
-            h, w = self.face_image.shape
-            if h < MIN_FACE_SIDE or w < MIN_FACE_SIDE:
-                raise ValidationError(f"face image {w}x{h} below {MIN_FACE_SIDE}x{MIN_FACE_SIDE}")
+            _checked_crop(self.face_image)
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValidationError(f"face score {self.score} outside [0, 1]")
-
-    def with_score(self, score: float) -> "FaceObservation":
-        return replace(self, score=float(score))
 
 
 @dataclass(frozen=True)
@@ -185,18 +183,93 @@ class PictureRecord:
                 )
 
 
-@dataclass(frozen=True)
-class Dataset:
-    records: tuple[PictureRecord, ...]
+# Ids, labels, crops and paths are object columns, and so are width, height and bbox: they
+# hold the Python ints read, which may be as large as a float's range, past int64, and
+# int / int rounds correctly where int64 -> float64 division does not past 2**53. So every
+# check, written byte and GA ratio comes out as the per-record objects gave it.
+_RECORD_COLUMNS = ("picture_id", "burst_id", "width", "height", "label")
+_FACE_COLUMNS = ("bbox", "features", "score", "face_label", "crop", "image_path")
+_COLUMNS = ("offsets", *_RECORD_COLUMNS, *_FACE_COLUMNS)
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        ids = Counter(r.picture_id for r in self.records)
-        if len(ids) != len(self.records):
+
+def _objects(values: Sequence) -> np.ndarray:
+    """values as a 1-D object array, each kept as the object it is (a crop stays one item)."""
+    return np.fromiter(values, object, len(values))
+
+
+class Dataset:
+    """Pictures and their faces as columns: record i owns faces offsets[i]:offsets[i + 1].
+
+    Per record, _RECORD_COLUMNS; per face, bbox (F, 4) in _BBOX_KEYS order, features
+    (F, 9) float64, score float64 (NaN: no score), face_label, crop (or None) and
+    image_path. Built from records, packed into columns, or from the columns themselves;
+    `records` gives PictureRecord views of the rows, built on first access. A
+    picture_id appearing twice raises ValidationError.
+    """
+
+    def __init__(self, records: Iterable[PictureRecord] = (), **columns):
+        if not columns:
+            records = tuple(records)
+            faces = [f for r in records for f in r.faces]
+            columns = {name: _objects([getattr(r, name) for r in records]) for name in _RECORD_COLUMNS}
+            columns.update(
+                offsets=np.cumsum([0, *(len(r.faces) for r in records)]),
+                bbox=np.fromiter((v for f in faces for v in _bbox_values(f.bbox)), object, 4 * len(faces)).reshape(-1, 4),
+                features=np.fromiter((v for f in faces for v in _feature_values(f.features)), np.float64,
+                                     9 * len(faces)).reshape(-1, 9),
+                score=np.array([math.nan if f.score is None else f.score for f in faces], np.float64),
+                face_label=_objects([f.label for f in faces]), crop=_objects([f.face_image for f in faces]),
+                image_path=_objects([f.image_path for f in faces]),
+            )
+        vars(self).update(columns, _records=records or None)
+        ids = Counter(self.picture_id.tolist())
+        if len(ids) != len(self):
             raise ValidationError(f"duplicate picture_id {ids.most_common(1)[0][0]!r}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.picture_id)
+
+    def take(self, rows) -> "Dataset":
+        """The records at these row indices, in this order, with their faces."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = np.diff(self.offsets)[rows]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        faces = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+        columns = {name: getattr(self, name)[faces if name in _FACE_COLUMNS else rows] for name in _COLUMNS[1:]}
+        return Dataset(offsets=offsets, **columns)
+
+    def with_scores(self, scores) -> "Dataset":
+        """This dataset with new face scores, each a number in [0, 1]."""
+        scores = np.asarray(scores, dtype=np.float64)
+        bad = ~((scores >= 0.0) & (scores <= 1.0))
+        if bad.any():
+            raise ValidationError(f"face score {float(scores[bad.argmax()])} outside [0, 1]")
+        return Dataset(**{**{name: getattr(self, name) for name in _COLUMNS}, "score": scores})
+
+    @property
+    def records(self) -> tuple[PictureRecord, ...]:
+        if self._records is None:  # views of checked values: no record type's __post_init__ runs again
+            columns = {name: getattr(self, name).tolist() for name in _COLUMNS}
+            boxes, features = _views(BoundingBox, columns["bbox"]), _views(FaceFeatures, columns["features"])
+            scores = [None if math.isnan(score) else score for score in columns["score"]]
+            faces = _views(FaceObservation, zip(boxes, features, columns["crop"], columns["face_label"], scores,
+                                                columns["image_path"]))
+            ends = columns["offsets"]
+            self._records = tuple(_views(PictureRecord, (
+                (*row[:4], tuple(faces[ends[i] : ends[i + 1]]), row[4])
+                for i, row in enumerate(zip(*(columns[name] for name in _RECORD_COLUMNS))))))
+        return self._records
+
+
+def _views(cls, rows: Iterable[Sequence]) -> list:
+    """An instance of a frozen record type for each row of its field values, with no
+    __post_init__. Each instance is given its whole __dict__ at once: twice as fast to
+    build as one setattr a field, a little slower to read."""
+    new, fields, views = cls.__new__, tuple(cls.__dataclass_fields__), []
+    for row in rows:
+        views.append(view := new(cls))
+        object.__setattr__(view, "__dict__", dict(zip(fields, row)))
+    return views
 
 
 @dataclass(frozen=True)
@@ -206,13 +279,19 @@ class ValidationResult:
     dropped_records: int
 
 
-def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
-    """The items that carry a label, and the mask of those labelled Good: the
+def labeled_rows(labels: Sequence[Optional[Label]], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that carry a label, and the mask of those labelled Good: the
     one rule for what trains, fits or scores against a label."""
-    kept = [item for item in items if item.label is not None]
-    if not kept:
+    rows = np.flatnonzero([label is not None for label in labels])
+    if not len(rows):
         raise DatasetError(f"no labeled {what}")
-    return kept, np.array([item.label is Label.GOOD for item in kept])
+    return rows, np.array([labels[i] is Label.GOOD for i in rows])
+
+
+def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
+    """labeled_rows over items that each carry a label: the kept items and their Good mask."""
+    rows, good = labeled_rows([item.label for item in items], what)
+    return [items[i] for i in rows], good
 
 
 def face_count_category(picture: PictureRecord) -> FaceCountCategory:
@@ -233,53 +312,8 @@ _BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 _BBOX_KEYS = ("x_tl", "y_tl", "x_br", "y_br")
 _bbox_row, _feature_row = itemgetter(*_BBOX_KEYS), itemgetter(*FEATURE_NAMES)
-_feature_values = attrgetter(*FEATURE_NAMES)
-
-
-def _face_from_dict(d: dict, base_dir: str, read_crops: bool) -> FaceObservation:
-    bbox = BoundingBox(*checked_numbers(_bbox_row(d["bbox"]), ValidationError, _BBOX_KEYS, integer=True))
-    values = list(_feature_row(d["features"]))
-    # joy..surprise may be level names; an unknown name stays a string, which the number check rejects
-    values[3:7] = map(LIKELIHOOD_LEVELS.get, values[3:7], values[3:7])
-    features = FaceFeatures(*checked_numbers(values, ValidationError, FEATURE_NAMES))
-    image = image_path = None
-    path = d.get("face_image_path")
-    if path and read_crops:
-        path = os.path.join(base_dir, path)  # an absolute path ignores base_dir
-        while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib, read "x.pgm/" and "x.pgm/." as x.pgm
-            path = path[:-1]
-        image = read_pgm(path)
-        image_path = os.path.abspath(path)
-    label = Label.parse(d["label"]) if d.get("label") else None
-    score = d.get("score")
-    return FaceObservation(
-        bbox=bbox,
-        features=features,
-        face_image=image,
-        label=label,
-        score=None if score is None else checked_number(score, ValidationError, "score"),
-        image_path=image_path,
-    )
-
-
-def _record_from_dict(d: dict, base_dir: str, read_crops: bool) -> tuple[PictureRecord, int]:
-    """Build a record, dropping its bad faces. Returns (record, n_dropped)."""
-    dropped = 0
-    faces = []
-    for fd in d.get("faces", []):
-        try:
-            faces.append(_face_from_dict(fd, base_dir, read_crops))
-        except _BAD_INPUT:
-            dropped += 1
-    rec = PictureRecord(
-        picture_id=d["picture_id"],
-        burst_id=d["burst_id"],
-        width=checked_number(d["width"], ValidationError, "width", integer=True),
-        height=checked_number(d["height"], ValidationError, "height", integer=True),
-        faces=tuple(faces),
-        label=Label.parse(d["label"]) if d.get("label") else None,
-    )
-    return rec, dropped
+_bbox_values, _feature_values = attrgetter(*_BBOX_KEYS), attrgetter(*FEATURE_NAMES)
+_record_row = itemgetter("picture_id", "burst_id", "width", "height")
 
 
 def read_records_jsonl(path) -> list[dict]:
@@ -296,6 +330,32 @@ def read_records_jsonl(path) -> list[dict]:
     return records
 
 
+def _labels(values) -> tuple[np.ndarray, np.ndarray]:
+    """Label.parse of each truthy value (None for a falsy one), and the mask of those it accepts."""
+    labels = []
+    for v in values:
+        try:
+            labels.append(Label.parse(v) if v else None)
+        except ValidationError:
+            labels.append(ValidationError)
+    ok = np.array([label is not ValidationError for label in labels], dtype=bool)
+    return _objects([None if label is ValidationError else label for label in labels]), ok
+
+
+def _checked_crop(image: np.ndarray) -> np.ndarray:
+    h, w = image.shape
+    if h < MIN_FACE_SIDE or w < MIN_FACE_SIDE:
+        raise ValidationError(f"face image {w}x{h} below {MIN_FACE_SIDE}x{MIN_FACE_SIDE}")
+    return image
+
+
+def _read_crop(path: str, base: str) -> tuple[np.ndarray, str]:
+    path = os.path.join(base, path)  # an absolute path ignores base
+    while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib, read "x.pgm/" and "x.pgm/." as x.pgm
+        path = path[:-1]
+    return _checked_crop(read_pgm(path)), os.path.abspath(path)
+
+
 def validate_dataset(
     raw_records: Sequence[dict],
     *,
@@ -303,34 +363,80 @@ def validate_dataset(
     base_dir: Optional[Path] = None,
     read_crops: bool = True,
 ) -> ValidationResult:
-    """Validate raw records into a Dataset.
+    """Validate raw records into a Dataset: one pass pulls every row, then the checks run on columns.
 
-    Bad faces (box, features, a missing, corrupt or undersized crop) and bad
-    records are dropped and counted; a duplicate kept picture_id raises.
-    Faceless pictures survive only with keep_faceless (the score-zero path
-    still needs them). Without read_crops, faces keep no crop and no crop file
-    is opened, for callers that read only the features.
-    """
+    Bad faces (box, features, label, score, a missing, corrupt or undersized crop) and bad records
+    are dropped and counted, a bad record's faces uncounted; a duplicate kept picture_id raises.
+    Faceless pictures survive only with keep_faceless (the score-zero path still needs them).
+    Without read_crops, faces keep no crop and no crop file is opened."""
     base = "" if base_dir is None else os.fspath(base_dir)
-    records: list[PictureRecord] = []
-    dropped_faces = 0
-    dropped_records = 0
+    records, counts, faces = [], [], []  # a face row: its box, 9 features, score, label and crop path
     for d in raw_records:
         try:
-            rec, n_dropped = _record_from_dict(d, base, read_crops)
-        except _BAD_INPUT:
-            dropped_records += 1
-            continue
-        dropped_faces += n_dropped
-        if not rec.faces and not keep_faceless:
-            dropped_records += 1
-            continue
-        records.append(rec)
-    return ValidationResult(
-        dataset=Dataset(records=tuple(records)),
-        dropped_faces=dropped_faces,
-        dropped_records=dropped_records,
+            face_dicts = iter(d.get("faces", []))
+            records.append((*_record_row(d), d.get("label")))
+        except _BAD_INPUT:  # no face list or a key missing: its ids of None drop it below
+            records.append((None,) * 5)
+            face_dicts = iter(())
+        n = len(faces)
+        for fd in face_dicts:
+            try:
+                faces.append((*_bbox_row(fd["bbox"]), *_feature_row(fd["features"]),
+                              fd.get("score"), fd.get("label"), fd.get("face_image_path")))
+            except _BAD_INPUT:
+                faces.append((None,) * 16)
+        counts.append(len(faces) - n)
+    n_records, counts = len(records), np.array(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(n_records), counts)  # the record of each face
+    face = np.fromiter(chain.from_iterable(faces), object, 16 * len(faces)).reshape(-1, 16)
+
+    # a face: 0 <= x_tl < x_br and 0 <= y_tl < y_br, ints; a number for each feature, or a
+    # level name for joy..surprise (columns 7 to 10); angles within +-180; a score in [0, 1]; a label
+    ok = np.hstack([number_verdicts(face[:, :4].ravel().tolist(), integer=True).reshape(-1, 4),
+                    number_verdicts(face[:, 4:14].ravel().tolist()).reshape(-1, 10)])
+    for i, j in np.argwhere(~ok[:, 7:11]).tolist():
+        if isinstance(face[i, 7 + j], str) and face[i, 7 + j] in LIKELIHOOD_LEVELS:
+            face[i, 7 + j], ok[i, 7 + j] = LIKELIHOOD_LEVELS[face[i, 7 + j]], True
+    unscored = np.array([v is None for v in face[:, 13].tolist()], dtype=bool)
+    face[:, :14][~ok] = 0
+    box, x, score = face[:, :4], face[:, 4:13].astype(np.float64), face[:, 13].astype(np.float64)
+    x[:, 3:] = np.where(x[:, 3:] <= 0.0, 0.0, np.where(x[:, 3:] >= 1.0, 1.0, x[:, 3:]))  # clamped, -0.0 to 0.0
+    face_label, label_ok = _labels(face[:, 14].tolist())
+    face_ok = (
+        ok[:, :13].all(axis=1) & (ok[:, 13] | unscored) & label_ok & (np.abs(x[:, :3]) <= 180.0).all(axis=1)
+        & (0 <= box[:, 0]) & (box[:, 0] < box[:, 2]) & (0 <= box[:, 1]) & (box[:, 1] < box[:, 3])
+        & (unscored | ((score >= 0.0) & (score <= 1.0)))
     )
+    score[unscored] = math.nan
+
+    # a record: non-empty string ids, int sizes of at least 2, a label
+    picture_id, burst_id, width, height, labels = (_objects(c) for c in zip(*records)) if records else [_objects(())] * 5
+    size_ok = number_verdicts([*width, *height], integer=True).reshape(2, -1)
+    width[~size_ok[0]], height[~size_ok[1]] = 0, 0
+    label, label_ok = _labels(labels)
+    ids_ok = [isinstance(p, str) and isinstance(b, str) and "" not in (p, b) for p, b in zip(picture_id, burst_id)]
+    record_ok = np.array(ids_ok, dtype=bool) & size_ok.all(axis=0) & label_ok & (width >= 2) & (height >= 2)
+
+    crop, image_path = _objects([None] * len(face)), _objects([None] * len(face))
+    for i in np.flatnonzero(face_ok & record_ok[owner] & read_crops).tolist():
+        try:
+            if face[i, 15]:
+                crop[i], image_path[i] = _read_crop(face[i, 15], base)
+        except _BAD_INPUT:
+            face_ok[i] = False
+    # a kept face must lie inside its picture, or the whole record is dropped
+    record_ok &= np.bincount(owner[face_ok & ((box[:, 2] > width[owner]) | (box[:, 3] > height[owner]))],
+                             minlength=n_records) == 0
+    kept_faces = np.bincount(owner[face_ok], minlength=n_records)
+    rows = np.flatnonzero(record_ok & (keep_faceless | (kept_faces > 0)))
+    kept = face_ok & np.isin(owner, rows)
+    dataset = Dataset(
+        offsets=np.concatenate([[0], np.cumsum(kept_faces[rows])]), picture_id=picture_id[rows],
+        burst_id=burst_id[rows], width=width[rows], height=height[rows], label=label[rows], bbox=box[kept],
+        features=x[kept], score=score[kept], face_label=face_label[kept], crop=crop[kept], image_path=image_path[kept],
+    )
+    dropped_faces = int(np.sum(counts[record_ok] - kept_faces[record_ok]))
+    return ValidationResult(dataset=dataset, dropped_faces=dropped_faces, dropped_records=n_records - len(rows))
 
 
 def face_to_dict(face: FaceObservation) -> dict:
@@ -348,27 +454,51 @@ def face_to_dict(face: FaceObservation) -> dict:
     return d
 
 
-def record_to_dict(rec: PictureRecord) -> dict:
-    d = {
-        "picture_id": rec.picture_id,
-        "burst_id": rec.burst_id,
-        "width": rec.width,
-        "height": rec.height,
-        "faces": [face_to_dict(f) for f in rec.faces],
-    }
-    if rec.label is not None:
-        d["label"] = rec.label.value
-    return d
+# A written line is the text json.dumps(row, sort_keys=True) gives, laid out from templates
+# that hold the keys in sorted order; every value in them is the JSON encoder's own text,
+# encoded a column at a time (a number's text never holds ", ", so a column's text splits).
+_BOX_ORDER = sorted(range(4), key=_BBOX_KEYS.__getitem__)
+_FEATURE_ORDER = sorted(range(9), key=FEATURE_NAMES.__getitem__)
+_FACE_TEXT = ('{"bbox": {' + ", ".join(f'"{_BBOX_KEYS[i]}": %s' for i in _BOX_ORDER) + '}, %s"features": {'
+              + ", ".join(f'"{FEATURE_NAMES[i]}": %s' for i in _FEATURE_ORDER) + "}%s%s}")
+_WRITE_ROWS = 32
+_RECORD_TEXT = '{"burst_id": %s, "faces": [%s], "height": %s%s, "picture_id": %s, "width": %s}\n'
+
+
+def _texts(values: list) -> list[str]:
+    """The encoder's text of each number in values."""
+    return _JSONL_ENCODER.encode(values)[1:-1].split(", ") if values else []
+
+
+def _lines(dataset: Dataset) -> list[str]:
+    encode = _JSONL_ENCODER.encode
+    label_text = {None: "", **{label: f', "label": {encode(label.value)}' for label in Label}}
+    boxes = _texts(dataset.bbox[:, _BOX_ORDER].ravel().tolist())
+    values, scores = _texts(dataset.features[:, _FEATURE_ORDER].ravel().tolist()), _texts(dataset.score.tolist())
+    faces = [
+        _FACE_TEXT % (*boxes[4 * i : 4 * i + 4], "" if path is None else f'"face_image_path": {encode(path)}, ',
+                      *values[9 * i : 9 * i + 9], label_text[label], "" if score == "NaN" else f', "score": {score}')
+        for i, (path, label, score) in enumerate(zip(dataset.image_path.tolist(), dataset.face_label.tolist(), scores))
+    ]
+    ends, heights, widths = dataset.offsets.tolist(), _texts(dataset.height.tolist()), _texts(dataset.width.tolist())
+    return [
+        _RECORD_TEXT % (encode(burst_id), ", ".join(faces[ends[i] : ends[i + 1]]), heights[i], label_text[label],
+                        encode(picture_id), widths[i])
+        for i, (burst_id, label, picture_id) in enumerate(
+            zip(dataset.burst_id.tolist(), dataset.label.tolist(), dataset.picture_id.tolist()))
+    ]
 
 
 def write_dataset_jsonl(dataset: Dataset, path) -> None:
-    """Emit a dataset as JSON Lines (UTF-8, LF).
+    """Emit a dataset as JSON Lines (UTF-8, LF), each object with sorted keys.
 
     A face's crop is emitted as the absolute path it was read from, so the
     output resolves from any directory; raster data is never emitted, and a
     crop that was not read from a file is dropped.
     """
-    write_jsonl(map(record_to_dict, dataset.records), path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(dataset), _WRITE_ROWS):  # a block at a time: the texts of one block in memory
+            fh.writelines(_lines(dataset.take(range(start, min(start + _WRITE_ROWS, len(dataset))))))
 
 
 def write_jsonl(rows: Iterable[dict], path) -> None:
@@ -391,16 +521,16 @@ def split_dataset(
         raise UsageError(f"split ratios {ratios} are not numbers") from None
     if len(ratios) != 3 or not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise UsageError(f"split ratios {ratios} must be three values >= 0 that sum to 1")
-    bursts: dict[str, list[PictureRecord]] = {}
-    for rec in dataset.records:
-        bursts.setdefault(rec.burst_id, []).append(rec)
+    bursts: dict[str, list[int]] = {}
+    for row, burst_id in enumerate(dataset.burst_id.tolist()):
+        bursts.setdefault(burst_id, []).append(row)
     groups = list(bursts.values())  # in first-seen order
     rng = np.random.default_rng(np.uint64(seed))
 
-    n = len(dataset.records)
+    n = len(dataset)
     target_train = ratios[0] * n
     target_test = ratios[1] * n
-    parts: tuple[list[PictureRecord], ...] = ([], [], [])
+    parts: tuple[list[int], ...] = ([], [], [])
     for i in rng.permutation(len(groups)):
         group = groups[i]
         if len(parts[0]) < target_train:
@@ -409,4 +539,4 @@ def split_dataset(
             parts[1].extend(group)
         else:
             parts[2].extend(group)
-    return tuple(Dataset(records=tuple(p)) for p in parts)  # type: ignore[return-value]
+    return tuple(dataset.take(p) for p in parts)  # type: ignore[return-value]

@@ -5,6 +5,8 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 
 class UsageError(ValueError):
     """A flag value the command cannot use (exit 2)."""
@@ -54,13 +56,19 @@ def checked_number(value, error: type[Exception], what: str, integer: bool = Fal
     raise _rejected(value, error, what, integer)
 
 
+def number_verdicts(values: Sequence, integer: bool = False) -> np.ndarray:
+    """checked_number's verdict on each value, as a bool array, raising nothing: the
+    types are looked up in one pass, then the range is compared on an object array,
+    where an int is compared exactly, however large, and NaN compares False."""
+    typed = np.fromiter(map(_KINDS[integer].__contains__, map(type, values)), bool, len(values))
+    numbers = np.where(typed, np.fromiter(values, object, len(values)), 0)
+    with np.errstate(invalid="ignore"):  # NaN
+        return typed & (-_FLOAT_MAX <= numbers) & (numbers <= _FLOAT_MAX)
+
+
 def checked_numbers(values: Sequence, error: type[Exception], names, integer: bool = False) -> Sequence:
-    """checked_number over a row in one pass, with its verdict for each value: the row
-    as a list of floats (values itself if integer), or the caller's error naming the
-    first value rejected (names[i] names values[i])."""
-    kinds = _KINDS[integer]
-    ok = [type(v) in kinds and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in values]
-    if all(ok):
-        return values if integer else list(map(float, values))
-    i = ok.index(False)
-    raise _rejected(values[i], error, names[i], integer)
+    """checked_number over a row in one pass: the row as a list of floats (values itself
+    if integer), or the caller's error naming the first value rejected (names[i] names values[i])."""
+    if not (ok := number_verdicts(values, integer)).all():
+        raise _rejected(values[ok.argmin()], error, names[ok.argmin()], integer)
+    return values if integer else list(map(float, values))

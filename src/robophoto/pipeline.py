@@ -7,7 +7,7 @@ and selection.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,17 +25,11 @@ METHODS = ("baseline", "heuristic", "picture_cnn")
 
 def score_dataset(dataset: Dataset, face_model: Optional[NetworkModel]) -> Dataset:
     """Attach face quality scores from a model, or check the stored ones."""
-    faces = dataset_faces(dataset)
     if face_model is None:
-        if any(f.score is None for f in faces):
+        if np.isnan(dataset.score).any():
             raise DatasetError("face_quality: faces carry no scores and no --face-model was given")
         return dataset
-    scores = iter(score_faces(face_model, faces).tolist())
-    records = tuple(
-        replace(rec, faces=tuple(f.with_score(next(scores)) for f in rec.faces))
-        for rec in dataset.records
-    )
-    return replace(dataset, records=records)
+    return dataset.with_scores(score_faces(face_model, dataset_faces(dataset)))
 
 
 def method_scores(

@@ -18,7 +18,7 @@ from .composition import (
     baseline_score,
     heuristic_score,
 )
-from .core import PictureRecord, UnscoredFaceError, labeled_items
+from .core import Dataset, PictureRecord, UnscoredFaceError, labeled_items, labeled_rows
 from .errors import UsageError
 
 BASELINE_DIM = 6
@@ -97,35 +97,41 @@ class _FitnessCache:
     descending order and `fractions` the matching j/k, both padded with
     -inf: `good/k > p_min` holds exactly when some j has
     `ranked[j] > r_min` and `fractions[j] > p_min`, since good/k is one of
-    the same float divisions j/k.
+    the same float divisions j/k. Ratios are int / int on the object columns, as
+    in the scorers, and min and max reduce per picture, exact in any order.
     """
 
-    def __init__(self, pictures: Sequence[PictureRecord], kind: str):
+    def __init__(self, pictures: Dataset | Sequence[PictureRecord], kind: str):
         if kind not in ("baseline", "heuristic"):
             raise UsageError(f"unknown kind {kind!r}")
-        labeled, self.labels_good = labeled_items(pictures, "pictures")
+        data = pictures if isinstance(pictures, Dataset) else Dataset(pictures)
+        labeled, self.labels_good = labeled_rows(data.label.tolist(), "pictures")
+        data = data.take(labeled)
         self.kind = kind
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-        self.n_pictures = n = len(labeled)
+        self.n_pictures = n = len(data)
         self.xtl_min, self.ytl_min, self.occ_min = np.full((3, n), -np.inf)
         self.xbr_max, self.ybr_max, self.occ_max = np.full((3, n), np.inf)
-        depth = max(len(p.faces) for p in labeled) if kind == "heuristic" else 0
+        counts = np.diff(data.offsets)
+        owner = np.repeat(np.arange(n), counts)  # the picture of each face
+        width, height, (x_tl, y_tl, x_br, y_br) = data.width[owner], data.height[owner], data.bbox.T
+        occs = (x_br - x_tl) * (y_br - y_tl) / (width * height)
+        have, starts = counts > 0, data.offsets[:-1][counts > 0]
+        for out, reduce, ratios in ((self.xtl_min, np.minimum, x_tl / width), (self.xbr_max, np.maximum, x_br / width),
+                                    (self.ytl_min, np.minimum, y_tl / height), (self.ybr_max, np.maximum, y_br / height),
+                                    (self.occ_min, np.minimum, occs), (self.occ_max, np.maximum, occs)):
+            out[have] = reduce.reduceat(ratios.astype(np.float64), starts)
+        depth = int(counts.max(initial=0)) if kind == "heuristic" else 0
         self.ranked, self.fractions = np.full((2, depth, n), -np.inf)
-        for i, p in enumerate(labeled):
-            if not p.faces:
-                continue
-            occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
-            self.xtl_min[i] = min(f.bbox.x_tl / p.width for f in p.faces)
-            self.xbr_max[i] = max(f.bbox.x_br / p.width for f in p.faces)
-            self.ytl_min[i] = min(f.bbox.y_tl / p.height for f in p.faces)
-            self.ybr_max[i] = max(f.bbox.y_br / p.height for f in p.faces)
-            self.occ_min[i], self.occ_max[i] = min(occs), max(occs)
-            if kind == "heuristic":
-                if any(f.score is None for f in p.faces):
-                    raise UnscoredFaceError(f"face in {p.picture_id} has no quality score")
-                k = len(p.faces)
-                self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
-                self.fractions[:k, i] = [j / k for j in range(1, k + 1)]
+        if kind == "heuristic" and len(owner):
+            unscored = np.isnan(data.score)
+            if unscored.any():
+                raise UnscoredFaceError(f"face in {data.picture_id[owner[unscored.argmax()]]} has no quality score")
+            # stable: equal scores keep their order, as sorted(reverse=True) keeps it
+            order = np.lexsort((-data.score, owner))
+            rank = np.arange(len(owner)) - data.offsets[owner]
+            self.ranked[rank, owner] = data.score[order]
+            self.fractions[rank, owner] = (rank + 1) / counts[owner]
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
         """Training accuracy of each genome in a (P, dim) population."""
@@ -179,7 +185,7 @@ def _initial_population(rng: np.random.Generator, size: int, dim: int) -> np.nda
 
 
 def ga_optimize(
-    pictures: Sequence[PictureRecord],
+    pictures: Dataset | Sequence[PictureRecord],
     kind: str,
     config: GAConfig = GAConfig(),
 ) -> FitnessReport:
@@ -225,7 +231,7 @@ def _sweep(tables: Sequence[np.ndarray], pred: np.ndarray):
 
 
 def grid_search_oracle(
-    pictures: Sequence[PictureRecord], kind: str, steps_per_axis: int
+    pictures: Dataset | Sequence[PictureRecord], kind: str, steps_per_axis: int
 ) -> FitnessReport:
     """Exhaustive accuracy maximization over a uniform threshold grid.
 

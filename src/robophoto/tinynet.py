@@ -357,7 +357,8 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
         raise ValueError(f"need one 0 or 1 target per input row, got shape {ys.shape}")
 
     weights = [{k: v.astype(np.float32) for k, v in w.items()} for w in model.weights]
-    velocity = [{k: np.zeros_like(v) for k, v in w.items()} for w in weights]
+    momentum = config.optimizer == "momentum"  # sgd reads no velocity, so it gets none
+    velocity = [{k: np.zeros_like(v) for k, v in w.items()} if momentum else {} for w in weights]
     work = NetworkModel(layers=model.layers, weights=tuple(weights), metadata=model.metadata)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
@@ -376,7 +377,7 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
                     # in place, no weight-sized temporaries; the same bits as
                     # v = MOMENTUM * v - lr * g; w += v  (or w -= lr * g)
                     g *= config.learning_rate
-                    if config.optimizer == "momentum":
+                    if momentum:
                         v = layer_v[key]
                         v *= MOMENTUM
                         v -= g

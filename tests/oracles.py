@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,9 @@ from robophoto.core import (
     FaceObservation,
     Label,
     PictureRecord,
+    UnscoredFaceError,
     ValidationError,
+    labeled_items,
 )
 from robophoto.errors import checked_number
 from robophoto.pgm import PGMError
@@ -163,6 +166,53 @@ def face_to_dict(face: FaceObservation) -> dict:
     if face.image_path is not None:
         d["face_image_path"] = face.image_path
     return d
+
+
+# --- the record writer before rows were built from columns ---------------------
+# core.record_to_dict, which write_dataset_jsonl encoded with sorted keys.
+
+
+def record_to_dict(rec: PictureRecord) -> dict:
+    d = {
+        "picture_id": rec.picture_id,
+        "burst_id": rec.burst_id,
+        "width": rec.width,
+        "height": rec.height,
+        "faces": [face_to_dict(f) for f in rec.faces],
+    }
+    if rec.label is not None:
+        d["label"] = rec.label.value
+    return d
+
+
+# --- the GA fitness reduction before it read the dataset's columns --------------
+# threshold_opt._FitnessCache.__init__'s per-picture loop over record objects.
+
+
+def fitness_cache(pictures: Sequence[PictureRecord], kind: str) -> SimpleNamespace:
+    labeled, labels_good = labeled_items(pictures, "pictures")
+    self = SimpleNamespace(labels_good=labels_good, n_pictures=len(labeled))
+    n = self.n_pictures
+    self.xtl_min, self.ytl_min, self.occ_min = np.full((3, n), -np.inf)
+    self.xbr_max, self.ybr_max, self.occ_max = np.full((3, n), np.inf)
+    depth = max(len(p.faces) for p in labeled) if kind == "heuristic" else 0
+    self.ranked, self.fractions = np.full((2, depth, n), -np.inf)
+    for i, p in enumerate(labeled):
+        if not p.faces:
+            continue
+        occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+        self.xtl_min[i] = min(f.bbox.x_tl / p.width for f in p.faces)
+        self.xbr_max[i] = max(f.bbox.x_br / p.width for f in p.faces)
+        self.ytl_min[i] = min(f.bbox.y_tl / p.height for f in p.faces)
+        self.ybr_max[i] = max(f.bbox.y_br / p.height for f in p.faces)
+        self.occ_min[i], self.occ_max[i] = min(occs), max(occs)
+        if kind == "heuristic":
+            if any(f.score is None for f in p.faces):
+                raise UnscoredFaceError(f"face in {p.picture_id} has no quality score")
+            k = len(p.faces)
+            self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
+            self.fractions[:k, i] = [j / k for j in range(1, k + 1)]
+    return self
 
 
 # --- the PGM reader before the one-regex header parse ---------------------------

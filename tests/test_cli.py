@@ -355,7 +355,7 @@ def test_face_model_rescores_evaluate_and_select(
     records = validate_dataset(read_records_jsonl(dataset_path)).dataset.records
     alone = {}
     for rec in records:
-        rescored = replace(rec, faces=tuple(f.with_score(score_face(model, f)) for f in rec.faces))
+        rescored = replace(rec, faces=tuple(replace(f, score=score_face(model, f)) for f in rec.faces))
         alone[rec.picture_id] = (rec, heuristic_score(rescored, heuristic_t))
 
     confusion = report["methods"]["heuristic"]["confusion"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_face, make_picture
+from oracles import record_to_dict
 from robophoto.core import (
     BoundingBox,
     Dataset,
@@ -16,7 +17,6 @@ from robophoto.core import (
     ValidationError,
     face_count_category,
     read_records_jsonl,
-    record_to_dict,
     split_dataset,
     validate_dataset,
     write_dataset_jsonl,

@@ -18,7 +18,8 @@ import pytest
 
 import robophoto
 from robophoto.cli import EXIT_OK, main
-from robophoto.core import Dataset, record_to_dict, write_dataset_jsonl
+from oracles import record_to_dict
+from robophoto.core import Dataset, write_dataset_jsonl
 from robophoto.pgm import write_pgm
 from robophoto.synthetic import make_layout_dataset, make_threshold_dataset
 

@@ -620,6 +620,20 @@ def test_training_the_layout_cnn_holds_one_spare_copy_of_the_weights(optimizer, 
     assert peak <= 2.2 * _nbytes(model), f"traced peak {peak / _nbytes(model):.2f}x the model"
 
 
+def test_sgd_training_allocates_no_velocity(rng):
+    # sgd never reads a velocity, so its traced peak sits a float32 copy of the weights
+    # (half the float64 model's bytes) below momentum's, which keeps one
+    model = build_picture_cnn()
+    xs = rng.random((64, 1, CANVAS_H, CANVAS_W), dtype=np.float32)
+    peaks = {
+        optimizer: _traced_peak(lambda: train(model, xs, np.arange(64) % 2, TrainConfig(
+            epochs=1, batch_size=32, learning_rate=0.01, optimizer=optimizer)))
+        for optimizer in tinynet.OPTIMIZERS
+    }
+    float32_weights = _nbytes(model) / 2
+    assert peaks["momentum"] - peaks["sgd"] >= 0.9 * float32_weights, (peaks, float32_weights)
+
+
 def test_save_model_copies_no_float64_weights(tmp_path):
     model = build_picture_cnn()
     peak = _traced_peak(lambda: save_model(model, tmp_path / "m.tnet"))
