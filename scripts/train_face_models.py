@@ -5,6 +5,8 @@ report held-out accuracy."""
 import argparse
 import time
 
+import numpy as np
+
 from robophoto import tinynet
 from robophoto.face_quality import evaluate_face_model, train_face_ann
 from robophoto.synthetic import make_face_feature_dataset
@@ -32,7 +34,8 @@ def main(argv=None) -> None:
         seed=args.seed,
     )
     t0 = time.time()
-    model, history = train_face_ann(train_faces, config)
+    features = np.array([f.features.as_vector() for f in train_faces])
+    model, history = train_face_ann(features, [f.label for f in train_faces], config)
     elapsed = time.time() - t0
     acc_train = evaluate_face_model(model, train_faces)
     acc_held = evaluate_face_model(model, held_faces)

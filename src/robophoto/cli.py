@@ -114,8 +114,8 @@ def _save_trained(args, model, history) -> int:
 
 
 def cmd_train_face_ann(args) -> int:
-    faces = dataset_faces(_load_dataset(args.dataset, read_crops=False).dataset)
-    return _save_trained(args, *train_face_ann(faces, _train_config(args)))
+    dataset = _load_dataset(args.dataset, read_crops=False).dataset
+    return _save_trained(args, *train_face_ann(dataset.features, dataset.face_label, _train_config(args)))
 
 
 def cmd_train_face_cnn(args) -> int:

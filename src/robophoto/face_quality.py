@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tinynet
-from .core import FEATURE_NAMES, Dataset, FaceObservation, MIN_FACE_SIDE, labeled_items
+from .core import FEATURE_NAMES, Dataset, FaceObservation, MIN_FACE_SIDE, labeled_items, labeled_rows
 from .errors import DatasetError, checked_number
 from .tinynet import ModelFormatError, NetworkModel, TrainConfig
 
@@ -84,6 +84,8 @@ def preprocess_face(face_image: np.ndarray, bbox=None) -> np.ndarray:
 
     Returns a 1x30x40 tensor. Crops below 30x30 are rejected.
     """
+    if face_image is None:
+        raise MissingInputError("face_cnn scoring needs a face image")
     crop = face_image
     if bbox is not None:
         crop = face_image[bbox.y_tl : bbox.y_br, bbox.x_tl : bbox.x_br]
@@ -131,19 +133,17 @@ def reads_crops(model: NetworkModel) -> bool:
     return model.metadata.get("architecture", "") == "face_cnn"
 
 
+def _feature_inputs(model: NetworkModel, vectors: np.ndarray) -> np.ndarray:
+    """The face MLP's input rows for (F, 9) features; training and scoring both encode them here."""
+    scaling = _feature_scaling(model.metadata)
+    return vectors if scaling is None else (vectors - scaling[0]) / scaling[1]
+
+
 def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
-    """Network input of each face, picked by model kind, produced lazily.
-    Training and scoring both encode faces here."""
-    cnn = reads_crops(model)
-    scaling = None if cnn else _feature_scaling(model.metadata)
-    for obs in faces:
-        if not cnn:
-            v = obs.features.as_vector()
-            yield v if scaling is None else (v - scaling[0]) / scaling[1]
-        elif obs.face_image is None:
-            raise MissingInputError("face_cnn scoring needs a face image")
-        else:
-            yield preprocess_face(obs.face_image)
+    """Network input of each face, picked by model kind; crops are preprocessed lazily."""
+    if reads_crops(model):
+        return (preprocess_face(obs.face_image) for obs in faces)
+    return _feature_inputs(model, np.array([obs.features.as_vector() for obs in faces]).reshape(-1, 9))
 
 
 def score_faces(model: NetworkModel, faces: Iterable[FaceObservation]) -> np.ndarray:
@@ -156,15 +156,15 @@ def score_face(model: NetworkModel, obs: FaceObservation) -> float:
     return float(score_faces(model, [obs])[0])
 
 
-def train_face_ann(faces: Sequence[FaceObservation], config: TrainConfig) -> tuple[NetworkModel, list[float]]:
-    """Train the feature MLP, built from config.seed, on labeled faces; z-scoring
-    constants go into metadata."""
-    kept, good = labeled_items(faces, "faces")
-    mean, std = standardize_features(np.stack([f.features.as_vector() for f in kept]))
-    scaling = {"feature_mean": mean.tolist(), "feature_std": std.tolist()}
+def train_face_ann(features: np.ndarray, labels: Sequence, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
+    """Train the feature MLP, built from config.seed, on the labeled rows of a Dataset's
+    features and face_label columns; z-scoring constants go into metadata."""
+    rows, good = labeled_rows(labels, "faces")
+    vectors = np.asarray(features, dtype=np.float64)[rows]
+    mean, std = standardize_features(vectors)
     model = build_face_ann(seed=config.seed)
-    model = replace(model, metadata={**model.metadata, **scaling})
-    return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
+    model = replace(model, metadata={**model.metadata, "feature_mean": mean.tolist(), "feature_std": std.tolist()})
+    return tinynet.train(model, _feature_inputs(model, vectors), good, config)
 
 
 def train_face_cnn(faces: Sequence[FaceObservation], config: TrainConfig) -> tuple[NetworkModel, list[float]]:

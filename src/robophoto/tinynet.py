@@ -2,8 +2,10 @@
 
 Sized for three small architectures: a 9-feature MLP, a face-crop CNN and a
 layout CNN. Models, files and scoring are float64, so the finite-difference
-gradient check in the tests is meaningful; train computes in float32. Models
-are immutable values: forward never mutates, train returns a new model.
+gradient check in the tests is meaningful; train computes in float32, on flat
+weight, gradient and velocity buffers. Models are immutable values: forward
+never mutates, train returns a new model; relu and leaky_relu overwrite the
+previous layer's output, never the caller's input.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _col2im(dcols: np.ndarray, x_shape, spec: LayerSpec, geom):
     return dx[:, :, pt : pt + h, pl : pl + w]
 
 
-def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
+def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray, inplace: bool = False):
     if spec.kind == "dense":
         if x.ndim != 2 or x.shape[1] != spec.in_units:
             raise ShapeError(f"layer {idx} (dense) expected (*, {spec.in_units}), got {x.shape}")
@@ -235,10 +237,8 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
         out += params["b"][:, None]
         out_h, out_w, _ = geom
         return out.reshape(x.shape[0], spec.out_channels, out_h, out_w), (x.shape, cols, geom)
-    if spec.kind == "relu":
-        return np.maximum(x, 0.0), x
-    if spec.kind == "leaky_relu":
-        return np.where(x > 0, x, LEAKY_SLOPE * x), x
+    if spec.kind in ("relu", "leaky_relu"):  # max(x, s*x) has np.where(x > 0, x, s*x)'s bits for s in (0, 1)
+        return np.maximum(x, 0.0 if spec.kind == "relu" else LEAKY_SLOPE * x, out=x if inplace else None), None
     if spec.kind == "sigmoid":
         with np.errstate(over="ignore"):  # exp(-x) = inf at x < -709 gives the exact 0
             return 1.0 / (1.0 + np.exp(-x)), None  # no cache: backward reads the output, passed as out
@@ -247,39 +247,45 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
     raise ShapeError(f"layer {idx}: unknown kind {spec.kind!r}")
 
 
-def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, need_dx: bool):
-    """(input gradient, weight gradients); a dense or conv layer skips dx unless need_dx."""
+def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, need_dx: bool, grads=None):
+    """(input gradient, weight gradients written into grads if given); dense and conv skip dx unless need_dx."""
+    grads = grads or {k: np.empty_like(v) for k, v in params.items()}
     if spec.kind == "dense":
-        x = cache
-        dx = dy @ params["W"].T if need_dx else None
-        return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        np.matmul(cache.T, dy, out=grads["W"])
+        dy.sum(axis=0, out=grads["b"])
+        return (dy @ params["W"].T if need_dx else None), grads
     if spec.kind == "conv2d":
         x_shape, cols, geom = cache
         dy_mat = dy.reshape(dy.shape[0], spec.out_channels, -1)
         wmat = params["W"].reshape(spec.out_channels, -1)
-        dW = np.tensordot(dy_mat, cols, ([0, 2], [0, 2])).reshape(params["W"].shape)
-        db = dy_mat.sum(axis=(0, 2))
-        dx = _col2im(wmat.T @ dy_mat, x_shape, spec, geom) if need_dx else None
-        return dx, {"W": dW, "b": db}
+        # the np.dot that np.tensordot(dy_mat, cols, ([0, 2], [0, 2])) performs
+        np.dot(dy_mat.transpose(1, 0, 2).reshape(spec.out_channels, -1),
+               cols.transpose(0, 2, 1).reshape(-1, wmat.shape[1]), out=grads["W"].reshape(wmat.shape))
+        dy_mat.sum(axis=(0, 2), out=grads["b"])
+        return (_col2im(wmat.T @ dy_mat, x_shape, spec, geom) if need_dx else None), grads
     if spec.kind == "relu":
-        return dy * (cache > 0), {}
+        return dy * (out > 0), grads
     if spec.kind == "leaky_relu":
-        return np.where(cache > 0, dy, LEAKY_SLOPE * dy), {}
+        return np.where(out > 0, dy, LEAKY_SLOPE * dy), grads
     if spec.kind == "sigmoid":
-        return dy * out * (1.0 - out), {}
+        return dy * out * (1.0 - out), grads
     if spec.kind == "flatten":
-        return dy.reshape(cache), {}
+        return dy.reshape(cache), grads
     raise ShapeError(f"unknown kind {spec.kind!r}")
+
+
+def _forward_steps(model: NetworkModel, x: np.ndarray):
+    """Each layer's (output, cache); an activation writes in place once a layer made a new array, never over x."""
+    inplace = False
+    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
+        x, cache = _layer_forward(idx, spec, params, x, inplace)
+        inplace = inplace or spec.kind != "flatten"
+        yield x, cache
 
 
 def _forward_all(model: NetworkModel, x: np.ndarray):
     """Batched forward through every layer; returns (outputs per layer, caches)."""
-    outs, caches = [], []
-    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
-        x, cache = _layer_forward(idx, spec, params, x)
-        outs.append(x)
-        caches.append(cache)
-    return outs, caches
+    return map(list, zip(*_forward_steps(model, x)))
 
 
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
@@ -287,8 +293,8 @@ def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     Floating input keeps its precision; anything else runs in float64."""
     x = np.asarray(x)
     out = x.astype(np.result_type(x.dtype, np.float64), copy=False)
-    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
-        out, _ = _layer_forward(idx, spec, params, out)
+    for out, _ in _forward_steps(model, out):
+        pass
     if out.shape != (len(x), 1):
         raise ShapeError(f"expected one scalar output per input, got shape {out.shape}")
     return out[:, 0]
@@ -321,8 +327,19 @@ def _bce(p: np.ndarray, y: np.ndarray) -> np.floating:
     return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy and per-layer weight gradients on a batch.
+def _flat(weights: Sequence[dict], dtype, copy: bool = False):
+    """One buffer, zeroed or holding the weights cast to dtype when copy, and per-layer
+    dicts of views into it shaped like the weights."""
+    sizes = [v.size for w in weights for v in w.values()]
+    values = [np.zeros(0), *(v.reshape(-1) for w in weights for v in w.values())]
+    buf = np.concatenate(values, dtype=dtype) if copy else np.zeros(sum(sizes), dtype)
+    parts = iter(np.split(buf, np.cumsum(sizes[:-1], dtype=np.intp)))
+    return buf, [{k: next(parts).reshape(v.shape) for k, v in w.items()} for w in weights]
+
+
+def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray, grads: Optional[list] = None):
+    """Mean binary cross-entropy and per-layer weight gradients on a batch, written
+    into grads (per-layer dicts of arrays shaped like the weights) when given.
 
     The final layer must be a sigmoid: backprop starts from the numerically
     stable (p - y) gradient at its pre-activation. Runs in the weights' dtype;
@@ -338,12 +355,12 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
     loss = float(_bce(np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64)))
     n = len(y)
 
-    grads: list[dict] = [{} for _ in model.layers]
+    grads = grads or [{} for _ in model.layers]
     dy = ((p - y) / n).reshape(outs[-1].shape)
     for idx in range(len(model.layers) - 2, -1, -1):
         spec, params = model.layers[idx], model.weights[idx]
         # nothing consumes the network input's gradient
-        dy, grads[idx] = _layer_backward(spec, params, caches[idx], outs[idx], dy, need_dx=idx > 0)
+        dy, grads[idx] = _layer_backward(spec, params, caches[idx], outs[idx], dy, idx > 0, grads[idx])
         caches[idx] = outs[idx] = None  # freed once read: a step holds no spent activation
     return loss, grads
 
@@ -356,9 +373,10 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
     if ys.shape != xs.shape[:1] or not np.all((ys == 0.0) | (ys == 1.0)):
         raise ValueError(f"need one 0 or 1 target per input row, got shape {ys.shape}")
 
-    weights = [{k: v.astype(np.float32) for k, v in w.items()} for w in model.weights]
+    wbuf, weights = _flat(model.weights, np.float32, copy=True)
+    gbuf, grads = _flat(model.weights, np.float32)
     momentum = config.optimizer == "momentum"  # sgd reads no velocity, so it gets none
-    velocity = [{k: np.zeros_like(v) for k, v in w.items()} if momentum else {} for w in weights]
+    velocity = np.zeros_like(wbuf) if momentum else None
     work = NetworkModel(layers=model.layers, weights=tuple(weights), metadata=model.metadata)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
@@ -368,33 +386,29 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(work, xs[idx], ys[idx])
+            loss = loss_and_gradients(work, xs[idx], ys[idx], grads)[0]
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
             total += loss * len(idx)
-            for layer_w, layer_v, layer_g in zip(weights, velocity, grads):
-                for key, g in layer_g.items():
-                    # in place, no weight-sized temporaries; the same bits as
-                    # v = MOMENTUM * v - lr * g; w += v  (or w -= lr * g)
-                    g *= config.learning_rate
-                    if momentum:
-                        v = layer_v[key]
-                        v *= MOMENTUM
-                        v -= g
-                        layer_w[key] += v
-                    else:
-                        layer_w[key] -= g
-            del grads  # free this step's gradients before the next step makes its own
+            # whole buffers in place, with the bits of v = MOMENTUM * v - lr * g; w += v  (or w -= lr * g)
+            gbuf *= config.learning_rate
+            if momentum:
+                velocity *= MOMENTUM
+                velocity -= gbuf
+                wbuf += velocity
+            else:
+                wbuf -= gbuf
         history.append(total / n)
     meta = dict(model.metadata)
     meta["epochs_trained"] = meta.get("epochs_trained", 0) + config.epochs
     meta["train_seed"] = config.seed
-    del velocity  # the write-back needs only the weights
-    for w0, w in zip(model.weights, weights):  # w0 + float64(w32_end - float32(w0)): lr 0 gives w0
+    del velocity, gbuf, grads, wbuf, work  # the write-back needs only the weights
+    # w0 + float64(w32_end - float32(w0)), lr 0 giving w0; new delta arrays free the buffer first
+    weights = [{k: np.subtract(v, w0[k], dtype=np.float32) for k, v in w.items()} for w0, w in zip(model.weights, weights)]
+    for w0, w in zip(model.weights, weights):
         for key in w:
-            w[key] -= w0[key].astype(np.float32)
             w[key] = w0[key] + w[key]  # casts the float32 side in chunks, with no float64 temporary
-    return replace(work, weights=tuple(weights), metadata=meta), history
+    return replace(model, weights=tuple(weights), metadata=meta), history
 
 
 def _spec_to_dict(spec: LayerSpec) -> dict:

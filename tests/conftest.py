@@ -43,6 +43,11 @@ def make_picture(faces, width=3000, height=2000, picture_id="p0", burst_id="b0",
     )
 
 
+def face_columns(faces):
+    """The features and face_label columns a Dataset would hold for these faces."""
+    return np.array([f.features.as_vector() for f in faces]).reshape(-1, 9), [f.label for f in faces]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -32,15 +32,22 @@ from robophoto.core import (
     ValidationError,
     labeled_items,
 )
-from robophoto.errors import checked_number
+from robophoto.errors import TrainingDivergedError, checked_number
 from robophoto.pgm import PGMError
 from robophoto.selection import ScoredPicture, SelectionConstraints, _ranked, _sorted_categories
 from robophoto.synthetic import _bbox_from_normalized, random_features
 from robophoto.tinynet import (
     FORMAT_VERSION,
+    LEAKY_SLOPE,
     MAGIC,
+    MOMENTUM,
+    LayerSpec,
     NetworkModel,
+    ShapeError,
+    TrainConfig,
     _bce,
+    _col2im,
+    _im2col,
     _spec_to_dict,
     forward_batch,
     loss_and_gradients,
@@ -357,6 +364,152 @@ def save_model(model: NetworkModel, path) -> None:
         for w in model.weights:
             for key in sorted(w.keys()):
                 fh.write(w[key].astype("<f8").tobytes())
+
+
+# --- training before flat buffers and in-place activations ----------------------
+# tinynet's layers, loss_and_gradients and train as they were when every gradient was a
+# fresh array, the update stepped one tensor at a time and relu and leaky_relu wrote new
+# arrays (leaky_relu through np.where) and kept their input as the cache.
+
+
+def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray):
+    if spec.kind == "dense":
+        if x.ndim != 2 or x.shape[1] != spec.in_units:
+            raise ShapeError(f"layer {idx} (dense) expected (*, {spec.in_units}), got {x.shape}")
+        # one unit: a dot product per row, as BLAS gemv rounds a row by its place in the batch
+        out = np.einsum("ij,j->i", x, params["W"][:, 0])[:, None] if spec.out_units == 1 else x @ params["W"]
+        return out + params["b"], x
+    if spec.kind == "conv2d":
+        if x.ndim != 4 or x.shape[1] != spec.in_channels:
+            raise ShapeError(
+                f"layer {idx} (conv2d) expected (*, {spec.in_channels}, H, W), got {x.shape}"
+            )
+        cols, geom = _im2col(x, spec)
+        out = params["W"].reshape(spec.out_channels, -1) @ cols
+        out += params["b"][:, None]
+        out_h, out_w, _ = geom
+        return out.reshape(x.shape[0], spec.out_channels, out_h, out_w), (x.shape, cols, geom)
+    if spec.kind == "relu":
+        return np.maximum(x, 0.0), x
+    if spec.kind == "leaky_relu":
+        return np.where(x > 0, x, LEAKY_SLOPE * x), x
+    if spec.kind == "sigmoid":
+        with np.errstate(over="ignore"):  # exp(-x) = inf at x < -709 gives the exact 0
+            return 1.0 / (1.0 + np.exp(-x)), None  # no cache: backward reads the output, passed as out
+    if spec.kind == "flatten":
+        return x.reshape(x.shape[0], -1), x.shape
+    raise ShapeError(f"layer {idx}: unknown kind {spec.kind!r}")
+
+
+def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, need_dx: bool):
+    """(input gradient, weight gradients); a dense or conv layer skips dx unless need_dx."""
+    if spec.kind == "dense":
+        x = cache
+        dx = dy @ params["W"].T if need_dx else None
+        return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+    if spec.kind == "conv2d":
+        x_shape, cols, geom = cache
+        dy_mat = dy.reshape(dy.shape[0], spec.out_channels, -1)
+        wmat = params["W"].reshape(spec.out_channels, -1)
+        dW = np.tensordot(dy_mat, cols, ([0, 2], [0, 2])).reshape(params["W"].shape)
+        db = dy_mat.sum(axis=(0, 2))
+        dx = _col2im(wmat.T @ dy_mat, x_shape, spec, geom) if need_dx else None
+        return dx, {"W": dW, "b": db}
+    if spec.kind == "relu":
+        return dy * (cache > 0), {}
+    if spec.kind == "leaky_relu":
+        return np.where(cache > 0, dy, LEAKY_SLOPE * dy), {}
+    if spec.kind == "sigmoid":
+        return dy * out * (1.0 - out), {}
+    if spec.kind == "flatten":
+        return dy.reshape(cache), {}
+    raise ShapeError(f"unknown kind {spec.kind!r}")
+
+
+def _forward_all(model: NetworkModel, x: np.ndarray):
+    """Batched forward through every layer; returns (outputs per layer, caches)."""
+    outs, caches = [], []
+    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
+        x, cache = _layer_forward(idx, spec, params, x)
+        outs.append(x)
+        caches.append(cache)
+    return outs, caches
+
+
+def reference_loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray):
+    """Mean binary cross-entropy and per-layer weight gradients on a batch.
+
+    The final layer must be a sigmoid: backprop starts from the numerically
+    stable (p - y) gradient at its pre-activation. Runs in the weights' dtype;
+    the loss is float64, as 1 - _EPS rounds to 1 in float32 (0 * log 0 = NaN).
+    """
+    if not model.layers or model.layers[-1].kind != "sigmoid":
+        raise ShapeError("the last layer must be a sigmoid for the BCE loss")
+    dtype = np.result_type(*{v.dtype for w in model.weights for v in w.values()} or {np.float64})
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype).reshape(-1)
+    outs, caches = _forward_all(model, x)
+    p = outs[-1].reshape(-1)
+    loss = float(_bce(np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    n = len(y)
+
+    grads: list[dict] = [{} for _ in model.layers]
+    dy = ((p - y) / n).reshape(outs[-1].shape)
+    for idx in range(len(model.layers) - 2, -1, -1):
+        spec, params = model.layers[idx], model.weights[idx]
+        # nothing consumes the network input's gradient
+        dy, grads[idx] = _layer_backward(spec, params, caches[idx], outs[idx], dy, need_dx=idx > 0)
+        caches[idx] = outs[idx] = None  # freed once read: a step holds no spent activation
+    return loss, grads
+
+
+def reference_train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
+    """Mini-batch training with BCE loss on input rows xs and their 0/1 (or
+    boolean) targets ys, computed in float32. Deterministic for a fixed seed."""
+    xs = np.asarray(xs, dtype=np.float32)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.shape != xs.shape[:1] or not np.all((ys == 0.0) | (ys == 1.0)):
+        raise ValueError(f"need one 0 or 1 target per input row, got shape {ys.shape}")
+
+    weights = [{k: v.astype(np.float32) for k, v in w.items()} for w in model.weights]
+    momentum = config.optimizer == "momentum"  # sgd reads no velocity, so it gets none
+    velocity = [{k: np.zeros_like(v) for k, v in w.items()} if momentum else {} for w in weights]
+    work = NetworkModel(layers=model.layers, weights=tuple(weights), metadata=model.metadata)
+    rng = np.random.default_rng(config.seed)
+    history: list[float] = []
+    n = len(xs)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = reference_loss_and_gradients(work, xs[idx], ys[idx])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
+            total += loss * len(idx)
+            for layer_w, layer_v, layer_g in zip(weights, velocity, grads):
+                for key, g in layer_g.items():
+                    # in place, no weight-sized temporaries; the same bits as
+                    # v = MOMENTUM * v - lr * g; w += v  (or w -= lr * g)
+                    g *= config.learning_rate
+                    if momentum:
+                        v = layer_v[key]
+                        v *= MOMENTUM
+                        v -= g
+                        layer_w[key] += v
+                    else:
+                        layer_w[key] -= g
+            del grads  # free this step's gradients before the next step makes its own
+        history.append(total / n)
+    meta = dict(model.metadata)
+    meta["epochs_trained"] = meta.get("epochs_trained", 0) + config.epochs
+    meta["train_seed"] = config.seed
+    del velocity  # the write-back needs only the weights
+    for w0, w in zip(model.weights, weights):  # w0 + float64(w32_end - float32(w0)): lr 0 gives w0
+        for key in w:
+            w[key] -= w0[key].astype(np.float32)
+            w[key] = w0[key] + w[key]  # casts the float32 side in chunks, with no float64 temporary
+    return replace(work, weights=tuple(weights), metadata=meta), history
 
 
 # --- finite-difference gradients: the reference for backprop -------------------

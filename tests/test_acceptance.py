@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import face_columns
 from oracles import gradient_check, make_random_pictures, selection_oracle
 from robophoto import tinynet
 from robophoto.abstraction import (
@@ -105,9 +106,9 @@ def test_criterion_02_face_ann_learnability():
     faces = make_face_feature_dataset(2000, seed=11, label_noise=0.1)
     held = make_face_feature_dataset(500, seed=12, label_noise=0.1)
     config = tinynet.TrainConfig(epochs=200, batch_size=32, learning_rate=0.005, seed=0)
-    model, history = train_face_ann(faces, config)
+    model, history = train_face_ann(*face_columns(faces), config)
     acc = evaluate_face_model(model, held)
-    model2, history2 = train_face_ann(faces, config)
+    model2, history2 = train_face_ann(*face_columns(faces), config)
     deterministic = history == history2 and all(
         np.array_equal(wa[k], wb[k])
         for wa, wb in zip(model.weights, model2.weights)

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import face_columns
 from robophoto import tinynet
 from robophoto.abstraction import (
     build_picture_cnn,
@@ -35,7 +36,7 @@ def faces():
 @pytest.fixture(scope="module")
 def face_ann(faces):
     config = tinynet.TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=0)
-    model, _ = train_face_ann(faces, config)
+    model, _ = train_face_ann(*face_columns(faces), config)
     return model
 
 

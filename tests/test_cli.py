@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_model_header, set_at
+from conftest import face_columns, rewrite_model_header, set_at
 from robophoto import tinynet
 from robophoto.abstraction import build_picture_cnn
 from robophoto.cli import (
@@ -327,7 +327,7 @@ def test_evaluate_methods_requires_labels(picture_model_path):
 def face_model_path(tmp_path):
     faces = make_face_feature_dataset(64, seed=2)
     config = tinynet.TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=0)
-    model, _ = train_face_ann(faces, config)
+    model, _ = train_face_ann(*face_columns(faces), config)
     path = tmp_path / "face.tnet"
     tinynet.save_model(model, path)
     return path
@@ -923,7 +923,7 @@ def fuzz_inputs(tmp_path_factory):
     (d / "h.json").write_text(thresholds_to_json(DEFAULT_HIDDEN_HEURISTIC))
     _saved(_tiny_layout_model(), d / "m.tnet")
     faces = make_face_feature_dataset(8, seed=1)
-    _saved(train_face_ann(faces, tinynet.TrainConfig(epochs=1))[0], d / "f.tnet")
+    _saved(train_face_ann(*face_columns(faces), tinynet.TrainConfig(epochs=1))[0], d / "f.tnet")
     methods = ["--dataset", "d.jsonl", "--baseline-thresholds", "b.json", "--heuristic-thresholds", "h.json"]
     methods += ["--picture-model", "m.tnet", "--out", "r.json"]
     files = {"d.jsonl": True, "b.json": False, "h.json": False, "m.tnet": None}

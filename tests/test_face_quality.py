@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_face, neutral_features
+from conftest import face_columns, make_face, neutral_features
 from robophoto import tinynet
 from robophoto.core import BoundingBox, DatasetError, FaceObservation, Label
 from robophoto.face_quality import (
@@ -96,7 +96,7 @@ def test_train_ann_learns_rule():
     faces = make_face_feature_dataset(600, seed=3)
     held = make_face_feature_dataset(200, seed=4)
     cfg = tinynet.TrainConfig(epochs=60, batch_size=32, learning_rate=0.005, seed=0)
-    model, history = train_face_ann(faces, cfg)
+    model, history = train_face_ann(*face_columns(faces), cfg)
     assert history[-1] < history[0]
     assert evaluate_face_model(model, held) >= 0.75
 
@@ -104,8 +104,8 @@ def test_train_ann_learns_rule():
 def test_train_ann_deterministic():
     faces = make_face_feature_dataset(100, seed=1)
     cfg = tinynet.TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=5)
-    a, ha = train_face_ann(faces, cfg)
-    b, hb = train_face_ann(faces, cfg)
+    a, ha = train_face_ann(*face_columns(faces), cfg)
+    b, hb = train_face_ann(*face_columns(faces), cfg)
     assert ha == hb
     for wa, wb in zip(a.weights, b.weights):
         for k in wa:
@@ -114,7 +114,7 @@ def test_train_ann_deterministic():
 
 def test_train_ann_requires_labels():
     with pytest.raises(DatasetError):
-        train_face_ann([make_face(0, 0, 100, 100)], tinynet.TrainConfig(epochs=1))
+        train_face_ann(*face_columns([make_face(0, 0, 100, 100)]), tinynet.TrainConfig(epochs=1))
 
 
 def test_evaluate_requires_labels():

@@ -1,8 +1,8 @@
 """ingest then split, run on a fixed mixed dataset, write exactly the bytes they
 wrote before the record path was rewritten for speed: every output file's sha256
 is pinned. A kept crop is written as its absolute path, so the run directory in
-those paths is replaced by a placeholder before hashing. train-picture-cnn writes
-the model bytes it wrote before training and saving held fewer weight copies."""
+those paths is replaced by a placeholder before hashing. Each training command
+writes the model bytes it wrote before training and saving were made leaner."""
 
 import contextlib
 import hashlib
@@ -19,9 +19,9 @@ import pytest
 import robophoto
 from robophoto.cli import EXIT_OK, main
 from oracles import record_to_dict
-from robophoto.core import Dataset, write_dataset_jsonl
+from robophoto.core import Dataset, face_to_dict, write_dataset_jsonl
 from robophoto.pgm import write_pgm
-from robophoto.synthetic import make_layout_dataset, make_threshold_dataset
+from robophoto.synthetic import make_face_feature_dataset, make_layout_dataset, make_threshold_dataset
 
 # captured from the code before the rewrite, with the run directory written as <run>
 DIGESTS = {
@@ -101,29 +101,53 @@ def test_ingest_and_split_write_pinned_bytes(run_dir):
     assert digests == DIGESTS
 
 
-# sha256 of the .tnet of a 2-step train-picture-cnn run, taken before train freed its spent
-# gradients and velocity and save_model stopped copying. Float32 GEMMs round as the BLAS build
-# and its thread count do, so the run has one BLAS thread and the digests are checked only under
-# the numpy and BLAS build they were taken with.
+# sha256 of the .tnet each training command writes, on a one-epoch run: train-picture-cnn's
+# taken before train freed its spent gradients and velocity and save_model stopped copying,
+# the face models' before train kept its weights, gradients and velocity in flat buffers.
+# Float32 GEMMs round as the BLAS build and its thread count do, so the run has one BLAS
+# thread and the digests are checked only under the numpy and BLAS build they were taken with.
 TNET_ENV = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64")
 TNET_DIGESTS = {
-    "momentum": "d97d0533b047ea193858f880d190c7ec37b90a517030f3435007a281ba2212f0",
-    "sgd": "aea2dae120427ad11be7104dc76d46a7e2803c8d6d46fab410e08f9917aea8fb",
+    ("train-picture-cnn", "momentum"): "d97d0533b047ea193858f880d190c7ec37b90a517030f3435007a281ba2212f0",
+    ("train-picture-cnn", "sgd"): "aea2dae120427ad11be7104dc76d46a7e2803c8d6d46fab410e08f9917aea8fb",
+    ("train-face-ann", "momentum"): "55e0febb7b532e37434a37747d19b91decf549844883dd705598500f18093fad",
+    ("train-face-ann", "sgd"): "559963027b95ba52cc21452d5078aaad6845b1e9145577f4671bf3bbc9dbba23",
+    ("train-face-cnn", "momentum"): "efd99b736dc48408582ea9a08d21e6ac5924eb3a775bcbe12430a69721abd7e9",
+    ("train-face-cnn", "sgd"): "b0fcab32925ac0d07db3f0a45e58cbff1364e7b05e133879b03d00b1470ca751",
 }
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("optimizer", sorted(TNET_DIGESTS))
-def test_train_picture_cnn_writes_pinned_bytes(tmp_path, optimizer):
+def _training_set(tmp_path, command) -> Path:
+    """16 layout records, or 24 rule-labelled faces each linking a 36x40 noise crop."""
+    if command == "train-picture-cnn":
+        write_dataset_jsonl(Dataset(records=tuple(make_layout_dataset(16, seed=5))), tmp_path / "train.jsonl")
+        return tmp_path / "train.jsonl"
+    rng = np.random.default_rng(7)
+    (tmp_path / "crops").mkdir()
+    records = []
+    for i, face in enumerate(make_face_feature_dataset(24, seed=6)):
+        write_pgm(rng.integers(0, 256, size=(36, 40), dtype=np.uint8), tmp_path / f"crops/{i}.pgm")
+        face_dict = {**face_to_dict(face), "face_image_path": f"crops/{i}.pgm"}
+        records.append({"picture_id": f"f{i}", "burst_id": f"b{i}", "width": 100, "height": 100, "faces": [face_dict]})
+    (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return tmp_path / "train.jsonl"
+
+
+# the picture CNN's cases keep the ids they had before the face models were pinned
+@pytest.mark.parametrize(
+    "command, optimizer", list(TNET_DIGESTS),
+    ids=[o if c == "train-picture-cnn" else f"{c[6:]}-{o}" for c, o in TNET_DIGESTS],
+)
+def test_train_picture_cnn_writes_pinned_bytes(tmp_path, command, optimizer):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration")
     if (np.__version__, blas) != TNET_ENV:
         pytest.skip(f"digests taken under numpy {TNET_ENV[0]}, {TNET_ENV[1]}")
-    write_dataset_jsonl(Dataset(records=tuple(make_layout_dataset(16, seed=5))), tmp_path / "layout.jsonl")
-    argv = ["train-picture-cnn", "--dataset", str(tmp_path / "layout.jsonl"), "--out", str(tmp_path / "p.tnet"),
+    argv = [command, "--dataset", str(_training_set(tmp_path, command)), "--out", str(tmp_path / "p.tnet"),
             "--epochs", "1", "--batch-size", "8", "--learning-rate", "0.01", "--optimizer", optimizer]
     src = str(Path(robophoto.__file__).parents[1])
     subprocess.run(  # a child process, as the BLAS thread count is fixed when numpy loads
         [sys.executable, "-c", "import sys; from robophoto.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         env={**os.environ, **ONE_THREAD, "PYTHONPATH": src}, check=True, capture_output=True,
     )
-    assert hashlib.sha256((tmp_path / "p.tnet").read_bytes()).hexdigest() == TNET_DIGESTS[optimizer]
+    assert hashlib.sha256((tmp_path / "p.tnet").read_bytes()).hexdigest() == TNET_DIGESTS[command, optimizer]

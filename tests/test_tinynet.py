@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_model_header
@@ -266,6 +266,85 @@ def test_update_matches_the_written_out_formula_bit_for_bit(optimizer, rng):
             assert got[k].dtype == np.float64
             assert np.array_equal(got[k], w0[k] + (w32[k] - s[k]).astype(np.float64))
 
+
+
+ACTIVATIONS = ("relu", "leaky_relu", "sigmoid")
+IN_SHAPE = (2, 5, 6)
+
+
+@st.composite
+def layer_stacks(draw):
+    """Random stacks of every layer kind on IN_SHAPE inputs: activation runs of 0-2 layers
+    before and after an optional conv2d, after flatten and after each hidden dense layer,
+    ending in dense(*, 1) and sigmoid."""
+
+    def activations():
+        return [tinynet.LayerSpec(kind=k) for k in draw(st.lists(st.sampled_from(ACTIVATIONS), max_size=2))]
+
+    layers, shape = activations(), IN_SHAPE
+    if draw(st.booleans()):
+        spec = conv2d(2, 3, 3, 3, stride=draw(st.sampled_from([1, 2])), padding=draw(st.sampled_from(["valid", "same"])))
+        shape = tinynet.conv_output_shape(shape, spec)
+        layers += [spec, *activations()]
+    layers += [flatten(), *activations()]
+    width = int(np.prod(shape))
+    for units in draw(st.lists(st.integers(1, 4), max_size=2)):
+        layers += [dense(width, units), *activations()]
+        width = units
+    return layers + [dense(width, 1), sigmoid()]
+
+
+FLAT = int(np.prod(IN_SHAPE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layers=layer_stacks(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    optimizer=st.sampled_from(tinynet.OPTIMIZERS),
+    seed=st.integers(0, 2**16),
+)
+@example(layers=[relu(), flatten(), dense(FLAT, 1), sigmoid()], dtype=np.float32, optimizer="momentum", seed=0)
+@example(layers=[flatten(), relu(), leaky_relu(), dense(FLAT, 3), sigmoid(), dense(3, 1), sigmoid()],
+         dtype=np.float64, optimizer="sgd", seed=1)
+@example(layers=[leaky_relu(), relu(), conv2d(2, 3, 3, 3), relu(), leaky_relu(), flatten(), dense(36, 1), sigmoid()],
+         dtype=np.float64, optimizer="momentum", seed=2)
+def test_flat_buffers_and_in_place_activations_match_the_oracle_bit_for_bit(layers, dtype, optimizer, seed):
+    model = build_model(layers, seed=seed)
+    typed = replace(model, weights=tuple({k: v.astype(dtype) for k, v in w.items()} for w in model.weights))
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(6, *IN_SHAPE)).astype(dtype), np.arange(6) % 2.0
+    before = x.copy()
+
+    loss, grads = tinynet.loss_and_gradients(typed, x, y)
+    ref_loss, ref_grads = oracles.reference_loss_and_gradients(typed, x, y)
+    assert loss == ref_loss
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert got.keys() == want.keys()
+        assert all(got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k]) for k in want)
+
+    wide = x.astype(np.float64, copy=False)  # forward_batch reads float32 input in float64
+    ref_out = oracles._forward_all(typed, wide.copy())[0][-1][:, 0]
+    assert np.array_equal(forward_batch(typed, x), ref_out)
+
+    config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1, optimizer=optimizer, seed=seed)
+    trained, history = train(model, x, y, config)
+    ref_trained, ref_history = oracles.reference_train(model, x, y, config)
+    assert history == ref_history and trained.metadata == ref_trained.metadata
+    for got, want in zip(trained.weights, ref_trained.weights, strict=True):
+        assert all(got[k].dtype == np.float64 and np.array_equal(got[k], want[k]) for k in want)
+    assert x.tobytes() == before.tobytes()  # no activation wrote into the caller's input
+
+
+def test_leaky_relu_as_a_maximum_has_the_bits_of_where():
+    for dtype in (np.float32, np.float64):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0], dtype=dtype)
+        x = np.concatenate([x, tiny * np.array([1, -1, 3, -3, 99, -99, 2**20, -(2**20)], dtype=dtype)])
+        want = np.where(x > 0, x, tinynet.LEAKY_SLOPE * x)
+        assert np.maximum(x, tinynet.LEAKY_SLOPE * x).tobytes() == want.tobytes()
+        out, cache = tinynet._layer_forward(0, leaky_relu(), {}, x.copy(), inplace=True)
+        assert out.tobytes() == want.tobytes() and cache is None
 
 # kind -> (a layer of that kind, its input shape); a one-unit dense layer has its own path
 LAYER_CASES = {
