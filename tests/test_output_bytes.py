@@ -2,7 +2,8 @@
 wrote before the record path was rewritten for speed: every output file's sha256
 is pinned. A kept crop is written as its absolute path, so the run directory in
 those paths is replaced by a placeholder before hashing. Each training command
-writes the model bytes it wrote before training and saving were made leaner."""
+writes the model bytes it wrote before training and saving were made leaner, and
+evaluate and select the reports they wrote before the scorers read columns."""
 
 import contextlib
 import hashlib
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,12 @@ import pytest
 
 import robophoto
 from robophoto.cli import EXIT_OK, main
-from oracles import record_to_dict
+from oracles import make_random_pictures, record_to_dict
+from robophoto.abstraction import build_picture_cnn
 from robophoto.core import Dataset, face_to_dict, write_dataset_jsonl
 from robophoto.pgm import write_pgm
 from robophoto.synthetic import make_face_feature_dataset, make_layout_dataset, make_threshold_dataset
+from robophoto.tinynet import save_model
 
 # captured from the code before the rewrite, with the run directory written as <run>
 DIGESTS = {
@@ -151,3 +155,44 @@ def test_train_picture_cnn_writes_pinned_bytes(tmp_path, command, optimizer):
         env={**os.environ, **ONE_THREAD, "PYTHONPATH": src}, check=True, capture_output=True,
     )
     assert hashlib.sha256((tmp_path / "p.tnet").read_bytes()).hexdigest() == TNET_DIGESTS[command, optimizer]
+
+
+# sha256 of evaluate's report and select's selection, taken before the composition
+# scorers read the dataset's columns. The picture CNN's outputs round as the BLAS build
+# and its thread count do, so the run is pinned as the .tnet digests are.
+SCORER_DIGESTS = {
+    "report.json": "c2fd0d1410bcf977a3e41e4fee8b542ffb3b2a0e1ba4b565f522117ed4135a5f",
+    "selection.json": "2b18e255c7ab5154e6962aab8146bf9b580c97967752562b92079bb3f6d06839",
+}
+
+
+def _run_in_one_blas_thread(commands) -> None:
+    """Each argv list through cli.main, in one child process with one BLAS thread."""
+    src = str(Path(robophoto.__file__).parents[1])
+    script = "import json, sys; from robophoto.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                   env={**os.environ, **ONE_THREAD, "PYTHONPATH": src}, check=True, capture_output=True)
+
+
+def test_evaluate_and_select_write_pinned_bytes(tmp_path):
+    """Threshold pictures, random pictures with up to four faces and faceless ones, with
+    thresholds fitted by optimize-thresholds, through evaluate and select."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration")
+    if (np.__version__, blas) != TNET_ENV:
+        pytest.skip(f"digests taken under numpy {TNET_ENV[0]}, {TNET_ENV[1]}")
+    random = make_random_pictures(16, seed=9, with_scores=True)
+    faceless = [replace(p, picture_id=f"none-{i}", faces=()) for i, p in enumerate(random[:4])]
+    pictures = (*make_threshold_dataset(40, seed=8, kind="heuristic"), *random, *faceless)
+    write_dataset_jsonl(Dataset(records=pictures), tmp_path / "set.jsonl")
+    save_model(build_picture_cnn(seed=3), tmp_path / "picture.tnet")
+    t = {kind: str(tmp_path / f"{kind}.json") for kind in ("baseline", "heuristic")}
+    common = ["--dataset", str(tmp_path / "set.jsonl"), "--baseline-thresholds", t["baseline"],
+              "--heuristic-thresholds", t["heuristic"], "--picture-model", str(tmp_path / "picture.tnet")]
+    _run_in_one_blas_thread([
+        *(["optimize-thresholds", "--dataset", str(tmp_path / "set.jsonl"), "--kind", kind, "--out", t[kind],
+           "--population", "16", "--generations", "12", "--seed", "2"] for kind in t),
+        ["evaluate", *common, "--out", str(tmp_path / "report.json")],
+        ["select", *common, "--quota", "3", "--out", str(tmp_path / "selection.json")],
+    ])
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SCORER_DIGESTS}
+    assert digests == SCORER_DIGESTS
