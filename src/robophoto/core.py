@@ -294,16 +294,11 @@ def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
     return [items[i] for i in rows], good
 
 
-def face_count_category(picture: PictureRecord) -> FaceCountCategory:
+def face_count_category(n_faces: int) -> FaceCountCategory:
     """Bucket a picture by its face count: 1, 2, or 3+."""
-    n = len(picture.faces)
-    if n == 0:
-        raise NoFacesError(f"picture {picture.picture_id} has no faces")
-    if n == 1:
-        return FaceCountCategory.ONE
-    if n == 2:
-        return FaceCountCategory.TWO
-    return FaceCountCategory.THREE_PLUS
+    if n_faces < 1:
+        raise NoFacesError("a picture with no faces has no face-count category")
+    return (FaceCountCategory.ONE, FaceCountCategory.TWO, FaceCountCategory.THREE_PLUS)[min(n_faces, 3) - 1]
 
 
 # what a bad face or record raises, DatasetError included: it is dropped and counted

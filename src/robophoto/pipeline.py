@@ -8,13 +8,13 @@ and selection.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .abstraction import classify_pictures
-from .composition import baseline_score, heuristic_score
-from .core import Dataset, PictureRecord, face_count_category, labeled_items
+from .composition import picture_scores
+from .core import Dataset, face_count_category, labeled_rows
 from .errors import DatasetError
 from .face_quality import dataset_faces, score_faces
 from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
@@ -33,20 +33,11 @@ def score_dataset(dataset: Dataset, face_model: Optional[NetworkModel]) -> Datas
 
 
 def method_scores(
-    records: Sequence[PictureRecord], baseline_t, heuristic_t, picture_model: NetworkModel
+    dataset: Dataset, baseline_t, heuristic_t, picture_model: NetworkModel
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each method's (passed, value) arrays over the records, in METHODS order."""
-    out = {}
-    for method, scorer, thresholds in (
-        ("baseline", baseline_score, baseline_t),
-        ("heuristic", heuristic_score, heuristic_t),
-    ):
-        scores = [scorer(rec, thresholds) for rec in records]
-        out[method] = (
-            np.array([s.passed for s in scores], dtype=bool),
-            np.array([s.value for s in scores], dtype=np.float64),
-        )
-    values = classify_pictures(picture_model, records)
+    """Each method's (passed, value) arrays over the dataset's pictures, in METHODS order."""
+    out = {"baseline": picture_scores(dataset, baseline_t), "heuristic": picture_scores(dataset, heuristic_t)}
+    values = classify_pictures(picture_model, dataset.records)
     out["picture_cnn"] = (values >= 0.5, values)
     return out
 
@@ -54,8 +45,10 @@ def method_scores(
 def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -> dict:
     """Accuracy of all three methods on the same labeled split, overall and
     per face-count category present in the split."""
-    labeled, actual = labeled_items(dataset.records, "pictures")
-    categories = np.array([face_count_category(r).value if r.faces else "no_faces" for r in labeled])
+    rows, actual = labeled_rows(dataset.label.tolist(), "pictures")
+    labeled = dataset.take(rows)
+    counts = np.diff(labeled.offsets).tolist()
+    categories = np.array([face_count_category(k).value if k else "no_faces" for k in counts])
     n = len(labeled)
     report: dict = {"n_pictures": n, "methods": {}}
     for method, (passed, _) in method_scores(labeled, baseline_t, heuristic_t, picture_model).items():
@@ -78,17 +71,19 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
 def run_pipeline(dataset: Dataset, baseline_t, heuristic_t, picture_model, quota: int = 8) -> dict:
     """Score every picture with all three methods and select per-method bests."""
     constraints = SelectionConstraints(per_category_quota=quota)
-    sizes = sorted({(r.width, r.height) for r in dataset.records})
+    sizes = sorted(set(zip(dataset.width.tolist(), dataset.height.tolist())))
     report: dict = {
         "crop_plans": {f"{w}x{h}": crop_cascade(w, h) for w, h in sizes},
         "selections": [],
     }
-    records = [r for r in dataset.records if r.faces]
-    categories = [face_count_category(r) for r in records]
-    for method, (_, values) in method_scores(records, baseline_t, heuristic_t, picture_model).items():
+    counts = np.diff(dataset.offsets)
+    faced = dataset.take(np.flatnonzero(counts))
+    categories = map(face_count_category, counts[counts > 0].tolist())
+    rows = list(zip(faced.picture_id.tolist(), faced.burst_id.tolist(), categories))
+    for method, (_, values) in method_scores(faced, baseline_t, heuristic_t, picture_model).items():
         candidates = [
-            ScoredPicture(picture_id=r.picture_id, burst_id=r.burst_id, category=cat, score=v)
-            for r, cat, v in zip(records, categories, values.tolist())
+            ScoredPicture(picture_id=pid, burst_id=burst, category=cat, score=v)
+            for (pid, burst, cat), v in zip(rows, values.tolist())
         ]
         by_id = {c.picture_id: c for c in candidates}
         for rank, pid in enumerate(select_best(candidates, constraints)):

@@ -12,13 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .composition import (
-    BaselineThresholds,
-    HeuristicThresholds,
-    baseline_score,
-    heuristic_score,
-)
-from .core import Dataset, PictureRecord, UnscoredFaceError, labeled_items, labeled_rows
+# re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
+from .composition import baseline_score  # noqa: F401
+from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome
+from .core import Dataset, PictureRecord, labeled_rows
 from .errors import UsageError
 
 BASELINE_DIM = 6
@@ -78,76 +75,29 @@ def repair_genome(genome: np.ndarray) -> np.ndarray:
     return g
 
 
-def accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
+def accuracy(thresholds, pictures: Dataset | Sequence[PictureRecord]) -> float:
     """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
-    kept, good = labeled_items(pictures, "pictures")
-    scorer = heuristic_score if isinstance(thresholds, HeuristicThresholds) else baseline_score
-    passed = np.array([scorer(p, thresholds).passed for p in kept])
-    return int(np.count_nonzero(passed == good)) / len(kept)
+    kind = "heuristic" if isinstance(thresholds, HeuristicThresholds) else "baseline"
+    return float(_FitnessCache(pictures, kind).evaluate(thresholds_genome(thresholds)[None])[0])
 
 
-class _FitnessCache:
-    """Each picture's faces reduced once to the few numbers the gates need, so
-    a whole population evaluates in one broadcast over (genomes, pictures).
-
-    Every face passes `x_tl > x_min` exactly when the picture's smallest x_tl
-    does, and likewise for the other five gates. A faceless picture gets
-    -inf minima and +inf maxima, so it fails every gate and classifies Bad.
-    For `heuristic`, column i of `ranked` holds picture i's face scores in
-    descending order and `fractions` the matching j/k, both padded with
-    -inf: `good/k > p_min` holds exactly when some j has
-    `ranked[j] > r_min` and `fractions[j] > p_min`, since good/k is one of
-    the same float divisions j/k. Ratios are int / int on the object columns, as
-    in the scorers, and min and max reduce per picture, exact in any order.
-    """
+class _FitnessCache(Gate):
+    """The scorers' gate (composition.Gate) over the labeled pictures, with their
+    labels: a whole population's training accuracy is one broadcast over
+    (genomes, pictures). It reads the gate's tables only; the GA never needs the
+    center-distance sums, so none are computed."""
 
     def __init__(self, pictures: Dataset | Sequence[PictureRecord], kind: str):
         if kind not in ("baseline", "heuristic"):
             raise UsageError(f"unknown kind {kind!r}")
         data = pictures if isinstance(pictures, Dataset) else Dataset(pictures)
         labeled, self.labels_good = labeled_rows(data.label.tolist(), "pictures")
-        data = data.take(labeled)
-        self.kind = kind
+        super().__init__(data.take(labeled), kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-        self.n_pictures = n = len(data)
-        self.xtl_min, self.ytl_min, self.occ_min = np.full((3, n), -np.inf)
-        self.xbr_max, self.ybr_max, self.occ_max = np.full((3, n), np.inf)
-        counts = np.diff(data.offsets)
-        owner = np.repeat(np.arange(n), counts)  # the picture of each face
-        width, height, (x_tl, y_tl, x_br, y_br) = data.width[owner], data.height[owner], data.bbox.T
-        occs = (x_br - x_tl) * (y_br - y_tl) / (width * height)
-        have, starts = counts > 0, data.offsets[:-1][counts > 0]
-        for out, reduce, ratios in ((self.xtl_min, np.minimum, x_tl / width), (self.xbr_max, np.maximum, x_br / width),
-                                    (self.ytl_min, np.minimum, y_tl / height), (self.ybr_max, np.maximum, y_br / height),
-                                    (self.occ_min, np.minimum, occs), (self.occ_max, np.maximum, occs)):
-            out[have] = reduce.reduceat(ratios.astype(np.float64), starts)
-        depth = int(counts.max(initial=0)) if kind == "heuristic" else 0
-        self.ranked, self.fractions = np.full((2, depth, n), -np.inf)
-        if kind == "heuristic" and len(owner):
-            unscored = np.isnan(data.score)
-            if unscored.any():
-                raise UnscoredFaceError(f"face in {data.picture_id[owner[unscored.argmax()]]} has no quality score")
-            # stable: equal scores keep their order, as sorted(reverse=True) keeps it
-            order = np.lexsort((-data.score, owner))
-            rank = np.arange(len(owner)) - data.offsets[owner]
-            self.ranked[rank, owner] = data.score[order]
-            self.fractions[rank, owner] = (rank + 1) / counts[owner]
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
         """Training accuracy of each genome in a (P, dim) population."""
-        t = population.T[:, :, None]  # (dim, P, 1)
-        pred = (
-            (self.xtl_min > t[0])
-            & (self.xbr_max < t[1])
-            & (self.ytl_min > t[2])
-            & (self.ybr_max < t[3])
-            & (self.occ_min > t[4])
-            & (self.occ_max < t[5])
-        )
-        if self.kind == "heuristic":
-            r_min, p_min = t[6][:, None], t[7][:, None]  # (P, 1, 1)
-            pred &= ((self.ranked > r_min) & (self.fractions > p_min)).any(axis=1)
-        return np.count_nonzero(pred == self.labels_good, axis=1) / self.n_pictures
+        return np.count_nonzero(self.passed(population) == self.labels_good, axis=1) / self.n_pictures
 
 
 def _ranking(pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
@@ -235,9 +185,9 @@ def grid_search_oracle(
 ) -> FitnessReport:
     """Exhaustive accuracy maximization over a uniform threshold grid.
 
-    Independent of the scorer and of the GA's search: it starts from the
-    same per-picture reduction as the GA fitness, which tests check against
-    the scorer, and sweeps the grid with factorized boolean tables. Ties
+    Independent of the GA's search: it starts from the gate's per-picture
+    tables (composition.Gate), which tests check against the per-face
+    scorers, and sweeps the grid with factorized boolean tables. Ties
     resolve to the first point in lexicographic genome order.
     """
     cache = _FitnessCache(pictures, kind)

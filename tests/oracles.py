@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from robophoto.composition import BaselineThresholds, HeuristicThresholds, PictureScore
 from robophoto.core import (
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
@@ -220,6 +221,77 @@ def fitness_cache(pictures: Sequence[PictureRecord], kind: str) -> SimpleNamespa
             self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
             self.fractions[:k, i] = [j / k for j in range(1, k + 1)]
     return self
+
+
+# --- the per-face scorers before the gate read a dataset's columns --------------
+# composition.face_center, center_distance, baseline_gate and the per-face loops of
+# baseline_score and heuristic_score, and threshold_opt.accuracy over them.
+
+
+def face_center(bbox: BoundingBox) -> tuple[float, float]:
+    return ((bbox.x_tl + bbox.x_br) / 2.0, (bbox.y_tl + bbox.y_br) / 2.0)
+
+
+def center_distance(bbox: BoundingBox, width: int, height: int) -> float:
+    """Distance of the face center to the image center, normalized so a face
+    centered on a corner gives 1."""
+    fx, fy = face_center(bbox)
+    cx, cy = width / 2.0, height / 2.0
+    return math.hypot(fx - cx, fy - cy) / math.hypot(cx, cy)
+
+
+def baseline_gate(bbox: BoundingBox, width: int, height: int, t: BaselineThresholds) -> bool:
+    """All five position/occupancy inequalities for one face."""
+    occ = bbox.area / (width * height)
+    return (
+        bbox.x_tl / width > t.x_min
+        and bbox.x_br / width < t.x_max
+        and bbox.y_tl / height > t.y_min
+        and bbox.y_br / height < t.y_max
+        and t.occ_min < occ < t.occ_max
+    )
+
+
+def reference_baseline_score(picture: PictureRecord, t: BaselineThresholds) -> PictureScore:
+    """Sum of (1 - d) over faces; zero when faceless or any face fails the gate."""
+    if not picture.faces:
+        return PictureScore(False, 0.0)
+    total = 0.0
+    for f in picture.faces:
+        if not baseline_gate(f.bbox, picture.width, picture.height, t):
+            return PictureScore(False, 0.0)
+        total += 1.0 - center_distance(f.bbox, picture.width, picture.height)
+    return PictureScore(True, total)
+
+
+def reference_heuristic_score(picture: PictureRecord, t: HeuristicThresholds) -> PictureScore:
+    """Baseline gates plus face-score gates; score is sum of (1 - d) * r."""
+    if not picture.faces:
+        return PictureScore(False, 0.0)
+    good = 0
+    for f in picture.faces:
+        if f.score is None:
+            raise UnscoredFaceError(f"face in {picture.picture_id} has no quality score")
+        if not baseline_gate(f.bbox, picture.width, picture.height, t.baseline):
+            return PictureScore(False, 0.0)
+        if f.score > t.r_min:
+            good += 1
+    # strict ">": a proportion exactly at the floor fails
+    if good / len(picture.faces) <= t.p_min:
+        return PictureScore(False, 0.0)
+    total = sum(
+        (1.0 - center_distance(f.bbox, picture.width, picture.height)) * f.score
+        for f in picture.faces
+    )
+    return PictureScore(True, total)
+
+
+def reference_accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
+    """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
+    kept, good = labeled_items(pictures, "pictures")
+    scorer = reference_heuristic_score if isinstance(thresholds, HeuristicThresholds) else reference_baseline_score
+    passed = np.array([scorer(p, thresholds).passed for p in kept])
+    return int(np.count_nonzero(passed == good)) / len(kept)
 
 
 # --- the PGM reader before the one-regex header parse ---------------------------

@@ -1,26 +1,39 @@
 import json
-import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_face, make_picture
+from oracles import (
+    baseline_gate,
+    center_distance,
+    face_center,
+    make_random_pictures,
+    reference_accuracy,
+    reference_baseline_score,
+    reference_heuristic_score,
+)
+from robophoto import tinynet
+from robophoto.abstraction import CANVAS_H, CANVAS_W
 from robophoto.composition import (
     BaselineThresholds,
     HeuristicThresholds,
-    baseline_gate,
     baseline_score,
-    center_distance,
-    face_center,
     heuristic_score,
     thresholds_from_json,
     thresholds_to_json,
 )
-from robophoto.core import BoundingBox, DatasetError, UnscoredFaceError
+from robophoto.core import BoundingBox, Dataset, DatasetError, Label, UnscoredFaceError
+from robophoto.pipeline import method_scores
+from robophoto.threshold_opt import _FitnessCache, accuracy, genome_to_thresholds, repair_genome
 
 WIDE = BaselineThresholds(0.01, 0.99, 0.01, 0.99, 0.001, 0.9)
+
+# a one-layer layout model: method_scores runs it, the geometric scorers never read it
+LAYOUT_MODEL = tinynet.build_model([tinynet.flatten(), tinynet.dense(CANVAS_H * CANVAS_W, 1), tinynet.sigmoid()])
 
 
 def test_face_center_midpoint():
@@ -85,6 +98,47 @@ def test_baseline_faceless_fails():
     assert not s.passed and s.value == 0.0
 
 
+def _thresholds_on_statistics(rng, pics, rows):
+    """Random repaired genomes, then wide-open ones with one gene exactly on a
+    picture's statistic, where only the strict comparison decides that picture."""
+    raw = rng.uniform(-0.2, 1.2, (rows, 8))
+    for row in range(rows // 3, rows):
+        p = pics[int(rng.integers(len(pics)))]
+        if not p.faces:
+            continue
+        occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+        stats = (
+            min(f.bbox.x_tl / p.width for f in p.faces), max(f.bbox.x_br / p.width for f in p.faces),
+            min(f.bbox.y_tl / p.height for f in p.faces), max(f.bbox.y_br / p.height for f in p.faces),
+            min(occs), max(occs),
+        )
+        raw[row] = 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0
+        gene = int(rng.integers(7))
+        if gene < 6:
+            raw[row, gene] = stats[gene]
+        else:  # r_min on one face score, p_min on the proportion above it
+            r = p.faces[int(rng.integers(len(p.faces)))].score
+            raw[row, 6:] = r, sum(f.score > r for f in p.faces) / len(p.faces)
+    return [genome_to_thresholds("heuristic", g) for g in repair_genome(raw)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_method_scores_match_the_per_face_scorers_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    pics = make_random_pictures(24, seed=seed, with_scores=True)
+    pics = [replace(p, faces=()) if i % 7 == 3 else p for i, p in enumerate(pics)]
+    for heuristic_t in _thresholds_on_statistics(rng, pics, 6):
+        got = method_scores(Dataset(records=pics), heuristic_t.baseline, heuristic_t, LAYOUT_MODEL)
+        for method, t, scorer in (("baseline", heuristic_t.baseline, reference_baseline_score),
+                                  ("heuristic", heuristic_t, reference_heuristic_score)):
+            want = [scorer(p, t) for p in pics]
+            passed, value = got[method]
+            assert passed.tolist() == [s.passed for s in want]
+            assert value.tobytes() == np.array([s.value for s in want]).tobytes()
+        assert accuracy(heuristic_t, pics) == reference_accuracy(heuristic_t, pics)
+
+
 def _heuristic(r_min=0.5, p_min=0.4):
     return HeuristicThresholds(baseline=WIDE, r_min=r_min, p_min=p_min)
 
@@ -115,6 +169,21 @@ def test_heuristic_requires_scores():
     pic = make_picture([make_face(1400, 900, 1600, 1100)])
     with pytest.raises(UnscoredFaceError):
         heuristic_score(pic, _heuristic())
+
+
+def test_an_unscored_face_raises_even_behind_a_failing_face():
+    # the first face fails x_min, the second has no score: every path raises
+    pic = make_picture([make_face(0, 0, 50, 50, score=0.9), make_face(1400, 900, 1600, 1100)], label=Label.GOOD)
+    t = HeuristicThresholds(baseline=BaselineThresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5), r_min=0.5, p_min=0.1)
+    with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
+        heuristic_score(pic, t)
+    with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
+        accuracy(t, [pic])
+    with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
+        _FitnessCache([pic], "heuristic")
+    with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
+        method_scores(Dataset(records=[pic]), t.baseline, t, LAYOUT_MODEL)
+    assert not baseline_score(pic, t.baseline).passed  # the baseline gate reads no score
 
 
 def test_heuristic_failed_gate_zero():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import make_random_pictures
+from oracles import make_random_pictures, reference_accuracy
 from robophoto.core import Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
@@ -124,7 +124,7 @@ def test_fitness_cache_matches_scorer(seed):
     genome = repair_genome(rng.uniform(0, 1, 8))
     cache = _FitnessCache(pics, "heuristic")
     t = genome_to_thresholds("heuristic", genome)
-    expected = accuracy(t, pics)
+    expected = reference_accuracy(t, pics)
     assert cache.evaluate(genome[None])[0] == expected
 
 
@@ -135,7 +135,7 @@ def test_fitness_cache_baseline_matches_scorer():
     for _ in range(20):
         genome = repair_genome(rng.uniform(0, 1, 6))
         t = genome_to_thresholds("baseline", genome)
-        assert cache.evaluate(genome[None])[0] == accuracy(t, pics)
+        assert cache.evaluate(genome[None])[0] == reference_accuracy(t, pics)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "heuristic"])
@@ -176,7 +176,7 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
     pop = repair_genome(raw)
     got = _FitnessCache(pics, kind).evaluate(pop)
     assert got.shape == (len(pop),)
-    assert list(got) == [accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
+    assert list(got) == [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
 
 
 def test_ga_deterministic():
