@@ -9,7 +9,7 @@ import numpy as np
 
 from robophoto import tinynet
 from robophoto.abstraction import classify_pictures, train_picture_cnn
-from robophoto.core import Label
+from robophoto.core import Dataset, Label
 from robophoto.synthetic import make_layout_dataset
 
 
@@ -36,10 +36,10 @@ def main(argv=None) -> None:
         seed=args.seed,
     )
     t0 = time.time()
-    model, history = train_picture_cnn(train_pics, config)
+    model, history = train_picture_cnn(Dataset(records=train_pics), config)
     elapsed = time.time() - t0
 
-    pred_good = classify_pictures(model, held_pics) >= 0.5
+    pred_good = classify_pictures(model, Dataset(records=held_pics)) >= 0.5
     correct = int(np.count_nonzero(pred_good == [p.label is Label.GOOD for p in held_pics]))
     print(f"trained {args.epochs} epochs in {elapsed:.1f}s "
           f"(loss {history[0]:.4f} -> {history[-1]:.4f})")

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, tinynet
-from .abstraction import render_abstract, train_picture_cnn
+from .abstraction import render_dataset, train_picture_cnn
 from .behavior_sim import Scenario, Simulator, write_event_log
 # re-export: the benchmark's tracer tests wrap and call cli.baseline_score
 from .composition import baseline_score  # noqa: F401
@@ -22,7 +22,7 @@ from .core import (
     write_dataset_jsonl,
 )
 from .errors import DatasetError, TrainingDivergedError, UsageError, parsed_json
-from .face_quality import dataset_faces, reads_crops, train_face_ann, train_face_cnn
+from .face_quality import reads_crops, train_face_ann, train_face_cnn
 from .pgm import write_pgm
 from .pipeline import METHODS, evaluate_methods, run_pipeline, score_dataset
 from .stats import welch_t_test
@@ -119,13 +119,13 @@ def cmd_train_face_ann(args) -> int:
 
 
 def cmd_train_face_cnn(args) -> int:
-    faces = dataset_faces(_load_dataset(args.dataset).dataset)
-    return _save_trained(args, *train_face_cnn(faces, _train_config(args)))
+    dataset = _load_dataset(args.dataset).dataset
+    return _save_trained(args, *train_face_cnn(dataset.crop, dataset.face_label, _train_config(args)))
 
 
 def cmd_train_picture_cnn(args) -> int:
     dataset = _load_scored(args.dataset, args.face_model)
-    return _save_trained(args, *train_picture_cnn(dataset.records, _train_config(args)))
+    return _save_trained(args, *train_picture_cnn(dataset, _train_config(args)))
 
 
 def cmd_optimize_thresholds(args) -> int:
@@ -182,13 +182,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_render_abstract(args) -> int:
     dataset = _load_scored(args.dataset, args.face_model)
-    for pid in (r.picture_id for r in dataset.records):
+    ids = dataset.picture_id.tolist()
+    for pid in ids:
         if pid in (".", "..") or "/" in pid or "\0" in pid:  # each id names a file in --out-dir
             raise DatasetError(f"picture_id {pid!r} cannot name a file")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for rec in dataset.records:
-        write_pgm(render_abstract(rec), out / f"{rec.picture_id}.pgm")
+    for pid, canvas in zip(ids, render_dataset(dataset)):
+        write_pgm(canvas, out / f"{pid}.pgm")
     _write_run_config(out / "render", args)
     print(f"rendered {len(dataset)} abstract images to {out}")
     return EXIT_OK

@@ -1,9 +1,9 @@
 """Domain types and dataset handling shared by the whole pipeline.
 
-A Dataset holds its pictures and faces as columns, which the record path
-(validate, write, split) and the GA read directly. The record types are
-immutable; a Dataset's records are views of its rows, built on first access
-for the code that scores or renders one picture at a time.
+A Dataset holds its pictures and faces as columns, and every command reads
+those columns. The immutable record types are how callers build pictures one at
+a time; a Dataset packs them into columns, and nothing turns columns back into
+records.
 """
 
 from __future__ import annotations
@@ -68,6 +68,31 @@ class UnscoredFaceError(DatasetError):
     pass
 
 
+# Each record rule, written once over scalars or arrays (`&` evaluates every comparison,
+# element by element): the record types, validate_dataset and Dataset.with_scores call these.
+def _box_ok(x_tl, y_tl, x_br, y_br):
+    return (0 <= x_tl) & (x_tl < x_br) & (0 <= y_tl) & (y_tl < y_br)
+
+
+def _inside(x_br, y_br, width, height):
+    return (x_br <= width) & (y_br <= height)
+
+
+def _score_ok(score):
+    return (0.0 <= score) & (score <= 1.0)  # False for NaN
+
+
+def _size_ok(width, height):
+    return (width >= 2) & (height >= 2)
+
+
+def _is_id(value):
+    return isinstance(value, str) and value != ""
+
+
+_are_ids = np.frompyfunc(_is_id, 1, 1)  # _is_id of each item of an object array
+
+
 class Label(str, Enum):
     GOOD = "Good"
     BAD = "Bad"
@@ -94,7 +119,7 @@ class BoundingBox:
     y_br: int
 
     def __post_init__(self):
-        if not (0 <= self.x_tl < self.x_br and 0 <= self.y_tl < self.y_br):
+        if not _box_ok(self.x_tl, self.y_tl, self.x_br, self.y_br):
             raise ValidationError(f"degenerate bounding box {self}")
 
     @property
@@ -155,7 +180,7 @@ class FaceObservation:
     def __post_init__(self):
         if self.face_image is not None:
             _checked_crop(self.face_image)
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
+        if self.score is not None and not _score_ok(self.score):
             raise ValidationError(f"face score {self.score} outside [0, 1]")
 
 
@@ -169,15 +194,15 @@ class PictureRecord:
     label: Optional[Label] = None
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
+        if not _size_ok(self.width, self.height):
             raise ValidationError(f"degenerate image size {self.width}x{self.height}")
         ids = (self.picture_id, self.burst_id)
-        if not (isinstance(ids[0], str) and isinstance(ids[1], str) and all(ids)):
+        if not (_is_id(self.picture_id) and _is_id(self.burst_id)):
             raise ValidationError(f"ids must be non-empty strings: {ids}")
         object.__setattr__(self, "faces", tuple(self.faces))
         for f in self.faces:
             b = f.bbox
-            if b.x_br > self.width or b.y_br > self.height:
+            if not _inside(b.x_br, b.y_br, self.width, self.height):
                 raise ValidationError(
                     f"face bbox {b} outside {self.width}x{self.height} image"
                 )
@@ -202,9 +227,8 @@ class Dataset:
 
     Per record, _RECORD_COLUMNS; per face, bbox (F, 4) in _BBOX_KEYS order, features
     (F, 9) float64, score float64 (NaN: no score), face_label, crop (or None) and
-    image_path. Built from records, packed into columns, or from the columns themselves;
-    `records` gives PictureRecord views of the rows, built on first access. A
-    picture_id appearing twice raises ValidationError.
+    image_path. Built from records, packed into columns, or from the columns themselves.
+    A picture_id appearing twice raises ValidationError.
     """
 
     def __init__(self, records: Iterable[PictureRecord] = (), **columns):
@@ -221,7 +245,7 @@ class Dataset:
                 face_label=_objects([f.label for f in faces]), crop=_objects([f.face_image for f in faces]),
                 image_path=_objects([f.image_path for f in faces]),
             )
-        vars(self).update(columns, _records=records or None)
+        vars(self).update(columns)
         ids = Counter(self.picture_id.tolist())
         if len(ids) != len(self):
             raise ValidationError(f"duplicate picture_id {ids.most_common(1)[0][0]!r}")
@@ -241,35 +265,10 @@ class Dataset:
     def with_scores(self, scores) -> "Dataset":
         """This dataset with new face scores, each a number in [0, 1]."""
         scores = np.asarray(scores, dtype=np.float64)
-        bad = ~((scores >= 0.0) & (scores <= 1.0))
+        bad = ~_score_ok(scores)
         if bad.any():
             raise ValidationError(f"face score {float(scores[bad.argmax()])} outside [0, 1]")
         return Dataset(**{**{name: getattr(self, name) for name in _COLUMNS}, "score": scores})
-
-    @property
-    def records(self) -> tuple[PictureRecord, ...]:
-        if self._records is None:  # views of checked values: no record type's __post_init__ runs again
-            columns = {name: getattr(self, name).tolist() for name in _COLUMNS}
-            boxes, features = _views(BoundingBox, columns["bbox"]), _views(FaceFeatures, columns["features"])
-            scores = [None if math.isnan(score) else score for score in columns["score"]]
-            faces = _views(FaceObservation, zip(boxes, features, columns["crop"], columns["face_label"], scores,
-                                                columns["image_path"]))
-            ends = columns["offsets"]
-            self._records = tuple(_views(PictureRecord, (
-                (*row[:4], tuple(faces[ends[i] : ends[i + 1]]), row[4])
-                for i, row in enumerate(zip(*(columns[name] for name in _RECORD_COLUMNS))))))
-        return self._records
-
-
-def _views(cls, rows: Iterable[Sequence]) -> list:
-    """An instance of a frozen record type for each row of its field values, with no
-    __post_init__. Each instance is given its whole __dict__ at once: twice as fast to
-    build as one setattr a field, a little slower to read."""
-    new, fields, views = cls.__new__, tuple(cls.__dataclass_fields__), []
-    for row in rows:
-        views.append(view := new(cls))
-        object.__setattr__(view, "__dict__", dict(zip(fields, row)))
-    return views
 
 
 @dataclass(frozen=True)
@@ -286,12 +285,6 @@ def labeled_rows(labels: Sequence[Optional[Label]], what: str) -> tuple[np.ndarr
     if not len(rows):
         raise DatasetError(f"no labeled {what}")
     return rows, np.array([labels[i] is Label.GOOD for i in rows])
-
-
-def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
-    """labeled_rows over items that each carry a label: the kept items and their Good mask."""
-    rows, good = labeled_rows([item.label for item in items], what)
-    return [items[i] for i in rows], good
 
 
 def face_count_category(n_faces: int) -> FaceCountCategory:
@@ -399,8 +392,7 @@ def validate_dataset(
     face_label, label_ok = _labels(face[:, 14].tolist())
     face_ok = (
         ok[:, :13].all(axis=1) & (ok[:, 13] | unscored) & label_ok & (np.abs(x[:, :3]) <= 180.0).all(axis=1)
-        & (0 <= box[:, 0]) & (box[:, 0] < box[:, 2]) & (0 <= box[:, 1]) & (box[:, 1] < box[:, 3])
-        & (unscored | ((score >= 0.0) & (score <= 1.0)))
+        & _box_ok(*box.T) & (unscored | _score_ok(score))
     )
     score[unscored] = math.nan
 
@@ -409,8 +401,8 @@ def validate_dataset(
     size_ok = number_verdicts([*width, *height], integer=True).reshape(2, -1)
     width[~size_ok[0]], height[~size_ok[1]] = 0, 0
     label, label_ok = _labels(labels)
-    ids_ok = [isinstance(p, str) and isinstance(b, str) and "" not in (p, b) for p, b in zip(picture_id, burst_id)]
-    record_ok = np.array(ids_ok, dtype=bool) & size_ok.all(axis=0) & label_ok & (width >= 2) & (height >= 2)
+    record_ok = ((_are_ids(picture_id) & _are_ids(burst_id)).astype(bool) & size_ok.all(axis=0) & label_ok
+                 & _size_ok(width, height))
 
     crop, image_path = _objects([None] * len(face)), _objects([None] * len(face))
     for i in np.flatnonzero(face_ok & record_ok[owner] & read_crops).tolist():
@@ -420,7 +412,7 @@ def validate_dataset(
         except _BAD_INPUT:
             face_ok[i] = False
     # a kept face must lie inside its picture, or the whole record is dropped
-    record_ok &= np.bincount(owner[face_ok & ((box[:, 2] > width[owner]) | (box[:, 3] > height[owner]))],
+    record_ok &= np.bincount(owner[face_ok & ~_inside(box[:, 2], box[:, 3], width[owner], height[owner])],
                              minlength=n_records) == 0
     kept_faces = np.bincount(owner[face_ok], minlength=n_records)
     rows = np.flatnonzero(record_ok & (keep_faceless | (kept_faces > 0)))

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import tinynet
-from .core import FEATURE_NAMES, Dataset, FaceObservation, MIN_FACE_SIDE, labeled_items, labeled_rows
+from .core import FEATURE_NAMES, FaceObservation, MIN_FACE_SIDE, labeled_rows
 from .errors import DatasetError, checked_number
 from .tinynet import ModelFormatError, NetworkModel, TrainConfig
 
@@ -79,20 +79,17 @@ def _resample_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def preprocess_face(face_image: np.ndarray, bbox=None) -> np.ndarray:
-    """Crop to bbox, resample to 40x30 and scale intensities into [0, 1].
+def preprocess_face(face_image: np.ndarray) -> np.ndarray:
+    """Resample a face crop to 40x30 and scale intensities into [0, 1].
 
     Returns a 1x30x40 tensor. Crops below 30x30 are rejected.
     """
     if face_image is None:
         raise MissingInputError("face_cnn scoring needs a face image")
-    crop = face_image
-    if bbox is not None:
-        crop = face_image[bbox.y_tl : bbox.y_br, bbox.x_tl : bbox.x_br]
-    h, w = crop.shape
+    h, w = face_image.shape
     if h < MIN_FACE_SIDE or w < MIN_FACE_SIDE:
         raise UndersizedFaceError(f"face crop {w}x{h} below {MIN_FACE_SIDE}x{MIN_FACE_SIDE}")
-    resized = _resample_bilinear(crop, FACE_CROP_H, FACE_CROP_W)
+    resized = _resample_bilinear(face_image, FACE_CROP_H, FACE_CROP_W)
     return (resized / 255.0)[None, :, :]
 
 
@@ -139,21 +136,22 @@ def _feature_inputs(model: NetworkModel, vectors: np.ndarray) -> np.ndarray:
     return vectors if scaling is None else (vectors - scaling[0]) / scaling[1]
 
 
-def _face_inputs(model: NetworkModel, faces: Iterable[FaceObservation]):
-    """Network input of each face, picked by model kind; crops are preprocessed lazily."""
+def score_faces(model: NetworkModel, features: np.ndarray, crops: Sequence) -> np.ndarray:
+    """Quality scores in [0, 1] of faces given as a Dataset's (F, 9) features and crop columns,
+    scored in batches; the model kind picks the input, and crops are preprocessed lazily."""
     if reads_crops(model):
-        return (preprocess_face(obs.face_image) for obs in faces)
-    return _feature_inputs(model, np.array([obs.features.as_vector() for obs in faces]).reshape(-1, 9))
+        return tinynet.forward_many(model, (preprocess_face(crop) for crop in crops))
+    return tinynet.forward_many(model, _feature_inputs(model, np.asarray(features, dtype=np.float64)))
 
 
-def score_faces(model: NetworkModel, faces: Iterable[FaceObservation]) -> np.ndarray:
-    """Quality scores in [0, 1], one per observation, scored in batches."""
-    return tinynet.forward_many(model, _face_inputs(model, faces))
+def _face_columns(faces: Sequence[FaceObservation]) -> tuple[np.ndarray, list]:
+    """The features and crop columns a Dataset would hold for these face objects."""
+    return np.array([obs.features.as_vector() for obs in faces]).reshape(-1, 9), [obs.face_image for obs in faces]
 
 
 def score_face(model: NetworkModel, obs: FaceObservation) -> float:
     """Quality score in [0, 1] for one observation; picks input by model kind."""
-    return float(score_faces(model, [obs])[0])
+    return float(score_faces(model, *_face_columns([obs]))[0])
 
 
 def train_face_ann(features: np.ndarray, labels: Sequence, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
@@ -167,17 +165,17 @@ def train_face_ann(features: np.ndarray, labels: Sequence, config: TrainConfig) 
     return tinynet.train(model, _feature_inputs(model, vectors), good, config)
 
 
-def train_face_cnn(faces: Sequence[FaceObservation], config: TrainConfig) -> tuple[NetworkModel, list[float]]:
-    kept, good = labeled_items([f for f in faces if f.face_image is not None], "faces with images")
-    model = build_face_cnn(seed=config.seed)
-    return tinynet.train(model, np.stack(list(_face_inputs(model, kept))), good, config)
+def train_face_cnn(crops: Sequence, labels: Sequence, config: TrainConfig) -> tuple[NetworkModel, list[float]]:
+    """Train the face CNN, built from config.seed, on the labeled faces that have a crop,
+    from a Dataset's crop and face_label columns."""
+    rows, good = labeled_rows([None if crop is None else label for crop, label in zip(crops, labels)],
+                              "faces with images")
+    xs = np.stack([preprocess_face(crops[i]) for i in rows])
+    return tinynet.train(build_face_cnn(seed=config.seed), xs, good, config)
 
 
 def evaluate_face_model(model: NetworkModel, faces: Sequence[FaceObservation]) -> float:
     """Fraction of labeled faces where (score >= 0.5) agrees with the label."""
-    kept, good = labeled_items(faces, "faces")
-    return int(np.count_nonzero((score_faces(model, kept) >= 0.5) == good)) / len(kept)
-
-
-def dataset_faces(dataset: Dataset) -> list[FaceObservation]:
-    return [f for rec in dataset.records for f in rec.faces]
+    rows, good = labeled_rows([obs.label for obs in faces], "faces")
+    scores = score_faces(model, *_face_columns([faces[i] for i in rows]))
+    return int(np.count_nonzero((scores >= 0.5) == good)) / len(rows)

@@ -16,7 +16,7 @@ from .abstraction import classify_pictures
 from .composition import picture_scores
 from .core import Dataset, face_count_category, labeled_rows
 from .errors import DatasetError
-from .face_quality import dataset_faces, score_faces
+from .face_quality import score_faces
 from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
 from .tinynet import NetworkModel
 
@@ -29,7 +29,7 @@ def score_dataset(dataset: Dataset, face_model: Optional[NetworkModel]) -> Datas
         if np.isnan(dataset.score).any():
             raise DatasetError("face_quality: faces carry no scores and no --face-model was given")
         return dataset
-    return dataset.with_scores(score_faces(face_model, dataset_faces(dataset)))
+    return dataset.with_scores(score_faces(face_model, dataset.features, dataset.crop))
 
 
 def method_scores(
@@ -37,7 +37,7 @@ def method_scores(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each method's (passed, value) arrays over the dataset's pictures, in METHODS order."""
     out = {"baseline": picture_scores(dataset, baseline_t), "heuristic": picture_scores(dataset, heuristic_t)}
-    values = classify_pictures(picture_model, dataset.records)
+    values = classify_pictures(picture_model, dataset)
     out["picture_cnn"] = (values >= 0.5, values)
     return out
 

@@ -17,21 +17,25 @@ import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from robophoto import core
 from robophoto.composition import BaselineThresholds, HeuristicThresholds, PictureScore
 from robophoto.core import (
+    _COLUMNS,
+    _RECORD_COLUMNS,
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
     BoundingBox,
+    Dataset,
     FaceObservation,
     Label,
     PictureRecord,
     UnscoredFaceError,
     ValidationError,
-    labeled_items,
+    labeled_rows,
 )
 from robophoto.errors import TrainingDivergedError, checked_number
 from robophoto.pgm import PGMError
@@ -191,6 +195,41 @@ def record_to_dict(rec: PictureRecord) -> dict:
     if rec.label is not None:
         d["label"] = rec.label.value
     return d
+
+
+# --- the record views before every command read a dataset's columns ------------
+# Dataset.records (without its cache), core._views and core.labeled_items: the
+# layout CNN, render-abstract, train-face-cnn and face-model scoring read these views.
+
+
+def records(dataset: Dataset) -> tuple[PictureRecord, ...]:
+    # views of checked values: no record type's __post_init__ runs again
+    columns = {name: getattr(dataset, name).tolist() for name in _COLUMNS}
+    boxes, features = _views(BoundingBox, columns["bbox"]), _views(core.FaceFeatures, columns["features"])
+    scores = [None if math.isnan(score) else score for score in columns["score"]]
+    faces = _views(FaceObservation, zip(boxes, features, columns["crop"], columns["face_label"], scores,
+                                        columns["image_path"]))
+    ends = columns["offsets"]
+    return tuple(_views(PictureRecord, (
+        (*row[:4], tuple(faces[ends[i] : ends[i + 1]]), row[4])
+        for i, row in enumerate(zip(*(columns[name] for name in _RECORD_COLUMNS))))))
+
+
+def _views(cls, rows: Iterable[Sequence]) -> list:
+    """An instance of a frozen record type for each row of its field values, with no
+    __post_init__. Each instance is given its whole __dict__ at once: twice as fast to
+    build as one setattr a field, a little slower to read."""
+    new, fields, views = cls.__new__, tuple(cls.__dataclass_fields__), []
+    for row in rows:
+        views.append(view := new(cls))
+        object.__setattr__(view, "__dict__", dict(zip(fields, row)))
+    return views
+
+
+def labeled_items(items: Sequence, what: str) -> tuple[list, np.ndarray]:
+    """labeled_rows over items that each carry a label: the kept items and their Good mask."""
+    rows, good = labeled_rows([item.label for item in items], what)
+    return [items[i] for i in rows], good
 
 
 # --- the GA fitness reduction before it read the dataset's columns --------------

@@ -128,7 +128,7 @@ def test_criterion_03_picture_cnn_learnability():
     config = tinynet.TrainConfig(
         epochs=20, batch_size=32, learning_rate=0.01, optimizer="momentum", seed=0
     )
-    model, _ = train_picture_cnn(train_pics, config)
+    model, _ = train_picture_cnn(Dataset(records=train_pics), config)
     correct = sum(
         (classify_picture(model, render_abstract(p)) >= 0.5) == (p.label is Label.GOOD)
         for p in held_pics

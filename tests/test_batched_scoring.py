@@ -17,6 +17,7 @@ from robophoto.abstraction import (
     classify_pictures,
     render_abstract,
 )
+from robophoto.core import Dataset
 from robophoto.face_quality import build_face_cnn, score_face, score_faces, train_face_ann
 from robophoto.synthetic import make_face_feature_dataset, make_layout_dataset
 
@@ -33,6 +34,11 @@ def faces():
     return make_face_feature_dataset(max(SIZES), seed=5)
 
 
+def _score_columns(faces):
+    """The features and crop columns a Dataset would hold for these faces."""
+    return face_columns(faces)[0], [f.face_image for f in faces]
+
+
 @pytest.fixture(scope="module")
 def face_ann(faces):
     config = tinynet.TrainConfig(epochs=1, batch_size=16, learning_rate=0.01, seed=0)
@@ -42,7 +48,7 @@ def face_ann(faces):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_face_ann_batched_matches_per_item(face_ann, faces, n):
-    batched = score_faces(face_ann, faces[:n])
+    batched = score_faces(face_ann, *_score_columns(faces[:n]))
     single = np.array([score_face(face_ann, f) for f in faces[:n]])
     assert batched.shape == (n,)
     np.testing.assert_allclose(batched, single, rtol=0, atol=TOL)
@@ -59,7 +65,7 @@ def crop_faces(faces):
 @pytest.mark.parametrize("n", SIZES)
 def test_face_cnn_batched_matches_per_item(crop_faces, n):
     model = build_face_cnn(seed=3)
-    batched = score_faces(model, crop_faces[:n])
+    batched = score_faces(model, *_score_columns(crop_faces[:n]))
     single = np.array([score_face(model, f) for f in crop_faces[:n]])
     assert batched.shape == (n,)
     np.testing.assert_allclose(batched, single, rtol=0, atol=TOL)
@@ -73,7 +79,7 @@ def layouts():
 @pytest.mark.parametrize("n", SIZES)
 def test_layout_cnn_batched_matches_per_item(layouts, n):
     model = build_picture_cnn(seed=4)
-    batched = classify_pictures(model, layouts[:n])
+    batched = classify_pictures(model, Dataset(records=layouts[:n]))
     single = np.array([classify_picture(model, render_abstract(p)) for p in layouts[:n]])
     assert batched.shape == (n,)
     np.testing.assert_allclose(batched, single, rtol=0, atol=TOL)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import face_columns, rewrite_model_header, set_at
 from robophoto import tinynet
 from robophoto.abstraction import build_picture_cnn
@@ -352,7 +353,7 @@ def test_face_model_rescores_evaluate_and_select(
     # the same heuristic, with every face scored on its own
     model = tinynet.load_model(face_model_path)
     heuristic_t = thresholds_from_json(hp.read_text())
-    records = validate_dataset(read_records_jsonl(dataset_path)).dataset.records
+    records = oracles.records(validate_dataset(read_records_jsonl(dataset_path)).dataset)
     alone = {}
     for rec in records:
         rescored = replace(rec, faces=tuple(replace(f, score=score_face(model, f)) for f in rec.faces))

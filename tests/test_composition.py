@@ -252,11 +252,11 @@ def test_threshold_json_malformed_is_dataset_error(text):
 
 _THRESHOLD_NAMES = [*asdict(WIDE), "r_min", "p_min"]
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+
+
+_json_values = st.recursive(_json_scalars, _json_containers, max_leaves=12)
 # mostly well-formed objects, so the property reaches the per-key checks
 _threshold_like = st.dictionaries(
     st.sampled_from(["kind", "extra", *_THRESHOLD_NAMES]),

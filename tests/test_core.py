@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_face, make_picture
 from oracles import record_to_dict
 from robophoto.core import (
@@ -68,7 +69,7 @@ def test_validate_drops_undersized_face_image(tmp_path):
         [_raw_record(faces=[face, _raw_face(500, 500, 800, 800)])], base_dir=tmp_path
     )
     assert result.dropped_faces == 1
-    assert len(result.dataset.records[0].faces) == 1
+    assert len(oracles.records(result.dataset)[0].faces) == 1
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,7 @@ def test_validate_drops_only_the_bad_face(tmp_path, bad):
     raw = [_raw_record(faces=[{**_raw_face(), **bad}, _raw_face(500, 500, 800, 800)])]
     result = validate_dataset(raw, base_dir=tmp_path)
     assert (result.dropped_faces, result.dropped_records) == (1, 0)
-    assert len(result.dataset.records[0].faces) == 1
+    assert len(oracles.records(result.dataset)[0].faces) == 1
 
 
 def test_validate_drops_record_with_non_string_label():
@@ -94,7 +95,7 @@ def test_validate_drops_record_with_non_string_label():
 def test_validate_drops_record_whose_id_is_not_a_non_empty_string(key, value):
     result = validate_dataset([{**_raw_record(), key: value}, _raw_record(pid="p1")])
     assert (len(result.dataset), result.dropped_records) == (1, 1)
-    assert result.dataset.records[0].picture_id == "p1"
+    assert oracles.records(result.dataset)[0].picture_id == "p1"
 
 
 def test_validate_rejects_degenerate_bbox_record():
@@ -117,9 +118,9 @@ def test_validate_duplicate_picture_id():
 
 def test_validate_idempotent():
     result = validate_dataset([_raw_record(pid=f"p{i}") for i in range(5)])
-    again = validate_dataset([record_to_dict(r) for r in result.dataset.records])
-    assert [record_to_dict(r) for r in again.dataset.records] == [
-        record_to_dict(r) for r in result.dataset.records
+    again = validate_dataset([record_to_dict(r) for r in oracles.records(result.dataset)])
+    assert [record_to_dict(r) for r in oracles.records(again.dataset)] == [
+        record_to_dict(r) for r in oracles.records(result.dataset)
     ]
     assert again.dropped_faces == 0 and again.dropped_records == 0
 
@@ -129,7 +130,7 @@ def test_likelihood_levels_mapped():
     face["features"]["joy"] = "VERY_LIKELY"
     face["features"]["sorrow"] = "UNLIKELY"
     result = validate_dataset([_raw_record(faces=[face])])
-    f = result.dataset.records[0].faces[0]
+    f = oracles.records(result.dataset)[0].faces[0]
     assert f.features.joy == 1.0
     assert f.features.sorrow == 0.25
 
@@ -206,7 +207,7 @@ def test_split_deterministic():
     a = split_dataset(ds, (0.8, 0.1, 0.1), seed=3)
     b = split_dataset(ds, (0.8, 0.1, 0.1), seed=3)
     for x, y in zip(a, b):
-        assert [r.picture_id for r in x.records] == [r.picture_id for r in y.records]
+        assert [r.picture_id for r in oracles.records(x)] == [r.picture_id for r in oracles.records(y)]
 
 
 def test_split_single_burst_stays_together():
@@ -226,12 +227,12 @@ def test_split_bad_ratios():
 def test_split_is_partition(n, seed, burst_size):
     ds = _dataset(n, bursts=[f"b{i // burst_size}" for i in range(n)])
     parts = split_dataset(ds, (0.8, 0.1, 0.1), seed=seed)
-    ids = [r.picture_id for p in parts for r in p.records]
-    assert sorted(ids) == sorted(r.picture_id for r in ds.records)
+    ids = [r.picture_id for p in parts for r in oracles.records(p)]
+    assert sorted(ids) == sorted(r.picture_id for r in oracles.records(ds))
     # burst atomicity
     assignment = {}
     for k, p in enumerate(parts):
-        for r in p.records:
+        for r in oracles.records(p):
             assert assignment.setdefault(r.burst_id, k) == k
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import face_columns, make_face, neutral_features
 from robophoto import tinynet
-from robophoto.core import BoundingBox, DatasetError, FaceObservation, Label
+from robophoto.core import DatasetError, FaceObservation, Label
 from robophoto.face_quality import (
     FACE_CROP_H,
     FACE_CROP_W,
@@ -69,13 +69,6 @@ def test_preprocess_constant_image_stays_constant():
 def test_preprocess_rejects_small_crop():
     with pytest.raises(UndersizedFaceError):
         preprocess_face(np.zeros((20, 50), dtype=np.uint8))
-
-
-def test_preprocess_crops_to_bbox(rng):
-    img = np.zeros((100, 100), dtype=np.uint8)
-    img[30:70, 20:60] = 200
-    x = preprocess_face(img, bbox=BoundingBox(20, 30, 60, 70))
-    assert np.allclose(x, 200 / 255.0)
 
 
 def test_standardize_zero_variance_floored():

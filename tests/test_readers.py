@@ -243,7 +243,7 @@ def _face_mlp_reader(key):
         model = build_face_ann()
         model = replace(model, metadata=_json({**model.metadata, **metadata}))
         face = FaceObservation(bbox=BoundingBox(10, 10, 50, 50), features=neutral_features())
-        return _accepts(tinynet.ModelFormatError, score_faces, model, [face])
+        return _accepts(tinynet.ModelFormatError, score_faces, model, face.features.as_vector()[None], [None])
 
     return read
 

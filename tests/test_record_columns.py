@@ -1,8 +1,7 @@
 """The column record path against the per-record objects it replaced (kept in
 oracles.py): whole files validate to the same kept ids, drop counts and written
-bytes; the GA's per-picture reduction is bit-equal to the old loop; and the
-commands that only move records (ingest, split, the baseline GA) build no
-per-face object."""
+bytes; the GA's per-picture reduction is bit-equal to the old loop; and no
+command that reads records builds a picture or face object."""
 
 import contextlib
 import io
@@ -17,6 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import robophoto.synthetic
+from robophoto.abstraction import render_abstract, render_dataset
 from robophoto.cli import EXIT_OK, main
 from robophoto.core import (
     BoundingBox,
@@ -26,13 +27,14 @@ from robophoto.core import (
     PictureRecord,
     UnscoredFaceError,
     ValidationError,
+    face_to_dict,
     read_records_jsonl,
     validate_dataset,
     write_dataset_jsonl,
 )
 from robophoto.errors import DatasetError
 from robophoto.pgm import write_pgm
-from robophoto.synthetic import make_threshold_dataset, random_features
+from robophoto.synthetic import make_face_feature_dataset, make_threshold_dataset, random_features
 from robophoto.threshold_opt import _FitnessCache
 from test_readers import JSON_VALUES
 from test_record_oracles import CROP_PATHS, NUMBERS, SLOT_VALUES
@@ -148,10 +150,10 @@ def test_whole_files_keep_drop_and_write_what_the_record_objects_did(tmp_path, c
     assert (result.dropped_faces, result.dropped_records) == (dropped_faces, dropped_records)
     expected = "".join(json.dumps(oracles.record_to_dict(r), sort_keys=True) + "\n" for r in kept)
     write_dataset_jsonl(result.dataset, tmp_path / "columns.jsonl")
-    write_dataset_jsonl(Dataset(records=result.dataset.records), tmp_path / "views.jsonl")
+    write_dataset_jsonl(Dataset(records=oracles.records(result.dataset)), tmp_path / "views.jsonl")
     assert (tmp_path / "columns.jsonl").read_text() == expected
     assert (tmp_path / "views.jsonl").read_text() == expected
-    for got, want in zip(result.dataset.records, kept):
+    for got, want in zip(oracles.records(result.dataset), kept):
         assert [None if f.face_image is None else f.face_image.tobytes() for f in got.faces] == [
             None if f.face_image is None else f.face_image.tobytes() for f in want.faces
         ]
@@ -213,10 +215,26 @@ def test_fitness_cache_raises_for_an_unscored_heuristic_face(seed):
     _FitnessCache(pictures, "baseline")  # the baseline gates read no score
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scored=st.booleans())
+def test_a_dataset_renders_each_record_as_render_abstract_does(seed, scored):
+    """Sides up to a float's range, faceless pictures and unscored faces: the columns
+    give every canvas's bytes, or the error, that the record objects give."""
+    pictures = _random_pictures(seed, scored)
+
+    def canvases(rendered):
+        try:
+            return [canvas.tobytes() for canvas in rendered]
+        except UnscoredFaceError as e:
+            return str(e)
+
+    assert canvases(render_dataset(Dataset(records=pictures))) == canvases(map(render_abstract, pictures))
+
+
 def test_new_scores_outside_zero_one_are_rejected():
     dataset = Dataset(records=make_threshold_dataset(3, seed=0, kind="heuristic"))
     n_faces = len(dataset.score)
-    assert dataset.with_scores(np.full(n_faces, 0.5)).records[0].faces[0].score == 0.5
+    assert oracles.records(dataset.with_scores(np.full(n_faces, 0.5)))[0].faces[0].score == 0.5
     for bad in (1.5, -0.25, math.nan):
         with pytest.raises(ValidationError, match="outside"):
             dataset.with_scores(np.full(n_faces, bad))
@@ -227,26 +245,63 @@ def _run(argv) -> None:
         assert main([str(a) for a in argv]) == EXIT_OK
 
 
+def _labeled_crop_faces(tmp_path):
+    """Four one-face records whose faces carry a label and a 40x40 crop file."""
+    rng = np.random.default_rng(0)
+    (tmp_path / "crops").mkdir()
+    records = []
+    for i, face in enumerate(make_face_feature_dataset(4, seed=0)):
+        write_pgm(rng.integers(0, 256, size=(40, 40), dtype=np.uint8), tmp_path / f"crops/{i}.pgm")
+        face_dict = {**face_to_dict(face), "face_image_path": f"crops/{i}.pgm"}
+        records.append({"picture_id": f"c{i}", "burst_id": "b", "width": 100, "height": 100, "faces": [face_dict]})
+    path = tmp_path / "crops.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
 def test_record_commands_build_no_face_objects(tmp_path, monkeypatch):
-    """ingest, split and the baseline GA read and write columns only: no face object
-    is made, counted by a FaceObservation subclass put in place of the class in every
-    robophoto module, which does count every view."""
+    """Every command that reads records works on columns only: no picture or face object
+    is made. Each is counted by a PictureRecord or FaceObservation subclass put in place
+    of the class in every robophoto module; a synthetic generator, whose module is
+    patched too, shows that the counters count."""
     demo = tmp_path / "demo.jsonl"
     write_dataset_jsonl(Dataset(records=make_threshold_dataset(60, seed=0, kind="heuristic")), demo)
+    crops = _labeled_crop_faces(tmp_path)
     made = []
 
-    class Counted(FaceObservation):
+    class CountedFace(FaceObservation):
         def __new__(cls, *args, **kwargs):
-            made.append(cls)
+            made.append(FaceObservation)
+            return super().__new__(cls)
+
+    class CountedPicture(PictureRecord):
+        def __new__(cls, *args, **kwargs):
+            made.append(PictureRecord)
             return super().__new__(cls)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("robophoto") and getattr(module, "FaceObservation", None) is FaceObservation:
-            monkeypatch.setattr(module, "FaceObservation", Counted)
+        for cls, counted in ((FaceObservation, CountedFace), (PictureRecord, CountedPicture)):
+            if name.startswith("robophoto") and getattr(module, cls.__name__, None) is cls:
+                monkeypatch.setattr(module, cls.__name__, counted)
+    splits = tmp_path / "splits"
+    methods = ["--baseline-thresholds", tmp_path / "b.json", "--heuristic-thresholds", tmp_path / "h.json",
+               "--picture-model", tmp_path / "picture.tnet"]
     _run(["ingest", "--dataset", demo, "--out", tmp_path / "clean.jsonl"])
-    _run(["split", "--dataset", tmp_path / "clean.jsonl", "--out-dir", tmp_path / "splits"])
-    _run(["optimize-thresholds", "--dataset", tmp_path / "splits/train.jsonl", "--kind", "baseline",
+    _run(["split", "--dataset", tmp_path / "clean.jsonl", "--out-dir", splits])
+    _run(["optimize-thresholds", "--dataset", splits / "train.jsonl", "--kind", "baseline",
           "--out", tmp_path / "b.json", "--population", "8", "--generations", "2"])
+    _run(["train-face-ann", "--dataset", crops, "--out", tmp_path / "face_mlp.tnet", "--epochs", "1"])
+    _run(["optimize-thresholds", "--dataset", splits / "train.jsonl", "--kind", "heuristic",
+          "--face-model", tmp_path / "face_mlp.tnet", "--out", tmp_path / "h.json", "--population", "8",
+          "--generations", "2"])
+    _run(["train-picture-cnn", "--dataset", splits / "validation.jsonl", "--out", tmp_path / "picture.tnet",
+          "--epochs", "1"])
+    _run(["evaluate", "--dataset", splits / "test.jsonl", *methods, "--out", tmp_path / "report.json"])
+    _run(["select", "--dataset", splits / "test.jsonl", *methods, "--out", tmp_path / "selection.json"])
+    _run(["render-abstract", "--dataset", splits / "test.jsonl", "--out-dir", tmp_path / "renders"])
+    _run(["train-face-cnn", "--dataset", crops, "--out", tmp_path / "face_cnn.tnet", "--epochs", "1",
+          "--batch-size", "4"])
     assert made == []
-    records = validate_dataset(read_records_jsonl(tmp_path / "clean.jsonl")).dataset.records
-    assert len(made) == sum(len(r.faces) for r in records) > 0
+    pictures = robophoto.synthetic.make_threshold_dataset(5, seed=0, kind="heuristic")
+    assert made.count(PictureRecord) == len(pictures) == 5
+    assert made.count(FaceObservation) == sum(len(p.faces) for p in pictures) > 0

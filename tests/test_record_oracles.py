@@ -110,7 +110,7 @@ def test_one_pass_face_check_keeps_what_the_per_value_checks_kept(crop_dir, edit
         assert result.dropped_records == 1 and len(result.dataset) == 0
         return
     assert result.dropped_records == 0 and result.dropped_faces == dropped_faces
-    (kept,) = result.dataset.records
+    (kept,) = oracles.records(result.dataset)
     assert _faces(kept.faces, face_to_dict) == _faces(expected.faces, oracles.face_to_dict)
     assert (kept.width, kept.height, kept.label) == (expected.width, expected.height, expected.label)
 
