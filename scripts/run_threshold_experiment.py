@@ -5,6 +5,7 @@ result against the exhaustive grid-search oracle."""
 import argparse
 import time
 
+from robophoto.core import Dataset
 from robophoto.synthetic import make_threshold_dataset
 from robophoto.threshold_opt import (
     GAConfig,
@@ -26,7 +27,7 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
 
     steps = args.grid_steps or (9 if args.kind == "baseline" else 5)
-    pictures = make_threshold_dataset(args.n_pictures, seed=args.seed, kind=args.kind)
+    pictures = Dataset(records=make_threshold_dataset(args.n_pictures, seed=args.seed, kind=args.kind))
 
     t0 = time.time()
     report = ga_optimize(pictures, args.kind, GAConfig(seed=args.seed))

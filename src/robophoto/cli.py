@@ -85,7 +85,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = _load_dataset(args.dataset, keep_faceless=True).dataset
+    dataset = _load_dataset(args.dataset, keep_faceless=True, read_crops=False).dataset
     train, test, validation = split_dataset(dataset, args.ratios.split(","), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

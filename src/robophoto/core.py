@@ -1,9 +1,9 @@
 """Domain types and dataset handling shared by the whole pipeline.
 
 A Dataset holds its pictures and faces as columns, and every command reads
-those columns. The immutable record types are how callers build pictures one at
-a time; a Dataset packs them into columns, and nothing turns columns back into
-records.
+those columns. The record types are plain values for callers that build
+pictures one at a time; a Dataset packs them through validate_dataset, the one
+check of every record rule, and nothing turns columns back into records.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -69,7 +69,7 @@ class UnscoredFaceError(DatasetError):
 
 
 # Each record rule, written once over scalars or arrays (`&` evaluates every comparison,
-# element by element): the record types, validate_dataset and Dataset.with_scores call these.
+# element by element): validate_dataset and Dataset.with_scores call these.
 def _box_ok(x_tl, y_tl, x_br, y_br):
     return (0 <= x_tl) & (x_tl < x_br) & (0 <= y_tl) & (y_tl < y_br)
 
@@ -118,10 +118,6 @@ class BoundingBox:
     x_br: int
     y_br: int
 
-    def __post_init__(self):
-        if not _box_ok(self.x_tl, self.y_tl, self.x_br, self.y_br):
-            raise ValidationError(f"degenerate bounding box {self}")
-
     @property
     def width(self) -> int:
         return self.x_br - self.x_tl
@@ -135,13 +131,10 @@ class BoundingBox:
         return self.width * self.height
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FaceFeatures:
-    """The 9 scalar inputs to the face quality network.
-
-    Angles are degrees in [-180, 180]; likelihoods and image scores live in
-    [0, 1] (clamped at construction).
-    """
+    """The 9 scalar inputs to the face quality network: angles in degrees within
+    [-180, 180], then likelihoods and image scores, clamped to [0, 1] when packed."""
 
     roll: float
     pitch: float
@@ -152,17 +145,6 @@ class FaceFeatures:
     surprise: float
     exposure: float
     blur: float
-
-    def __init__(self, roll, pitch, yaw, joy, sorrow, anger, surprise, exposure, blur):
-        # checked (a range test is False for NaN) and clamped first, so each field is written once
-        roll, pitch, yaw, *rest = map(float, (roll, pitch, yaw, joy, sorrow, anger, surprise, exposure, blur))
-        if not (-180.0 <= roll <= 180.0 and -180.0 <= pitch <= 180.0 and -180.0 <= yaw <= 180.0):
-            raise ValidationError(f"angles {(roll, pitch, yaw)} outside [-180, 180]")
-        if not all(map(math.isfinite, rest)):
-            raise ValidationError(f"likelihoods and image scores {rest} must be finite")
-        rest = [0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in rest]  # -0.0 becomes 0.0
-        for name, v in zip(FEATURE_NAMES, (roll, pitch, yaw, *rest)):
-            object.__setattr__(self, name, v)  # a written __dict__ would slow every later attribute read
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
@@ -177,12 +159,6 @@ class FaceObservation:
     score: Optional[float] = None
     image_path: Optional[str] = None  # absolute path face_image was read from
 
-    def __post_init__(self):
-        if self.face_image is not None:
-            _checked_crop(self.face_image)
-        if self.score is not None and not _score_ok(self.score):
-            raise ValidationError(f"face score {self.score} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class PictureRecord:
@@ -192,20 +168,6 @@ class PictureRecord:
     height: int
     faces: tuple[FaceObservation, ...]
     label: Optional[Label] = None
-
-    def __post_init__(self):
-        if not _size_ok(self.width, self.height):
-            raise ValidationError(f"degenerate image size {self.width}x{self.height}")
-        ids = (self.picture_id, self.burst_id)
-        if not (_is_id(self.picture_id) and _is_id(self.burst_id)):
-            raise ValidationError(f"ids must be non-empty strings: {ids}")
-        object.__setattr__(self, "faces", tuple(self.faces))
-        for f in self.faces:
-            b = f.bbox
-            if not _inside(b.x_br, b.y_br, self.width, self.height):
-                raise ValidationError(
-                    f"face bbox {b} outside {self.width}x{self.height} image"
-                )
 
 
 # Ids, labels, crops and paths are object columns, and so are width, height and bbox: they
@@ -227,24 +189,13 @@ class Dataset:
 
     Per record, _RECORD_COLUMNS; per face, bbox (F, 4) in _BBOX_KEYS order, features
     (F, 9) float64, score float64 (NaN: no score), face_label, crop (or None) and
-    image_path. Built from records, packed into columns, or from the columns themselves.
+    image_path. Built from records (see _packed) or from the columns themselves.
     A picture_id appearing twice raises ValidationError.
     """
 
     def __init__(self, records: Iterable[PictureRecord] = (), **columns):
         if not columns:
-            records = tuple(records)
-            faces = [f for r in records for f in r.faces]
-            columns = {name: _objects([getattr(r, name) for r in records]) for name in _RECORD_COLUMNS}
-            columns.update(
-                offsets=np.cumsum([0, *(len(r.faces) for r in records)]),
-                bbox=np.fromiter((v for f in faces for v in _bbox_values(f.bbox)), object, 4 * len(faces)).reshape(-1, 4),
-                features=np.fromiter((v for f in faces for v in _feature_values(f.features)), np.float64,
-                                     9 * len(faces)).reshape(-1, 9),
-                score=np.array([math.nan if f.score is None else f.score for f in faces], np.float64),
-                face_label=_objects([f.label for f in faces]), crop=_objects([f.face_image for f in faces]),
-                image_path=_objects([f.image_path for f in faces]),
-            )
+            columns = vars(_packed(tuple(records)))
         vars(self).update(columns)
         ids = Counter(self.picture_id.tolist())
         if len(ids) != len(self):
@@ -300,7 +251,7 @@ _BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 _BBOX_KEYS = ("x_tl", "y_tl", "x_br", "y_br")
 _bbox_row, _feature_row = itemgetter(*_BBOX_KEYS), itemgetter(*FEATURE_NAMES)
-_bbox_values, _feature_values = attrgetter(*_BBOX_KEYS), attrgetter(*FEATURE_NAMES)
+_feature_values = attrgetter(*FEATURE_NAMES)
 _record_row = itemgetter("picture_id", "burst_id", "width", "height")
 
 
@@ -337,13 +288,6 @@ def _checked_crop(image: np.ndarray) -> np.ndarray:
     return image
 
 
-def _read_crop(path: str, base: str) -> tuple[np.ndarray, str]:
-    path = os.path.join(base, path)  # an absolute path ignores base
-    while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib, read "x.pgm/" and "x.pgm/." as x.pgm
-        path = path[:-1]
-    return _checked_crop(read_pgm(path)), os.path.abspath(path)
-
-
 def validate_dataset(
     raw_records: Sequence[dict],
     *,
@@ -356,7 +300,7 @@ def validate_dataset(
     Bad faces (box, features, label, score, a missing, corrupt or undersized crop) and bad records
     are dropped and counted, a bad record's faces uncounted; a duplicate kept picture_id raises.
     Faceless pictures survive only with keep_faceless (the score-zero path still needs them).
-    Without read_crops, faces keep no crop and no crop file is opened."""
+    A kept face's crop path is made absolute; without read_crops, no crop file is opened."""
     base = "" if base_dir is None else os.fspath(base_dir)
     records, counts, faces = [], [], []  # a face row: its box, 9 features, score, label and crop path
     for d in raw_records:
@@ -405,10 +349,15 @@ def validate_dataset(
                  & _size_ok(width, height))
 
     crop, image_path = _objects([None] * len(face)), _objects([None] * len(face))
-    for i in np.flatnonzero(face_ok & record_ok[owner] & read_crops).tolist():
+    for i in np.flatnonzero(face_ok & record_ok[owner]).tolist():
         try:
             if face[i, 15]:
-                crop[i], image_path[i] = _read_crop(face[i, 15], base)
+                path = os.path.join(base, face[i, 15])  # an absolute path ignores base
+                while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib: "x.pgm/" and "x.pgm/." name x.pgm
+                    path = path[:-1]
+                image_path[i] = os.path.abspath(path)
+                if read_crops:
+                    crop[i] = _checked_crop(read_pgm(path))
         except _BAD_INPUT:
             face_ok[i] = False
     # a kept face must lie inside its picture, or the whole record is dropped
@@ -424,6 +373,28 @@ def validate_dataset(
     )
     dropped_faces = int(np.sum(counts[record_ok] - kept_faces[record_ok]))
     return ValidationResult(dataset=dataset, dropped_faces=dropped_faces, dropped_records=n_records - len(rows))
+
+
+def _packed(records: Sequence[PictureRecord]) -> Dataset:
+    """Record objects as columns: their JSON rows through validate_dataset, then each face's crop and
+    path. Whatever a record rule would drop raises ValidationError naming its picture_id."""
+    rows = [{"picture_id": r.picture_id, "burst_id": r.burst_id, "width": r.width, "height": r.height,
+             "label": None if r.label is None else r.label.value, "faces": [face_to_dict(f) for f in r.faces]}
+            for r in records]
+    dataset = validate_dataset(rows, keep_faceless=True, read_crops=False).dataset
+    kept = zip(dataset.picture_id.tolist(), np.diff(dataset.offsets).tolist())
+    for r, k in zip_longest(records, kept):  # kept rows keep their order: the first to differ was cut
+        try:
+            if k != (r.picture_id, len(r.faces)):
+                raise ValidationError("the record or one of its faces breaks a record rule")
+            for f in r.faces:
+                if f.face_image is not None:
+                    _checked_crop(f.face_image)
+        except ValidationError as e:
+            raise ValidationError(f"picture_id {r.picture_id!r}: {e}") from None
+    faces = [f for r in records for f in r.faces]
+    dataset.crop, dataset.image_path = _objects([f.face_image for f in faces]), _objects([f.image_path for f in faces])
+    return dataset
 
 
 def face_to_dict(face: FaceObservation) -> dict:

@@ -8,16 +8,12 @@ from typing import Sequence
 import numpy as np
 
 from . import tinynet
-from .core import FEATURE_NAMES, FaceObservation, MIN_FACE_SIDE, labeled_rows
+from .core import FEATURE_NAMES, FaceObservation, _checked_crop, labeled_rows
 from .errors import DatasetError, checked_number
 from .tinynet import ModelFormatError, NetworkModel, TrainConfig
 
 FACE_CROP_W = 40
 FACE_CROP_H = 30
-
-
-class UndersizedFaceError(DatasetError):
-    pass
 
 
 class MissingInputError(DatasetError):
@@ -82,14 +78,11 @@ def _resample_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def preprocess_face(face_image: np.ndarray) -> np.ndarray:
     """Resample a face crop to 40x30 and scale intensities into [0, 1].
 
-    Returns a 1x30x40 tensor. Crops below 30x30 are rejected.
+    Returns a 1x30x40 tensor. Crops below 30x30 raise core's ValidationError.
     """
     if face_image is None:
         raise MissingInputError("face_cnn scoring needs a face image")
-    h, w = face_image.shape
-    if h < MIN_FACE_SIDE or w < MIN_FACE_SIDE:
-        raise UndersizedFaceError(f"face crop {w}x{h} below {MIN_FACE_SIDE}x{MIN_FACE_SIDE}")
-    resized = _resample_bilinear(face_image, FACE_CROP_H, FACE_CROP_W)
+    resized = _resample_bilinear(_checked_crop(face_image), FACE_CROP_H, FACE_CROP_W)
     return (resized / 255.0)[None, :, :]
 
 

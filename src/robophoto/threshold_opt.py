@@ -15,7 +15,7 @@ import numpy as np
 # re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
 from .composition import baseline_score  # noqa: F401
 from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome
-from .core import Dataset, PictureRecord, labeled_rows
+from .core import Dataset, labeled_rows
 from .errors import UsageError
 
 BASELINE_DIM = 6
@@ -75,7 +75,7 @@ def repair_genome(genome: np.ndarray) -> np.ndarray:
     return g
 
 
-def accuracy(thresholds, pictures: Dataset | Sequence[PictureRecord]) -> float:
+def accuracy(thresholds, pictures: Dataset) -> float:
     """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
     kind = "heuristic" if isinstance(thresholds, HeuristicThresholds) else "baseline"
     return float(_FitnessCache(pictures, kind).evaluate(thresholds_genome(thresholds)[None])[0])
@@ -87,12 +87,11 @@ class _FitnessCache(Gate):
     (genomes, pictures). It reads the gate's tables only; the GA never needs the
     center-distance sums, so none are computed."""
 
-    def __init__(self, pictures: Dataset | Sequence[PictureRecord], kind: str):
+    def __init__(self, pictures: Dataset, kind: str):
         if kind not in ("baseline", "heuristic"):
             raise UsageError(f"unknown kind {kind!r}")
-        data = pictures if isinstance(pictures, Dataset) else Dataset(pictures)
-        labeled, self.labels_good = labeled_rows(data.label.tolist(), "pictures")
-        super().__init__(data.take(labeled), kind == "heuristic")
+        labeled, self.labels_good = labeled_rows(pictures.label.tolist(), "pictures")
+        super().__init__(pictures.take(labeled), kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def _initial_population(rng: np.random.Generator, size: int, dim: int) -> np.nda
 
 
 def ga_optimize(
-    pictures: Dataset | Sequence[PictureRecord],
+    pictures: Dataset,
     kind: str,
     config: GAConfig = GAConfig(),
 ) -> FitnessReport:
@@ -181,7 +180,7 @@ def _sweep(tables: Sequence[np.ndarray], pred: np.ndarray):
 
 
 def grid_search_oracle(
-    pictures: Dataset | Sequence[PictureRecord], kind: str, steps_per_axis: int
+    pictures: Dataset, kind: str, steps_per_axis: int
 ) -> FitnessReport:
     """Exhaustive accuracy maximization over a uniform threshold grid.
 

@@ -61,7 +61,8 @@ from robophoto.tinynet import (
 # --- the record reader before one-pass face checks -----------------------------
 # core._face_from_dict and _record_from_dict with a checked_number call per value,
 # FaceFeatures.__post_init__ with its second round of setattr and _clamp01, pathlib
-# crop paths, and face_to_dict with one getattr per feature.
+# crop paths, and face_to_dict with one getattr per feature. The checks the record
+# types made when they were built are made here, with core's predicates, once a value.
 
 
 def _clamp01(v: float) -> float:
@@ -110,6 +111,8 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
     bbox = BoundingBox(
         *(checked_number(box[k], ValidationError, k, integer=True) for k in ("x_tl", "y_tl", "x_br", "y_br"))
     )
+    if not core._box_ok(bbox.x_tl, bbox.y_tl, bbox.x_br, bbox.y_br):
+        raise ValidationError(f"degenerate bounding box {bbox}")
     raw = d["features"]
     feats = {}
     for name in FEATURE_NAMES:
@@ -121,20 +124,25 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
     features = FaceFeatures(**feats)
     image = image_path = None
     path = d.get("face_image_path")
-    if path and read_crops:
+    if path:
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
-        image = read_pgm(p)
+        if read_crops:
+            image = core._checked_crop(read_pgm(p))
         image_path = os.path.abspath(p)
     label = Label.parse(d["label"]) if d.get("label") else None
     score = d.get("score")
+    if score is not None:
+        score = checked_number(score, ValidationError, "score")
+        if not core._score_ok(score):
+            raise ValidationError(f"face score {score} outside [0, 1]")
     return FaceObservation(
         bbox=bbox,
         features=features,
         face_image=image,
         label=label,
-        score=None if score is None else checked_number(score, ValidationError, "score"),
+        score=score,
         image_path=image_path,
     )
 
@@ -158,6 +166,13 @@ def _record_from_dict(
         faces=tuple(faces),
         label=Label.parse(d["label"]) if d.get("label") else None,
     )
+    if not core._size_ok(rec.width, rec.height):
+        raise ValidationError(f"degenerate image size {rec.width}x{rec.height}")
+    if not (core._is_id(rec.picture_id) and core._is_id(rec.burst_id)):
+        raise ValidationError(f"ids must be non-empty strings: {(rec.picture_id, rec.burst_id)}")
+    for f in rec.faces:
+        if not core._inside(f.bbox.x_br, f.bbox.y_br, rec.width, rec.height):
+            raise ValidationError(f"face bbox {f.bbox} outside {rec.width}x{rec.height} image")
     return rec, dropped
 
 

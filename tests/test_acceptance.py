@@ -7,6 +7,7 @@ a captured run (use pytest -s or check the -v test status lines).
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ from robophoto.behavior_sim import (
 from robophoto.composition import (
     BaselineThresholds,
     HeuristicThresholds,
-    baseline_score,
-    heuristic_score,
+    picture_scores,
 )
 from robophoto.core import (
     BoundingBox,
@@ -145,7 +145,7 @@ def test_criterion_04_ga_vs_grid_oracle():
     details = []
     ok = True
     for kind, steps, seed in (("baseline", 9, 101), ("heuristic", 5, 102)):
-        pictures = make_threshold_dataset(500, seed=seed, kind=kind, margin=0.02)
+        pictures = Dataset(records=make_threshold_dataset(500, seed=seed, kind=kind, margin=0.02))
         ga = ga_optimize(pictures, kind, GAConfig(seed=0))
         grid = grid_search_oracle(pictures, kind, steps)
         ok = ok and ga.best_accuracy >= grid.best_accuracy - 0.02 and ga.best_accuracy >= 0.98
@@ -156,51 +156,59 @@ def test_criterion_04_ga_vs_grid_oracle():
 
 
 def test_criterion_05_scoring_equivalences():
-    n_checked = 0
-    ok = True
-    for seed in range(10):
-        for pic in make_random_pictures(100, seed=seed, with_scores=False):
-            n_checked += 1
-            t = BaselineThresholds(0.02, 0.98, 0.02, 0.98, 1e-6, 0.8)
-            base = baseline_score(pic, t)
-            # (a) unit scores and p_min = 0 reduce the heuristic to the baseline
-            scored = PictureRecord(
+    # the 1000 pictures as one dataset; each threshold set scores them in one picture_scores call
+    pics = [
+        replace(pic, picture_id=f"{seed}-{pic.picture_id}")
+        for seed in range(10)
+        for pic in make_random_pictures(100, seed=seed, with_scores=False)
+    ]
+    n_checked = len(pics)
+    t = BaselineThresholds(0.02, 0.98, 0.02, 0.98, 1e-6, 0.8)
+    base = picture_scores(Dataset(records=pics), t)
+    # (a) unit scores and p_min = 0 reduce the heuristic to the baseline
+    scored = [
+        PictureRecord(
+            picture_id=pic.picture_id,
+            burst_id=pic.burst_id,
+            width=pic.width,
+            height=pic.height,
+            faces=tuple(
+                FaceObservation(bbox=f.bbox, features=f.features, score=1.0)
+                for f in pic.faces
+            ),
+            label=pic.label,
+        )
+        for pic in pics
+    ]
+    heur = picture_scores(Dataset(records=scored), HeuristicThresholds(baseline=t, r_min=0.5, p_min=0.0))
+    ok = all(np.array_equal(h, b) for h, b in zip(heur, base))
+    # (b) scale invariance under power-of-two integer upscaling
+    for k in (2, 4, 8):
+        big = [
+            PictureRecord(
                 picture_id=pic.picture_id,
                 burst_id=pic.burst_id,
-                width=pic.width,
-                height=pic.height,
+                width=pic.width * k,
+                height=pic.height * k,
                 faces=tuple(
-                    FaceObservation(bbox=f.bbox, features=f.features, score=1.0)
+                    FaceObservation(
+                        bbox=BoundingBox(
+                            f.bbox.x_tl * k, f.bbox.y_tl * k, f.bbox.x_br * k, f.bbox.y_br * k
+                        ),
+                        features=f.features,
+                    )
                     for f in pic.faces
                 ),
                 label=pic.label,
             )
-            heur = heuristic_score(scored, HeuristicThresholds(baseline=t, r_min=0.5, p_min=0.0))
-            ok = ok and heur.passed == base.passed and heur.value == base.value
-            # (b) scale invariance under power-of-two integer upscaling
-            for k in (2, 4, 8):
-                big = PictureRecord(
-                    picture_id=pic.picture_id,
-                    burst_id=pic.burst_id,
-                    width=pic.width * k,
-                    height=pic.height * k,
-                    faces=tuple(
-                        FaceObservation(
-                            bbox=BoundingBox(
-                                f.bbox.x_tl * k, f.bbox.y_tl * k, f.bbox.x_br * k, f.bbox.y_br * k
-                            ),
-                            features=f.features,
-                        )
-                        for f in pic.faces
-                    ),
-                    label=pic.label,
-                )
-                s2 = baseline_score(big, t)
-                ok = ok and s2.passed == base.passed and s2.value == base.value
-            # (c) any gate failure forces a zero score
-            tight = BaselineThresholds(0.45, 0.55, 0.45, 0.55, 1e-9, 1.0)
-            s3 = baseline_score(pic, tight)
-            ok = ok and (s3.passed or s3.value == 0.0)
+            for pic in pics
+        ]
+        s2 = picture_scores(Dataset(records=big), t)
+        ok = ok and all(np.array_equal(s, b) for s, b in zip(s2, base))
+    # (c) any gate failure forces a zero score
+    tight = BaselineThresholds(0.45, 0.55, 0.45, 0.55, 1e-9, 1.0)
+    passed, value = picture_scores(Dataset(records=pics), tight)
+    ok = ok and bool(np.all(passed | (value == 0.0)))
     _report(
         "criterion 5 scoring equivalences",
         ok and n_checked >= 1000,

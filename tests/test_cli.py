@@ -257,6 +257,17 @@ def test_ingest_and_split_keep_crops_for_face_cnn(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("crop", ["missing.pgm", "corrupt.pgm"])
+def test_split_opens_no_crop(tmp_path, capsys, crop):
+    """split keeps a face whose crop is missing or corrupt, with its absolute path; ingest drops it."""
+    (tmp_path / "corrupt.pgm").write_bytes(b"P5\n40 40\n255\n")  # no pixel data
+    assert main(_split(tmp_path, _with_face(_face_record("p0"), face_image_path=crop))) == EXIT_OK
+    (record,) = read_records_jsonl(tmp_path / "s" / "train.jsonl")
+    assert [f.get("face_image_path") for f in record["faces"]] == [str(tmp_path / crop), None]
+    assert main(["ingest", "--dataset", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+    assert "dropped 0 records, 1 faces" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["train-face-ann", "train-face-cnn"])
 def test_face_training_without_usable_faces_is_data_error(tmp_path, dataset_path, command, capsys):
     # dataset_path holds unlabeled faces without crops
@@ -532,6 +543,10 @@ def _ingest(tmp, *lines):
     return ["ingest", "--dataset", _write(tmp / "in.jsonl", *lines), "--out", str(tmp / "out.jsonl")]
 
 
+def _split(tmp, *lines):
+    return ["split", "--dataset", _write(tmp / "in.jsonl", *lines), "--out-dir", str(tmp / "s"), "--ratios", "1,0,0"]
+
+
 def _simulate(tmp, scenario):
     return ["simulate", "--scenario", _write(tmp / "s.json", scenario), "--out", str(tmp / "log.jsonl")]
 
@@ -632,6 +647,18 @@ BAD_INPUT_PROBES = {
         ),
         EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
     ),
+    # split opens no crop file: the face keeps its crop path (see test_split_opens_no_crop)
+    **{
+        f"split_{name}_crop": (
+            lambda tmp, get, crop=crop: _split(
+                tmp, _with_face(_face_record("p0"), face_image_path=crop(tmp)), _face_record("p1")
+            ),
+            EXIT_OK, "split sizes: train=2 test=0 validation=0",
+        )
+        for name, crop in (
+            ("missing", lambda tmp: "no.pgm"), ("corrupt", lambda tmp: _write(tmp / "bad.pgm", b"P5\n40 x\n255\n"))
+        )
+    },
     "ingest_non_object_line": (lambda tmp, get: _ingest(tmp, _face_record("p0"), [1, 2]), EXIT_DATA, ""),
     "ingest_non_utf8_line": (
         lambda tmp, get: _ingest(tmp, _face_record("p0"), b'{"picture_id": "\xff"}\n'), EXIT_DATA, ""

@@ -136,7 +136,7 @@ def test_method_scores_match_the_per_face_scorers_bit_for_bit(seed):
             passed, value = got[method]
             assert passed.tolist() == [s.passed for s in want]
             assert value.tobytes() == np.array([s.value for s in want]).tobytes()
-        assert accuracy(heuristic_t, pics) == reference_accuracy(heuristic_t, pics)
+        assert accuracy(heuristic_t, Dataset(records=pics)) == reference_accuracy(heuristic_t, pics)
 
 
 def _heuristic(r_min=0.5, p_min=0.4):
@@ -178,9 +178,9 @@ def test_an_unscored_face_raises_even_behind_a_failing_face():
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
         heuristic_score(pic, t)
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
-        accuracy(t, [pic])
+        accuracy(t, Dataset(records=[pic]))
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
-        _FitnessCache([pic], "heuristic")
+        _FitnessCache(Dataset(records=[pic]), "heuristic")
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
         method_scores(Dataset(records=[pic]), t.baseline, t, LAYOUT_MODEL)
     assert not baseline_score(pic, t.baseline).passed  # the baseline gate reads no score

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_face, make_picture
+from conftest import make_face, make_picture, neutral_features
 from oracles import record_to_dict
 from robophoto.core import (
     BoundingBox,
@@ -49,8 +51,36 @@ def _raw_face(x_tl=100, y_tl=100, x_br=400, y_br=400):
 
 
 def test_degenerate_bbox_rejected():
-    with pytest.raises(ValidationError):
-        BoundingBox(10, 10, 10, 20)
+    with pytest.raises(ValidationError, match="'p0'"):
+        Dataset(records=[make_picture([make_face(10, 10, 10, 20)])])
+
+
+# each record rule that packing applies, broken in picture p1: (face fields, picture fields)
+BROKEN_RULES = {
+    "box_order": ({"bbox": BoundingBox(10, 10, 10, 20)}, {}),
+    "box_outside_picture": ({"bbox": BoundingBox(2900, 100, 3001, 200)}, {}),
+    "score_above_one": ({"score": 1.5}, {}),
+    "score_nan": ({"score": math.nan}, {}),
+    "angle_beyond_180": ({"features": neutral_features(yaw=180.5)}, {}),
+    "feature_not_finite": ({"features": neutral_features(blur=math.inf)}, {}),
+    "crop_below_30x30": ({"face_image": np.zeros((29, 40), dtype=np.uint8)}, {}),
+    "size_below_2": ({}, {"height": 1}),
+    "empty_burst_id": ({}, {"burst_id": ""}),
+    "duplicate_picture_id": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(BROKEN_RULES))
+def test_packing_a_record_that_breaks_a_rule_names_the_picture(rule):
+    face_fields, picture_fields = BROKEN_RULES[rule]
+    face = make_face(100, 100, 400, 400, score=0.5)
+    pictures = [
+        make_picture([face], picture_id="p0"),
+        make_picture([replace(face, **face_fields)], picture_id="p1", **picture_fields),
+        make_picture([face], picture_id="p1" if rule == "duplicate_picture_id" else "p2"),
+    ]
+    with pytest.raises(ValidationError, match="'p1'"):
+        Dataset(records=pictures)
 
 
 def test_validate_passes_well_formed_record():

@@ -3,12 +3,11 @@ import pytest
 
 from conftest import face_columns, make_face, neutral_features
 from robophoto import tinynet
-from robophoto.core import DatasetError, FaceObservation, Label
+from robophoto.core import DatasetError, FaceObservation, Label, ValidationError
 from robophoto.face_quality import (
     FACE_CROP_H,
     FACE_CROP_W,
     MissingInputError,
-    UndersizedFaceError,
     build_face_ann,
     build_face_cnn,
     evaluate_face_model,
@@ -67,7 +66,7 @@ def test_preprocess_constant_image_stays_constant():
 
 
 def test_preprocess_rejects_small_crop():
-    with pytest.raises(UndersizedFaceError):
+    with pytest.raises(ValidationError):
         preprocess_face(np.zeros((20, 50), dtype=np.uint8))
 
 

@@ -167,6 +167,25 @@ def test_no_hand_written_json_reader(path):
     found = [f"line {node.lineno}" for node in ast.walk(tree) if _reads_json(node)]
     assert not found, f"{path.name} reads JSON by hand, use errors.parsed_json: {', '.join(found)}"
 
+
+RECORD_TYPES = ("BoundingBox", "FaceFeatures", "FaceObservation", "PictureRecord")
+
+
+def test_record_types_check_nothing():
+    """The record types in core.py are plain values: validate_dataset is the one check
+    of every record rule, and Dataset(records=...) packs records through it."""
+    tree = ast.parse((PACKAGE_DIR / "core.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert set(RECORD_TYPES) <= classes.keys()
+    checks = [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name in RECORD_TYPES
+        for node in classes[name].body
+        if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__post_init__")
+    ]
+    assert not checks, f"record types must not check or convert their fields: {', '.join(checks)}"
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
     """Each public top-level def, class and assignment target in a module."""
     names = []

@@ -135,7 +135,7 @@ def test_whole_files_keep_drop_and_write_what_the_record_objects_did(tmp_path, c
     """Bad faces and bad records anywhere in a file, faceless records, missing crops
     and faces outside their picture: the columns keep the same ids in the same order,
     count the same drops and write the same bytes, also after a round trip through
-    the record views."""
+    the record views, and so does a Dataset packed from the oracle's record objects."""
     path = crop_dir / "d.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     raw = read_records_jsonl(path)
@@ -151,8 +151,9 @@ def test_whole_files_keep_drop_and_write_what_the_record_objects_did(tmp_path, c
     expected = "".join(json.dumps(oracles.record_to_dict(r), sort_keys=True) + "\n" for r in kept)
     write_dataset_jsonl(result.dataset, tmp_path / "columns.jsonl")
     write_dataset_jsonl(Dataset(records=oracles.records(result.dataset)), tmp_path / "views.jsonl")
-    assert (tmp_path / "columns.jsonl").read_text() == expected
-    assert (tmp_path / "views.jsonl").read_text() == expected
+    write_dataset_jsonl(Dataset(records=kept), tmp_path / "records.jsonl")
+    for name in ("columns.jsonl", "views.jsonl", "records.jsonl"):
+        assert (tmp_path / name).read_text() == expected, name
     for got, want in zip(oracles.records(result.dataset), kept):
         assert [None if f.face_image is None else f.face_image.tobytes() for f in got.faces] == [
             None if f.face_image is None else f.face_image.tobytes() for f in want.faces
@@ -192,13 +193,13 @@ def test_fitness_cache_from_columns_is_bit_equal_to_the_per_picture_loop(seed, k
         expected = oracles.fitness_cache(pictures, kind)
     except DatasetError as e:  # no labeled picture
         with pytest.raises(type(e), match="no labeled pictures"):
-            _FitnessCache(pictures, kind)
+            _FitnessCache(Dataset(records=pictures), kind)
         return
-    for built in (_FitnessCache(pictures, kind), _FitnessCache(Dataset(records=pictures), kind)):
-        assert built.n_pictures == expected.n_pictures
-        for name in CACHE_ARRAYS:
-            got, want = getattr(built, name), getattr(expected, name)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    built = _FitnessCache(Dataset(records=pictures), kind)
+    assert built.n_pictures == expected.n_pictures
+    for name in CACHE_ARRAYS:
+        got, want = getattr(built, name), getattr(expected, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -210,9 +211,9 @@ def test_fitness_cache_raises_for_an_unscored_heuristic_face(seed):
     with pytest.raises(UnscoredFaceError) as expected:
         oracles.fitness_cache(pictures, "heuristic")
     with pytest.raises(UnscoredFaceError) as got:
-        _FitnessCache(pictures, "heuristic")
+        _FitnessCache(Dataset(records=pictures), "heuristic")
     assert str(got.value) == str(expected.value)
-    _FitnessCache(pictures, "baseline")  # the baseline gates read no score
+    _FitnessCache(Dataset(records=pictures), "baseline")  # the baseline gates read no score
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,7 +17,11 @@ from robophoto.behavior_sim import Scenario, Simulator, write_event_log
 from robophoto.core import (
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
+    BoundingBox,
+    Dataset,
     FaceFeatures,
+    FaceObservation,
+    PictureRecord,
     ValidationError,
     face_to_dict,
     validate_dataset,
@@ -93,7 +97,8 @@ def _faces(faces, to_dict) -> list:
 def test_one_pass_face_check_keeps_what_the_per_value_checks_kept(crop_dir, edits):
     """Any bbox, feature, score, label, crop path or record size slot set to a JSON
     value, -0.0, a huge int, a bool or a level name: the reader keeps the faces and
-    records the oracle keeps, and writes them out with the same bytes."""
+    records the oracle keeps, and writes them out with the same bytes; so does a
+    Dataset packed from the oracle's record objects."""
     record = _record()
     for path, value in edits:
         target = record
@@ -110,9 +115,9 @@ def test_one_pass_face_check_keeps_what_the_per_value_checks_kept(crop_dir, edit
         assert result.dropped_records == 1 and len(result.dataset) == 0
         return
     assert result.dropped_records == 0 and result.dropped_faces == dropped_faces
-    (kept,) = oracles.records(result.dataset)
-    assert _faces(kept.faces, face_to_dict) == _faces(expected.faces, oracles.face_to_dict)
-    assert (kept.width, kept.height, kept.label) == (expected.width, expected.height, expected.label)
+    for (kept,) in (oracles.records(result.dataset), oracles.records(Dataset(records=[expected]))):
+        assert _faces(kept.faces, face_to_dict) == _faces(expected.faces, oracles.face_to_dict)
+        assert (kept.width, kept.height, kept.label) == (expected.width, expected.height, expected.label)
 
 
 @PROPERTY
@@ -132,32 +137,25 @@ def test_row_check_gives_each_value_the_checked_number_verdict(values, integer):
     assert [(type(v), repr(v)) for v in row] == [(type(v), repr(v)) for v in expected]
 
 
-def _converts(value) -> bool:
-    try:
-        float(value)
-    except (ValueError, TypeError, OverflowError):
-        return False
-    return True
-
-
 @PROPERTY
 @given(values=st.lists(NUMBERS | st.sampled_from(["12", "-0.0", " 1e3 ", "x", None, [1.0]])
                        | st.floats().map(np.float64) | st.integers(-200, 200).map(np.int64), min_size=9, max_size=9))
 def test_face_features_built_directly_match_the_old_constructor(values):
-    """A caller's own FaceFeatures: float() of each value, angles within +-180,
-    finite likelihoods and scores clamped to [0, 1], -0.0 clamped to 0.0. A value
-    float() cannot take raises float()'s error, which may now come before the
-    ValidationError of an earlier value that the old constructor checked first."""
-    float_errors = (ValueError, TypeError, OverflowError)
+    """A caller's own FaceFeatures, packed into a Dataset: angles within +-180, finite
+    likelihoods and scores clamped to [0, 1], -0.0 clamped to 0.0, as the old
+    constructor gave them. Packing takes a value as a record file's number
+    (checked_number), so numeric text, a bool or a numpy scalar, which the old
+    constructor passed through float(), now raises ValidationError too."""
+    face = FaceObservation(BoundingBox(0, 0, 10, 10), FaceFeatures(*values))
+    picture = PictureRecord("p0", "b0", 20, 20, (face,))
     try:
-        expected = oracles.FaceFeatures(*values)
-    except float_errors:
-        with pytest.raises(ValidationError if all(map(_converts, values)) else float_errors):
-            FaceFeatures(*values)
+        expected = oracles.FaceFeatures(*checked_numbers(values, ValidationError, FEATURE_NAMES))
+    except ValidationError:
+        with pytest.raises(ValidationError, match="'p0'"):
+            Dataset(records=[picture])
         return
-    got = FaceFeatures(*values)
-    assert [repr(getattr(got, n)) for n in FEATURE_NAMES] == [repr(getattr(expected, n)) for n in FEATURE_NAMES]
-    assert all(type(getattr(got, n)) is float for n in FEATURE_NAMES)
+    got = Dataset(records=[picture]).features[0].tolist()
+    assert [repr(v) for v in got] == [repr(getattr(expected, n)) for n in FEATURE_NAMES]
 
 
 WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import make_random_pictures, reference_accuracy
-from robophoto.core import Label
+from robophoto.core import Dataset, Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
     ELITISM_COUNT,
@@ -97,7 +97,7 @@ def test_ga_config_rejects_negative_generations_and_runs_zero():
     with pytest.raises(UsageError):
         GAConfig(generations=-1)
     pics = make_threshold_dataset(20, seed=1, kind="baseline")
-    report = ga_optimize(pics, "baseline", GAConfig(population_size=8, generations=0))
+    report = ga_optimize(Dataset(records=pics), "baseline", GAConfig(population_size=8, generations=0))
     assert report.evaluations == 8 and report.curve == ()
 
 
@@ -108,12 +108,12 @@ def test_genome_roundtrip_thresholds():
 
 def test_accuracy_perfect_with_hidden_thresholds():
     pics = make_threshold_dataset(150, seed=1, kind="baseline")
-    assert accuracy(DEFAULT_HIDDEN_BASELINE, pics) == 1.0
+    assert accuracy(DEFAULT_HIDDEN_BASELINE, Dataset(records=pics)) == 1.0
 
 
 def test_accuracy_perfect_heuristic():
     pics = make_threshold_dataset(150, seed=2, kind="heuristic")
-    assert accuracy(DEFAULT_HIDDEN_HEURISTIC, pics) == 1.0
+    assert accuracy(DEFAULT_HIDDEN_HEURISTIC, Dataset(records=pics)) == 1.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,7 +122,7 @@ def test_fitness_cache_matches_scorer(seed):
     rng = np.random.default_rng(seed)
     pics = make_random_pictures(25, seed=seed, with_scores=True)
     genome = repair_genome(rng.uniform(0, 1, 8))
-    cache = _FitnessCache(pics, "heuristic")
+    cache = _FitnessCache(Dataset(records=pics), "heuristic")
     t = genome_to_thresholds("heuristic", genome)
     expected = reference_accuracy(t, pics)
     assert cache.evaluate(genome[None])[0] == expected
@@ -131,7 +131,7 @@ def test_fitness_cache_matches_scorer(seed):
 def test_fitness_cache_baseline_matches_scorer():
     rng = np.random.default_rng(11)
     pics = make_random_pictures(40, seed=3)
-    cache = _FitnessCache(pics, "baseline")
+    cache = _FitnessCache(Dataset(records=pics), "baseline")
     for _ in range(20):
         genome = repair_genome(rng.uniform(0, 1, 6))
         t = genome_to_thresholds("baseline", genome)
@@ -143,7 +143,7 @@ def test_fitness_with_only_faceless_pictures(kind):
     pics = [replace(p, faces=()) for p in make_random_pictures(12, seed=2, with_scores=True)]
     pop = repair_genome(np.random.default_rng(0).uniform(0, 1, (5, 6 if kind == "baseline" else 8)))
     expected = sum(p.label is Label.BAD for p in pics) / len(pics)
-    assert list(_FitnessCache(pics, kind).evaluate(pop)) == [expected] * len(pop)
+    assert list(_FitnessCache(Dataset(records=pics), kind).evaluate(pop)) == [expected] * len(pop)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,15 +174,15 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
             r = p.faces[int(rng.integers(len(p.faces)))].score
             raw[row, 6:] = r, sum(f.score > r for f in p.faces) / len(p.faces)
     pop = repair_genome(raw)
-    got = _FitnessCache(pics, kind).evaluate(pop)
+    got = _FitnessCache(Dataset(records=pics), kind).evaluate(pop)
     assert got.shape == (len(pop),)
     assert list(got) == [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
 
 
 def test_ga_deterministic():
     pics = make_threshold_dataset(80, seed=4, kind="baseline")
-    a = ga_optimize(pics, "baseline", FAST_GA)
-    b = ga_optimize(pics, "baseline", FAST_GA)
+    a = ga_optimize(Dataset(records=pics), "baseline", FAST_GA)
+    b = ga_optimize(Dataset(records=pics), "baseline", FAST_GA)
     assert a.best_genome == b.best_genome
     assert a.curve == b.curve
 
@@ -201,21 +201,21 @@ def test_ga_report_matches_golden_digest(kind):
     # random labels: fitness plateaus, so the tie rules decide a lot
     pics = make_random_pictures(60, seed=5, with_scores=True)
     pics = [replace(p, faces=()) if i % 10 == 0 else p for i, p in enumerate(pics)]
-    r = ga_optimize(pics, kind, GAConfig(population_size=24, generations=20, seed=7))
+    r = ga_optimize(Dataset(records=pics), kind, GAConfig(population_size=24, generations=20, seed=7))
     key = (r.kind, tuple(map(float, r.best_genome)), r.best_accuracy, r.curve, r.evaluations)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == GA_REPORT_DIGESTS[kind]
 
 
 def test_ga_recovers_baseline_rule():
     pics = make_threshold_dataset(200, seed=5, kind="baseline")
-    report = ga_optimize(pics, "baseline", GAConfig(seed=1))
+    report = ga_optimize(Dataset(records=pics), "baseline", GAConfig(seed=1))
     assert report.best_accuracy >= 0.98
-    assert accuracy(report.best_thresholds, pics) == pytest.approx(report.best_accuracy)
+    assert accuracy(report.best_thresholds, Dataset(records=pics)) == pytest.approx(report.best_accuracy)
 
 
 def test_ga_recovers_heuristic_rule():
     pics = make_threshold_dataset(200, seed=6, kind="heuristic")
-    report = ga_optimize(pics, "heuristic", GAConfig(seed=1))
+    report = ga_optimize(Dataset(records=pics), "heuristic", GAConfig(seed=1))
     assert report.best_accuracy >= 0.98
 
 
@@ -225,13 +225,13 @@ def test_small_ga_leaves_the_reject_everything_plateau():
     pics = make_threshold_dataset(60, seed=3, kind="heuristic")
     for seed in range(10):
         config = GAConfig(population_size=16, generations=20, seed=seed)
-        assert ga_optimize(pics, "baseline", config).best_accuracy >= 0.7
-        assert ga_optimize(pics, "heuristic", config).best_accuracy >= 0.95
+        assert ga_optimize(Dataset(records=pics), "baseline", config).best_accuracy >= 0.7
+        assert ga_optimize(Dataset(records=pics), "heuristic", config).best_accuracy >= 0.95
 
 
 def test_ga_curve_best_never_decreases_under_elitism():
     pics = make_threshold_dataset(100, seed=7, kind="baseline")
-    report = ga_optimize(pics, "baseline", FAST_GA)
+    report = ga_optimize(Dataset(records=pics), "baseline", FAST_GA)
     best = [b for _, b, _ in report.curve]
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert report.evaluations == FAST_GA.population_size * (FAST_GA.generations + 1)
@@ -250,9 +250,10 @@ GENERATION_PICTURES = make_random_pictures(40, seed=3, with_scores=True)
 def test_generation_step_keeps_size_and_elites(size, generations, seed, kind):
     # random labels: fitness plateaus, so ties decide the elites
     pics = GENERATION_PICTURES
-    report = ga_optimize(pics, kind, GAConfig(population_size=size, generations=generations, seed=seed))
+    config = GAConfig(population_size=size, generations=generations, seed=seed)
+    report = ga_optimize(Dataset(records=pics), kind, config)
     # replay ga_optimize's stream one generation at a time
-    cache = _FitnessCache(pics, kind)
+    cache = _FitnessCache(Dataset(records=pics), kind)
     rng = np.random.default_rng(seed)
     pop = _initial_population(rng, size, cache.dim)
     fitness = cache.evaluate(pop)
@@ -269,16 +270,16 @@ def test_generation_step_keeps_size_and_elites(size, generations, seed, kind):
 
 def test_ga_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        ga_optimize(make_random_pictures(5, seed=0), "other")
+        ga_optimize(Dataset(records=make_random_pictures(5, seed=0)), "other")
 
 
 @pytest.mark.parametrize("kind, steps", [("baseline", 4), ("heuristic", 3)])
 def test_grid_oracle_agrees_with_direct_sweep(kind, steps):
     # brute force over the same grid, in lexicographic order, through the GA fitness
     pics = make_threshold_dataset(40, seed=8, kind=kind)
-    report = grid_search_oracle(pics, kind, steps)
+    report = grid_search_oracle(Dataset(records=pics), kind, steps)
     values = np.linspace(0, 1, steps)
-    cache = _FitnessCache(pics, kind)
+    cache = _FitnessCache(Dataset(records=pics), kind)
     grid = np.stack(np.meshgrid(*[values] * cache.dim, indexing="ij"), axis=-1).reshape(-1, cache.dim)
     fitness = cache.evaluate(grid)
     assert report.best_accuracy == fitness.max()
@@ -287,21 +288,21 @@ def test_grid_oracle_agrees_with_direct_sweep(kind, steps):
 
 def test_grid_oracle_heuristic_small():
     pics = make_threshold_dataset(30, seed=9, kind="heuristic")
-    report = grid_search_oracle(pics, "heuristic", 3)
+    report = grid_search_oracle(Dataset(records=pics), "heuristic", 3)
     assert report.evaluations == 3**8
     assert 0.0 <= report.best_accuracy <= 1.0
-    cache = _FitnessCache(pics, "heuristic")
+    cache = _FitnessCache(Dataset(records=pics), "heuristic")
     assert cache.evaluate(np.array(report.best_genome)[None])[0] == report.best_accuracy
 
 
 def test_grid_oracle_point_budget():
     with pytest.raises(ValueError):
-        grid_search_oracle(make_random_pictures(5, seed=0), "heuristic", 10)
+        grid_search_oracle(Dataset(records=make_random_pictures(5, seed=0)), "heuristic", 10)
 
 
 def test_curve_csv(tmp_path):
     pics = make_threshold_dataset(40, seed=10, kind="baseline")
-    report = ga_optimize(pics, "baseline", GAConfig(population_size=8, generations=3, seed=0))
+    report = ga_optimize(Dataset(records=pics), "baseline", GAConfig(population_size=8, generations=3, seed=0))
     path = tmp_path / "curve.csv"
     write_curve_csv(report, path)
     lines = path.read_text().splitlines()
