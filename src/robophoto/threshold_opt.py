@@ -14,7 +14,7 @@ import numpy as np
 
 # re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
 from .composition import baseline_score  # noqa: F401
-from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome
+from .composition import BaselineThresholds, Gate, HeuristicThresholds, word_bits, thresholds_genome
 from .core import Dataset, labeled_rows
 from .errors import UsageError
 
@@ -83,9 +83,9 @@ def accuracy(thresholds, pictures: Dataset) -> float:
 
 class _FitnessCache(Gate):
     """The scorers' gate (composition.Gate) over the labeled pictures, with their
-    labels: a whole population's training accuracy is one broadcast over
-    (genomes, pictures). It reads the gate's tables only; the GA never needs the
-    center-distance sums, so none are computed."""
+    labels packed as the gate's bitsets are: a genome's training accuracy counts
+    the bits where its passed set and the Good set differ. It reads the gate's
+    bitsets only; the GA never needs the center-distance sums, so none are computed."""
 
     def __init__(self, pictures: Dataset, kind: str):
         if kind not in ("baseline", "heuristic"):
@@ -93,10 +93,13 @@ class _FitnessCache(Gate):
         labeled, self.labels_good = labeled_rows(pictures.label.tolist(), "pictures")
         super().__init__(pictures.take(labeled), kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
+        self._good = np.zeros(self._tables.shape[2], np.uint64)
+        np.bitwise_or.at(self._good, *word_bits(np.flatnonzero(self.labels_good)))
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
-        """Training accuracy of each genome in a (P, dim) population."""
-        return np.count_nonzero(self.passed(population) == self.labels_good, axis=1) / self.n_pictures
+        """Training accuracy of each genome in a (P, dim) population, from the counts a dense compare gives."""
+        wrong = np.bitwise_count(self.passed(population) ^ self._good).sum(axis=1)
+        return (self.n_pictures - wrong) / self.n_pictures
 
 
 def _ranking(pop: np.ndarray, fitness: np.ndarray) -> np.ndarray:
@@ -184,10 +187,10 @@ def grid_search_oracle(
 ) -> FitnessReport:
     """Exhaustive accuracy maximization over a uniform threshold grid.
 
-    Independent of the GA's search: it starts from the gate's per-picture
-    tables (composition.Gate), which tests check against the per-face
-    scorers, and sweeps the grid with factorized boolean tables. Ties
-    resolve to the first point in lexicographic genome order.
+    Independent of the GA's search and of its packed bitsets: it starts from
+    the gate's per-picture statistics (composition.Gate), which tests check
+    against the per-face scorers, and sweeps the grid with factorized dense
+    boolean tables. Ties resolve to the first point in lexicographic genome order.
     """
     cache = _FitnessCache(pictures, kind)
     total = steps_per_axis**cache.dim

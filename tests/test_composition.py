@@ -23,6 +23,7 @@ from robophoto.composition import (
     HeuristicThresholds,
     baseline_score,
     heuristic_score,
+    picture_scores,
     thresholds_from_json,
     thresholds_to_json,
 )
@@ -96,6 +97,12 @@ def test_baseline_any_failing_face_zeroes_picture():
 def test_baseline_faceless_fails():
     s = baseline_score(make_picture([]), WIDE)
     assert not s.passed and s.value == 0.0
+
+
+@pytest.mark.parametrize("t", [WIDE, HeuristicThresholds(WIDE, 0.5, 0.5)])
+def test_an_empty_dataset_scores_no_picture(t):
+    passed, value = picture_scores(Dataset(records=()), t)
+    assert (passed.dtype, passed.shape, value.dtype, value.shape) == (bool, (0,), np.float64, (0,))
 
 
 def _thresholds_on_statistics(rng, pics, rows):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import make_face, make_picture
 from oracles import make_random_pictures, reference_accuracy
 from robophoto.core import Dataset, Label
 from robophoto.errors import UsageError
@@ -177,6 +179,66 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
     got = _FitnessCache(Dataset(records=pics), kind).evaluate(pop)
     assert got.shape == (len(pop),)
     assert list(got) == [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
+
+
+SPECIAL_GENES = [-0.0, 0.0, np.inf, -np.inf, np.nan]
+
+
+def _tied_pictures(rng, n):
+    """n labeled pictures of up to 8 faces, some faceless, with face scores drawn
+    from a few values so that ties are common."""
+    pictures = []
+    for i in range(n):
+        width, height = int(rng.integers(2, 60)), int(rng.integers(2, 60))
+        faces = []
+        for _ in range(int(rng.integers(0, 9))):
+            x0, y0 = int(rng.integers(0, width - 1)), int(rng.integers(0, height - 1))
+            x1, y1 = int(rng.integers(x0 + 1, width + 1)), int(rng.integers(y0 + 1, height + 1))
+            faces.append(make_face(x0, y0, x1, y1, score=float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()]))))
+        pictures.append(make_picture(faces, width, height, f"t{i}", label=(Label.GOOD, Label.BAD)[int(rng.integers(2))]))
+    return pictures
+
+
+def _boundary_population(rng, cache, size):
+    """Raw genomes: random genes, some set exactly to one picture's statistic, face
+    score or fraction behind otherwise open gates, and special values anywhere."""
+    dim = cache.dim
+    pop = rng.uniform(-0.1, 1.1, (size, dim))
+    stats = np.array([cache.xtl_min, cache.xbr_max, cache.ytl_min, cache.ybr_max, cache.occ_min, cache.occ_max])
+    for row in range(0, size, 2):
+        pop[row] = [-np.inf, np.inf] * 3 + [-np.inf, -np.inf][: dim - 6]
+        i, gene = int(rng.integers(cache.n_pictures)), int(rng.integers(dim))
+        if gene < 6:
+            pop[row, gene] = stats[gene, i]
+        elif len(cache.ranked):
+            pop[row, gene] = (cache.ranked if gene == 6 else cache.fractions)[int(rng.integers(len(cache.ranked))), i]
+    special = rng.random(pop.shape) < 0.1
+    pop[special] = rng.choice(SPECIAL_GENES, np.count_nonzero(special))
+    return pop
+
+
+def _packed(dense):
+    """(P, n) bools as (P, ceil(n / 64)) words, bit i % 64 of word i // 64."""
+    padded = np.zeros((len(dense), -(-dense.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : dense.shape[1]] = dense
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    size=st.sampled_from([1, 65]),
+    kind=st.sampled_from(["baseline", "heuristic"]),
+)
+def test_packed_gate_and_fitness_are_bit_equal_to_the_dense_gate(seed, n, size, kind):
+    rng = np.random.default_rng(seed)
+    cache = _FitnessCache(Dataset(records=_tied_pictures(rng, n)), kind)
+    pop = _boundary_population(rng, cache, size)
+    got = cache.passed(pop)
+    assert (got.dtype, got.shape) == (np.uint64, (size, -(-n // 64)))
+    assert got.tobytes() == _packed(oracles.gate_passed(cache, pop)).tobytes()
+    assert cache.evaluate(pop).tobytes() == oracles.fitness(cache, pop).tobytes()
 
 
 def test_ga_deterministic():
