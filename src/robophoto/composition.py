@@ -68,20 +68,19 @@ class Gate:
     the few numbers the thresholds compare, each sorted once into packed bitsets, so
     `passed` turns each gene of a population into one sorted lookup of a bitset row.
 
-    Every face passes `x_tl / width > x_min` exactly when the picture's smallest
-    ratio does, and likewise for the other five gates; a faceless picture gets -inf
-    minima and +inf maxima and fails. For a heuristic gate, column i of `ranked`
-    holds picture i's face scores in descending order and `fractions` the matching
-    j/k (the float divisions good/k gives), both padded with -inf. Scores fall and
-    fractions rise along j, so some j has `ranked[j] > r_min` and `fractions[j] >
-    p_min` exactly when the first j with `fractions[j] > p_min` does, and that j moves
-    only with p_min's bucket among the distinct fractions. Ratios are int / int on
-    the object columns and min and max are exact in any order, so no statistic is
-    NaN; a NaN gene passes no picture. Unscored faces raise UnscoredFaceError in a heuristic gate.
+    Every face passes `x_tl / width > x_min` exactly when the picture's smallest ratio does,
+    and likewise for the other five gates; a faceless picture gets -inf minima and +inf
+    maxima and fails. In a heuristic gate, column i of `ranked` holds picture i's face scores
+    in descending order and `fractions` the matching j/k (the divisions good/k gives), both
+    padded with -inf. Scores fall and fractions rise along j, so some j has `ranked[j] >
+    r_min` and `fractions[j] > p_min` exactly when the first j with `fractions[j] > p_min`
+    does; that j moves only with p_min's bucket among the distinct fractions. Ratios are
+    int / int on the object columns and min and max are exact, so no statistic is NaN; a NaN
+    gene passes no picture. A heuristic gate raises UnscoredFaceError for any unscored face.
     """
 
     # genes 0-5 in genome order: a min gate tests stat > t, a max gate stat < t, that is -stat > -t
-    SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
     def __init__(self, data: Dataset, heuristic: bool):
         self.heuristic, self.n_pictures = heuristic, len(data)
@@ -97,7 +96,7 @@ class Gate:
         self.xtl_min, self.ytl_min, self.occ_min, self.xbr_max, self.ybr_max, self.occ_max = tables
         depth = int(counts.max(initial=0)) if heuristic else 0
         self.ranked, self.fractions = np.full((2, depth, self.n_pictures), -np.inf)
-        columns = tables[[0, 3, 1, 4, 2, 5]] * self.SIGNS[:, None]
+        columns = tables[[0, 3, 1, 4, 2, 5]] * self._SIGNS[:, None]
         if heuristic:
             unscored = np.isnan(data.score)
             if unscored.any():
@@ -125,7 +124,7 @@ class Gate:
     def passed(self, genomes: np.ndarray) -> np.ndarray:
         """(P, ceil(n / 64)) bitsets of the pictures that pass each genome of a (P, 6 or 8)
         population, genes in `thresholds_genome` order. Bits past n stay clear."""
-        genes = genomes[:, :6] * self.SIGNS
+        genes = genomes[:, :6] * self._SIGNS
         counts = [self.n_pictures - s.searchsorted(t, "right") for s, t in zip(self._sorted, genes.T)]
         pred = np.bitwise_and.reduce(self._tables[np.arange(6)[:, None], counts])
         if self.heuristic:

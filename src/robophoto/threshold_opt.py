@@ -14,7 +14,7 @@ import numpy as np
 
 # re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
 from .composition import baseline_score  # noqa: F401
-from .composition import BaselineThresholds, Gate, HeuristicThresholds, word_bits, thresholds_genome
+from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome, word_bits
 from .core import Dataset, labeled_rows
 from .errors import UsageError
 
