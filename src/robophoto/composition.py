@@ -58,29 +58,21 @@ def _face_places(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return counts, owner, np.arange(len(owner)) - data.offsets[owner]
 
 
-def word_bits(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The word and bit of each index in a packed bitset: bit i % 64 of word i // 64."""
-    return index >> 6, np.uint64(1) << (index & 63).astype(np.uint64)
-
-
 class Gate:
     """The one definition of the scorers' gate: each picture's faces reduced once to
-    the few numbers the thresholds compare, each sorted once into packed bitsets, so
-    `passed` turns each gene of a population into one sorted lookup of a bitset row.
+    the few numbers the thresholds compare, so `passed` tests every genome of a
+    population against every picture in one broadcast over (genomes, pictures).
 
-    Every face passes `x_tl / width > x_min` exactly when the picture's smallest ratio does,
-    and likewise for the other five gates; a faceless picture gets -inf minima and +inf
-    maxima and fails. In a heuristic gate, column i of `ranked` holds picture i's face scores
-    in descending order and `fractions` the matching j/k (the divisions good/k gives), both
-    padded with -inf. Scores fall and fractions rise along j, so some j has `ranked[j] >
-    r_min` and `fractions[j] > p_min` exactly when the first j with `fractions[j] > p_min`
-    does; that j moves only with p_min's bucket among the distinct fractions. Ratios are
-    int / int on the object columns and min and max are exact, so no statistic is NaN; a NaN
-    gene passes no picture. A heuristic gate raises UnscoredFaceError for any unscored face.
+    Every face passes `x_tl / width > x_min` exactly when the picture's smallest
+    ratio does, and likewise for the other five gates. A faceless picture gets
+    -inf minima and +inf maxima, so it fails every gate. For a heuristic gate,
+    column i of `ranked` holds picture i's face scores in descending order and
+    `fractions` the matching j/k, both padded with -inf: `good/k > p_min` holds
+    exactly when some j has `ranked[j] > r_min` and `fractions[j] > p_min`, since
+    good/k is one of the same float divisions j/k. Ratios are int / int on the
+    object columns, and min and max reduce per picture, exact in any order. Any
+    unscored face raises UnscoredFaceError from a heuristic gate, wherever it sits.
     """
-
-    # genes 0-5 in genome order: a min gate tests stat > t, a max gate stat < t, that is -stat > -t
-    _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
     def __init__(self, data: Dataset, heuristic: bool):
         self.heuristic, self.n_pictures = heuristic, len(data)
@@ -96,8 +88,7 @@ class Gate:
         self.xtl_min, self.ytl_min, self.occ_min, self.xbr_max, self.ybr_max, self.occ_max = tables
         depth = int(counts.max(initial=0)) if heuristic else 0
         self.ranked, self.fractions = np.full((2, depth, self.n_pictures), -np.inf)
-        columns = tables[[0, 3, 1, 4, 2, 5]] * self._SIGNS[:, None]
-        if heuristic:
+        if heuristic and len(owner):
             unscored = np.isnan(data.score)
             if unscored.any():
                 raise UnscoredFaceError(f"face in {data.picture_id[owner[unscored.argmax()]]} has no quality score")
@@ -105,32 +96,16 @@ class Gate:
             order = np.lexsort((-data.score, owner))
             self.ranked[rank, owner] = data.score[order]
             self.fractions[rank, owner] = (rank + 1) / counts[owner]
-            # p_min's bucket b is [edges[b], edges[b + 1]): its column is the first score with j/k above edges[b]
-            self._buckets = np.unique(self.fractions[self.fractions > -np.inf])
-            edges = np.append(-np.inf, self._buckets)[:, None]
-            firsts = np.where(self.fractions[:, None] > edges, self.ranked[:, None], -np.inf).max(axis=0, initial=-np.inf)
-            columns = np.concatenate([columns, firsts])
-        n, by_value = self.n_pictures, np.argsort(columns, axis=1)
-        self._sorted = np.take_along_axis(columns, by_value, axis=1)
-        # row k of table g holds the k pictures largest in column g: one bit set a row in place, then a running OR
-        self._tables = np.zeros((len(columns), n + 1, -(-n // 64)), np.uint64)
-        word, bit = word_bits(by_value)
-        self._tables[np.arange(len(columns))[:, None], n - np.arange(n), word] = bit
-        np.bitwise_or.accumulate(self._tables, axis=1, out=self._tables)
-        if heuristic:  # r_min's place among the first scores and -inf, and each bucket's count above it
-            self._scores = np.unique(np.append(firsts, -np.inf))
-            self._above = np.array([n - s.searchsorted(self._scores, "right") for s in self._sorted[6:]])
 
     def passed(self, genomes: np.ndarray) -> np.ndarray:
-        """(P, ceil(n / 64)) bitsets of the pictures that pass each genome of a (P, 6 or 8)
-        population, genes in `thresholds_genome` order. Bits past n stay clear."""
-        genes = genomes[:, :6] * self._SIGNS
-        counts = [self.n_pictures - s.searchsorted(t, "right") for s, t in zip(self._sorted, genes.T)]
-        pred = np.bitwise_and.reduce(self._tables[np.arange(6)[:, None], counts])
+        """(P, n): whether each picture passes each genome of a (P, 6 or 8) population,
+        rows in `thresholds_genome` order."""
+        t = genomes.T[:, :, None]  # (dim, P, 1)
+        pred = ((self.xtl_min > t[0]) & (self.xbr_max < t[1]) & (self.ytl_min > t[2]) & (self.ybr_max < t[3])
+                & (self.occ_min > t[4]) & (self.occ_max < t[5]))
         if self.heuristic:
-            bucket = self._buckets.searchsorted(genomes[:, 7], "right")
-            place = self._scores.searchsorted(genomes[:, 6], "right") - 1
-            pred &= self._tables[6 + bucket, self._above[bucket, place]]
+            r_min, p_min = t[6][:, None], t[7][:, None]  # (P, 1, 1)
+            pred &= ((self.ranked > r_min) & (self.fractions > p_min)).any(axis=1)
         return pred
 
 
@@ -168,8 +143,7 @@ def picture_scores(data: Dataset, thresholds) -> tuple[np.ndarray, np.ndarray]:
     the sum of 1 - d over its faces, or of (1 - d) * r under heuristic thresholds,
     where the picture passes, else 0. A faceless picture fails."""
     heuristic = isinstance(thresholds, HeuristicThresholds)
-    word, bit = word_bits(np.arange(len(data)))
-    passed = (Gate(data, heuristic).passed(thresholds_genome(thresholds)[None])[0][word] & bit) > 0
+    passed = Gate(data, heuristic).passed(thresholds_genome(thresholds)[None])[0]
     return passed, np.where(passed, center_sums(data, heuristic), 0.0)
 
 

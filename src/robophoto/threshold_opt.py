@@ -14,7 +14,7 @@ import numpy as np
 
 # re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
 from .composition import baseline_score  # noqa: F401
-from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome, word_bits
+from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome
 from .core import Dataset, labeled_rows
 from .errors import UsageError
 
@@ -28,6 +28,8 @@ MUTATION_RATE = 0.1
 MUTATION_SIGMA = 0.05
 TOURNAMENT_K = 3
 ELITISM_COUNT = 2
+# bytes of packed bitset tables a GA fit may build; a larger fit counts on the dense gate
+TABLE_BUDGET = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,69 @@ def accuracy(thresholds, pictures: Dataset) -> float:
 
 
 class _FitnessCache(Gate):
-    """The scorers' gate (composition.Gate) over the labeled pictures, with their
-    labels packed as the gate's bitsets are: a genome's training accuracy counts
-    the bits where its passed set and the Good set differ. It reads the gate's
-    bitsets only; the GA never needs the center-distance sums, so none are computed."""
+    """The scorers' gate (composition.Gate) over the labeled pictures, with their labels; it
+    never computes the center-distance sums. One genome's accuracy counts `Gate.passed`'s dense
+    compare. A GA population (`population=True`) reads packed bitsets when they fit in
+    TABLE_BUDGET: row c of a statistic's (n + 1, ceil(n / 64)) uint64 table holds its c largest
+    pictures, so with max-side statistics and genes negated each gene is one searchsorted and one
+    row, and the popcount of passed XOR Good counts the same wrong pictures. Scores fall and
+    fractions j/k rise along j, so the first face with j/k above p_min decides the heuristic; it
+    moves only with p_min's bucket among the distinct fractions, and each bucket, plus an empty
+    last one, gets a column of those faces' scores. A NaN gene selects the empty row."""
 
-    def __init__(self, pictures: Dataset, kind: str):
+    # genes 0-5 in genome order: a min gate tests stat > t, a max gate stat < t, that is -stat > -t
+    _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+    def __init__(self, pictures: Dataset, kind: str, population: bool = False):
         if kind not in ("baseline", "heuristic"):
             raise UsageError(f"unknown kind {kind!r}")
         labeled, self.labels_good = labeled_rows(pictures.label.tolist(), "pictures")
         super().__init__(pictures.take(labeled), kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-        self._good = np.zeros(self._tables.shape[2], np.uint64)
-        np.bitwise_or.at(self._good, *word_bits(np.flatnonzero(self.labels_good)))
+        n, faces, self._tables = self.n_pictures, self.fractions > -np.inf, None
+        self._buckets = np.unique(self.fractions[faces])
+        self.table_bytes = (6 + (len(self._buckets) + 1) * self.heuristic) * (n + 1) * -(-n // 64) * 8
+        if not population or self.table_bytes > TABLE_BUDGET:
+            return
+        stats = [self.xtl_min, self.xbr_max, self.ytl_min, self.ybr_max, self.occ_min, self.occ_max]
+        columns = self._SIGNS[:, None] * stats
+        if self.heuristic:
+            # bucket b is [edges[b], edges[b + 1]): its column is each picture's first score with j/k above edges[b]
+            edges = np.append(-np.inf, self._buckets)[:, None]
+            firsts = np.full((len(edges), n), -np.inf)
+            for ranked, fractions in zip(self.ranked[::-1], self.fractions[::-1]):
+                np.copyto(firsts, ranked, where=fractions > edges)
+            columns = np.concatenate([columns, firsts])
+            # each bucket's ranks among the first scores (the last bucket's are all -inf), offset so all sort as one
+            self._scores = np.unique(firsts)
+            ranks = np.sort(self._scores.searchsorted(firsts), axis=1)
+            self._keys = (ranks + len(self._scores) * np.arange(len(edges))[:, None]).ravel()
+        by_value = np.argsort(columns, axis=1)
+        self._sorted = np.take_along_axis(columns[:6], by_value[:6], axis=1)
+        # row c holds the c pictures largest in its column: one bit set a row in place, then a running OR
+        self._tables = np.zeros((len(columns), n + 1, -(-n // 64)), np.uint64)
+        bit = np.uint64(1) << (by_value & 63).astype(np.uint64)  # bit i % 64 of word i // 64
+        self._tables[np.arange(len(columns))[:, None], n - np.arange(n), by_value >> 6] = bit
+        np.bitwise_or.accumulate(self._tables, axis=1, out=self._tables)
+        self._good = np.packbits(np.append(self.labels_good, np.zeros(-n % 64, bool)), bitorder="little").view("<u8")
+
+    def packed(self, genomes: np.ndarray) -> np.ndarray:
+        """(P, ceil(n / 64)) bitsets of the pictures each genome of a (P, dim) population passes."""
+        genes = genomes[:, :6] * self._SIGNS
+        rows = [self.n_pictures - s.searchsorted(t, "right") for s, t in zip(self._sorted, genes.T)]
+        pred = np.bitwise_and.reduce(self._tables[np.arange(6)[:, None], rows])
+        if self.heuristic:
+            bucket = self._buckets.searchsorted(genomes[:, 7], "right")
+            # bucket b holds (b + 1) * n - searchsorted(keys, r_min's key) first scores above r_min
+            key = bucket * len(self._scores) + self._scores.searchsorted(genomes[:, 6], "right") - 1
+            pred &= self._tables[6 + bucket, (bucket + 1) * self.n_pictures - self._keys.searchsorted(key, "right")]
+        return pred
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
-        """Training accuracy of each genome in a (P, dim) population, from the counts a dense compare gives."""
-        wrong = np.bitwise_count(self.passed(population) ^ self._good).sum(axis=1)
+        """Training accuracy of each genome in a (P, dim) population, the same floats with or without tables."""
+        if self._tables is None:
+            return np.count_nonzero(self.passed(population) == self.labels_good, axis=1) / self.n_pictures
+        wrong = np.bitwise_count(self.packed(population) ^ self._good).sum(axis=1)
         return (self.n_pictures - wrong) / self.n_pictures
 
 
@@ -147,7 +195,7 @@ def ga_optimize(
     The elites lead every new population, so the best ever seen is the top
     of the last one.
     """
-    cache = _FitnessCache(pictures, kind)
+    cache = _FitnessCache(pictures, kind, population=True)
     size, dim = config.population_size, cache.dim
     rng = np.random.default_rng(config.seed)
 

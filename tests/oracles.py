@@ -277,29 +277,6 @@ def fitness_cache(pictures: Sequence[PictureRecord], kind: str) -> SimpleNamespa
     return self
 
 
-# --- the dense gate before it read packed bitsets -------------------------------
-# composition.Gate.passed's broadcast over (genomes, pictures) and
-# threshold_opt._FitnessCache.evaluate's count over it; both read the per-picture
-# statistics that Gate still keeps.
-
-
-def gate_passed(self, genomes: np.ndarray) -> np.ndarray:
-    """(P, n): whether each picture passes each genome of a (P, 6 or 8) population,
-    rows in `thresholds_genome` order."""
-    t = genomes.T[:, :, None]  # (dim, P, 1)
-    pred = ((self.xtl_min > t[0]) & (self.xbr_max < t[1]) & (self.ytl_min > t[2]) & (self.ybr_max < t[3])
-            & (self.occ_min > t[4]) & (self.occ_max < t[5]))
-    if self.heuristic:
-        r_min, p_min = t[6][:, None], t[7][:, None]  # (P, 1, 1)
-        pred &= ((self.ranked > r_min) & (self.fractions > p_min)).any(axis=1)
-    return pred
-
-
-def fitness(self, population: np.ndarray) -> np.ndarray:
-    """Training accuracy of each genome in a (P, dim) population."""
-    return np.count_nonzero(gate_passed(self, population) == self.labels_good, axis=1) / self.n_pictures
-
-
 # --- the per-face scorers before the gate read a dataset's columns --------------
 # composition.face_center, center_distance, baseline_gate and the per-face loops of
 # baseline_score and heuristic_score, and threshold_opt.accuracy over them.

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from conftest import make_face, make_picture
 from oracles import make_random_pictures, reference_accuracy
+from robophoto import threshold_opt
+from robophoto.composition import BaselineThresholds, HeuristicThresholds, picture_scores
 from robophoto.core import Dataset, Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
     ELITISM_COUNT,
+    TABLE_BUDGET,
     GAConfig,
     _FitnessCache,
     _initial_population,
@@ -145,7 +148,8 @@ def test_fitness_with_only_faceless_pictures(kind):
     pics = [replace(p, faces=()) for p in make_random_pictures(12, seed=2, with_scores=True)]
     pop = repair_genome(np.random.default_rng(0).uniform(0, 1, (5, 6 if kind == "baseline" else 8)))
     expected = sum(p.label is Label.BAD for p in pics) / len(pics)
-    assert list(_FitnessCache(Dataset(records=pics), kind).evaluate(pop)) == [expected] * len(pop)
+    for population in (False, True):
+        assert list(_FitnessCache(Dataset(records=pics), kind, population).evaluate(pop)) == [expected] * len(pop)
 
 
 @settings(max_examples=30, deadline=None)
@@ -176,9 +180,11 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
             r = p.faces[int(rng.integers(len(p.faces)))].score
             raw[row, 6:] = r, sum(f.score > r for f in p.faces) / len(p.faces)
     pop = repair_genome(raw)
-    got = _FitnessCache(Dataset(records=pics), kind).evaluate(pop)
-    assert got.shape == (len(pop),)
-    assert list(got) == [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
+    expected = [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
+    for population in (False, True):
+        got = _FitnessCache(Dataset(records=pics), kind, population).evaluate(pop)
+        assert got.shape == (len(pop),)
+        assert list(got) == expected
 
 
 SPECIAL_GENES = [-0.0, 0.0, np.inf, -np.inf, np.nan]
@@ -233,12 +239,63 @@ def _packed(dense):
 )
 def test_packed_gate_and_fitness_are_bit_equal_to_the_dense_gate(seed, n, size, kind):
     rng = np.random.default_rng(seed)
-    cache = _FitnessCache(Dataset(records=_tied_pictures(rng, n)), kind)
+    data = Dataset(records=_tied_pictures(rng, n))
+    cache, dense = _FitnessCache(data, kind, population=True), _FitnessCache(data, kind)
+    assert cache._tables is not None and dense._tables is None
     pop = _boundary_population(rng, cache, size)
-    got = cache.passed(pop)
+    got = cache.packed(pop)
     assert (got.dtype, got.shape) == (np.uint64, (size, -(-n // 64)))
-    assert got.tobytes() == _packed(oracles.gate_passed(cache, pop)).tobytes()
-    assert cache.evaluate(pop).tobytes() == oracles.fitness(cache, pop).tobytes()
+    assert got.tobytes() == _packed(dense.passed(pop)).tobytes()
+    assert cache.evaluate(pop).tobytes() == dense.evaluate(pop).tobytes()
+
+
+def _group_event(n, max_faces, seed=0):
+    """n labeled heuristic pictures of 1 to max_faces faces each, as at a group event."""
+    rng = np.random.default_rng(seed)
+    pictures = []
+    for i in range(n):
+        faces = []
+        for _ in range(int(rng.integers(1, max_faces + 1))):
+            x0, y0 = int(rng.integers(0, 2900)), int(rng.integers(0, 1900))
+            faces.append(make_face(x0, y0, x0 + 100, y0 + 100, score=float(rng.random())))
+        pictures.append(make_picture(faces, picture_id=f"g{i}", label=(Label.GOOD, Label.BAD)[i % 2]))
+    return Dataset(records=pictures)
+
+
+@pytest.fixture(scope="module")
+def group_event():
+    return _group_event(5000, 20)
+
+
+def test_scoring_a_large_group_event_builds_no_tables(group_event):
+    # one genome: the dense compare, O(faces) memory; the tables would take over 400 MB here
+    t = HeuristicThresholds(BaselineThresholds(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 0.5, 0.5)
+    tracemalloc.start()
+    picture_scores(group_event, t)
+    accuracy(t, group_event)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert _FitnessCache(group_event, "heuristic", population=True).table_bytes > 10 * TABLE_BUDGET
+    assert peak < 32 << 20
+
+
+def test_a_ga_over_budget_counts_on_the_dense_gate(group_event):
+    tracemalloc.start()
+    cache = _FitnessCache(group_event, "heuristic", population=True)
+    cache.evaluate(repair_genome(np.random.default_rng(0).uniform(0, 1, (64, 8))))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cache._tables is None and peak < 48 << 20
+    small = _FitnessCache(group_event.take(np.arange(600)), "heuristic", population=True)
+    assert small._tables is not None and small.table_bytes <= TABLE_BUDGET
+
+
+@pytest.mark.parametrize("kind", ["baseline", "heuristic"])
+def test_ga_reports_the_same_without_tables(kind, monkeypatch):
+    data = Dataset(records=make_threshold_dataset(120, seed=5, kind=kind))
+    packed = ga_optimize(data, kind, FAST_GA)
+    monkeypatch.setattr(threshold_opt, "TABLE_BUDGET", -1)
+    assert ga_optimize(data, kind, FAST_GA) == packed
 
 
 def test_ga_deterministic():
