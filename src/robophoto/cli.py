@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,8 +36,12 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# a cmd_* handler writes its artifacts and returns the path its run config is named after
+# (None: no run config) and its summary; main writes the one and prints the other
+Handled = tuple[str | Path | None, str]
 
-def _write_run_config(out_path: Path, args: argparse.Namespace) -> None:
+
+def _write_run_config(out_path: str | Path, args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["tool_version"] = __version__
     path = Path(str(out_path) + ".config.json")
@@ -73,27 +78,23 @@ def _load_methods(args):
     )
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> Handled:
     result = _load_dataset(args.dataset, keep_faceless=args.keep_faceless)
     write_dataset_jsonl(result.dataset, args.out)
-    _write_run_config(Path(args.out), args)
-    print(
+    return args.out, (
         f"ingested {len(result.dataset)} records "
         f"(dropped {result.dropped_records} records, {result.dropped_faces} faces)"
     )
-    return EXIT_OK
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> Handled:
     dataset = _load_dataset(args.dataset, keep_faceless=True, read_crops=False).dataset
     train, test, validation = split_dataset(dataset, args.ratios.split(","), args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("test", test), ("validation", validation)):
         write_dataset_jsonl(part, out / f"{name}.jsonl")
-    _write_run_config(out / "split", args)
-    print(f"split sizes: train={len(train)} test={len(test)} validation={len(validation)}")
-    return EXIT_OK
+    return out / "split", f"split sizes: train={len(train)} test={len(test)} validation={len(validation)}"
 
 
 def _train_config(args) -> TrainConfig:
@@ -106,29 +107,27 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _save_trained(args, model, history) -> int:
+def _save_trained(args, model, history) -> Handled:
     tinynet.save_model(model, args.out)
-    _write_run_config(Path(args.out), args)
-    print(f"final loss {history[-1]:.6f} after {len(history)} epochs")
-    return EXIT_OK
+    return args.out, f"final loss {history[-1]:.6f} after {len(history)} epochs"
 
 
-def cmd_train_face_ann(args) -> int:
+def cmd_train_face_ann(args) -> Handled:
     dataset = _load_dataset(args.dataset, read_crops=False).dataset
     return _save_trained(args, *train_face_ann(dataset.features, dataset.face_label, _train_config(args)))
 
 
-def cmd_train_face_cnn(args) -> int:
+def cmd_train_face_cnn(args) -> Handled:
     dataset = _load_dataset(args.dataset).dataset
     return _save_trained(args, *train_face_cnn(dataset.crop, dataset.face_label, _train_config(args)))
 
 
-def cmd_train_picture_cnn(args) -> int:
+def cmd_train_picture_cnn(args) -> Handled:
     dataset = _load_scored(args.dataset, args.face_model)
     return _save_trained(args, *train_picture_cnn(dataset, _train_config(args)))
 
 
-def cmd_optimize_thresholds(args) -> int:
+def cmd_optimize_thresholds(args) -> Handled:
     if args.kind == "heuristic":
         dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
     else:
@@ -141,46 +140,40 @@ def cmd_optimize_thresholds(args) -> int:
     report = ga_optimize(dataset, args.kind, config)
     Path(args.out).write_text(thresholds_to_json(report.best_thresholds) + "\n", encoding="utf-8")
     write_curve_csv(report, str(args.out) + ".curve.csv")
-    _write_run_config(Path(args.out), args)
-    print(f"best training accuracy {report.best_accuracy:.4f} over {report.evaluations} evaluations")
-    return EXIT_OK
+    return args.out, f"best training accuracy {report.best_accuracy:.4f} over {report.evaluations} evaluations"
 
 
-def _write_report(args, report: dict) -> None:
+def _write_report(path: str | None, report: dict) -> str:
+    """The report with the tool version as JSON text, also written to path (if any) with a final newline."""
     report["tool_version"] = __version__
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_run_config(Path(args.out), args)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    if path is not None:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    return text
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> Handled:
     dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
     report = evaluate_methods(dataset, *_load_methods(args))
-    _write_report(args, report)
-    for method, m in report["methods"].items():
-        print(f"{method}: accuracy {m['accuracy']:.4f}")
-    return EXIT_OK
+    _write_report(args.out, report)
+    return args.out, "\n".join(f"{method}: accuracy {m['accuracy']:.4f}" for method, m in report["methods"].items())
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> Handled:
     dataset = _load_scored(args.dataset, args.face_model)
     report = run_pipeline(dataset, *_load_methods(args), quota=args.quota)
-    _write_report(args, report)
-    print(f"selected {len(report['selections'])} pictures across {len(METHODS)} methods")
-    return EXIT_OK
+    _write_report(args.out, report)
+    return args.out, f"selected {len(report['selections'])} pictures across {len(METHODS)} methods"
 
 
-def cmd_simulate(args) -> int:
-    scenario = Scenario.from_json(Path(args.scenario).read_bytes())
-    sim = Simulator(scenario)
-    log = sim.run()
+def cmd_simulate(args) -> Handled:
+    log = Simulator(Scenario.from_json(Path(args.scenario).read_bytes())).run()
     write_event_log(log, args.out)
-    _write_run_config(Path(args.out), args)
     shutters = sum(1 for e in log if e["event"] == "shutter")
-    print(f"simulated {len(log)} steps, {shutters} shutter events")
-    return EXIT_OK
+    return args.out, f"simulated {len(log)} steps, {shutters} shutter events"
 
 
-def cmd_render_abstract(args) -> int:
+def cmd_render_abstract(args) -> Handled:
     dataset = _load_scored(args.dataset, args.face_model)
     ids = dataset.picture_id.tolist()
     for pid in ids:
@@ -190,27 +183,27 @@ def cmd_render_abstract(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for pid, canvas in zip(ids, render_dataset(dataset)):
         write_pgm(canvas, out / f"{pid}.pgm")
-    _write_run_config(out / "render", args)
-    print(f"rendered {len(dataset)} abstract images to {out}")
-    return EXIT_OK
+    return out / "render", f"rendered {len(dataset)} abstract images to {out}"
 
 
-def cmd_ttest(args) -> int:
+def cmd_ttest(args) -> Handled:
     paths = (args.sample_a, args.sample_b)
     result = welch_t_test(*(parsed_json(Path(p).read_bytes(), DatasetError, f"sample {p}", list) for p in paths))
-    out = {
+    t = result.t_statistic  # infinite when both samples are constant: JSON spells it "inf" or "-inf"
+    report = {
         "test": "welch_one_sided",
-        "t_statistic": result.t_statistic,
+        "t_statistic": t if math.isfinite(t) else str(t),
         "df": result.df,
         "p_one_sided": result.p_one_sided,
-        "tool_version": __version__,
     }
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        _write_run_config(Path(args.out), args)
-    print(text)
-    return EXIT_OK
+    return args.out, _write_report(args.out, report)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, the one range every seeded numpy generator takes."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {seed}")
+    return seed
 
 
 def _add_train_flags(p):
@@ -218,7 +211,7 @@ def _add_train_flags(p):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--optimizer", choices=tinynet.OPTIMIZERS, default="sgd")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _add_method_flags(p):
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ratios", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train-face-ann", help="train the 9-feature face quality MLP")
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face-model", default=None)
     p.add_argument("--population", type=int, default=64)
     p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_optimize_thresholds)
 
     p = sub.add_parser("evaluate", help="evaluate all three methods on a labeled split")
@@ -315,7 +308,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        config, summary = args.func(args)
+        if config is not None:
+            _write_run_config(config, args)
+        print(summary)
+        return EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -483,7 +483,7 @@ def split_dataset(
     for row, burst_id in enumerate(dataset.burst_id.tolist()):
         bursts.setdefault(burst_id, []).append(row)
     groups = list(bursts.values())  # in first-seen order
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(seed)
 
     n = len(dataset)
     target_train = ratios[0] * n

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import face_columns, rewrite_model_header, set_at
-from robophoto import tinynet
+from robophoto import __version__, cli, tinynet
 from robophoto.abstraction import build_picture_cnn
 from robophoto.cli import (
     EXIT_DATA,
@@ -815,6 +815,25 @@ BAD_INPUT_PROBES = {
     "select_quota_negative": (
         lambda tmp, get: ["select", *_methods(tmp, get), "--quota", "-1"], EXIT_USAGE, ""
     ),
+    # one rule for every --seed: an integer >= 0, of any size
+    **{
+        f"{command}_seed_negative": (lambda tmp, get, argv=argv: [*argv(tmp, get), "--seed", "-1"], EXIT_USAGE, "")
+        for command, argv in {
+            "split": lambda tmp, get: _split(tmp, _face_record("p0")),
+            "optimize_thresholds": lambda tmp, get: [
+                "optimize-thresholds", "--dataset", str(get("dataset_path")), "--kind", "baseline",
+                "--out", str(tmp / "t.json"),
+            ],
+            "train_picture_cnn": lambda tmp, get: [
+                "train-picture-cnn", "--dataset", str(get("dataset_path")), "--out", str(tmp / "p.tnet"),
+                "--epochs", "1",
+            ],
+        }.items()
+    },
+    "split_seed_beyond_64_bits": (
+        lambda tmp, get: [*_split(tmp, _face_record("p0"), _face_record("p1")), "--seed", str(10**23)],
+        EXIT_OK, "split sizes: train=2 test=0 validation=0",
+    ),
 }
 
 
@@ -853,6 +872,112 @@ def test_render_abstract_writes_nothing_outside_out_dir(tmp_path, capsys, pictur
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: picture_id")
         assert written == ["in/d.jsonl"]
+
+
+# --- the driver: cli.main writes each command's one run config and prints its summary ---
+
+METHOD_FILES = ["--baseline-thresholds", "baseline.json", "--heuristic-thresholds", "heuristic.json"]
+METHOD_FILES += ["--picture-model", "picture.tnet"]
+# the README demo flow, small, plus the commands it leaves out: (argv, the run config it writes)
+DEMO_FLOW = (
+    (["ingest", "--dataset", "demo.jsonl", "--out", "clean.jsonl"], "clean.jsonl.config.json"),
+    (["split", "--dataset", "clean.jsonl", "--out-dir", "splits"], "splits/split.config.json"),
+    *(
+        (
+            ["optimize-thresholds", "--dataset", "splits/train.jsonl", "--kind", kind, "--out", f"{kind}.json",
+             "--population", "8", "--generations", "3"],
+            f"{kind}.json.config.json",
+        )
+        for kind in ("baseline", "heuristic")
+    ),
+    (
+        ["train-picture-cnn", "--dataset", "splits/train.jsonl", "--out", "picture.tnet", "--epochs", "1"],
+        "picture.tnet.config.json",
+    ),
+    (
+        ["evaluate", "--dataset", "splits/test.jsonl", *METHOD_FILES, "--out", "report.json"],
+        "report.json.config.json",
+    ),
+    (
+        ["select", "--dataset", "splits/test.jsonl", *METHOD_FILES, "--out", "selection.json"],
+        "selection.json.config.json",
+    ),
+    (["ttest", "--sample-a", "a.json", "--sample-b", "b.json"], None),
+    (["ttest", "--sample-a", "a.json", "--sample-b", "b.json", "--out", "t.json"], "t.json.config.json"),
+    (["train-face-ann", "--dataset", "faces.jsonl", "--out", "ann.tnet", "--epochs", "1"], "ann.tnet.config.json"),
+    (["train-face-cnn", "--dataset", "faces.jsonl", "--out", "cnn.tnet", "--epochs", "1"], "cnn.tnet.config.json"),
+    (["simulate", "--scenario", "scenario.json", "--out", "events.jsonl"], "events.jsonl.config.json"),
+    (["render-abstract", "--dataset", "splits/test.jsonl", "--out-dir", "renders"], "renders/render.config.json"),
+)
+
+
+def test_each_command_writes_one_run_config(tmp_path, monkeypatch, capsys):
+    """The run config holds the parsed arguments and the tool version; ttest without --out writes none."""
+    monkeypatch.chdir(tmp_path)
+    write_dataset_jsonl(Dataset(records=tuple(make_threshold_dataset(40, seed=0, kind="heuristic"))), "demo.jsonl")
+    (tmp_path / "crops").mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(4):
+        write_pgm(rng.integers(0, 256, size=(40, 40), dtype=np.uint8), tmp_path / f"crops/{i}.pgm")
+    faces = (_with_face(_face_record(f"p{i}"), face_image_path=f"crops/{i}.pgm") for i in range(4))
+    _write(tmp_path / "faces.jsonl", *faces)
+    _write(tmp_path / "scenario.json", SCENARIO)
+    _write(tmp_path / "a.json", [4.1, 4.3, 3.9, 4.6])
+    _write(tmp_path / "b.json", [3.1, 3.5, 3.0, 3.2])
+    parser = cli.build_parser()
+    for argv, config in DEMO_FLOW:
+        before = set(tmp_path.rglob("*.config.json"))
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+        assert set(tmp_path.rglob("*.config.json")) - before == ({tmp_path / config} if config else set())
+        if config:
+            args = {k: v for k, v in vars(parser.parse_args(argv)).items() if k != "func"}
+            assert json.loads((tmp_path / config).read_text()) == {**args, "tool_version": __version__}
+    commands = {name.removeprefix("cmd_").replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert {argv[0] for argv, _ in DEMO_FLOW} == commands and len(commands) == 11
+
+
+# command -> (function of tmp_path returning argv, the run config it writes, under tmp_path)
+RUN_CONFIGS = {
+    "ingest": (lambda tmp: _ingest(tmp, _face_record("p0")), "out.jsonl.config.json"),
+    "split": (lambda tmp: _split(tmp, _face_record("p0")), "s/split.config.json"),
+    "train_face_ann": (
+        lambda tmp: [
+            "train-face-ann", "--dataset", _write(tmp / "in.jsonl", _face_record("p0")), "--out", str(tmp / "m"),
+            "--epochs", "1",
+        ],
+        "m.config.json",
+    ),
+    "simulate": (lambda tmp: _simulate(tmp, SCENARIO), "log.jsonl.config.json"),
+    "render_abstract": (lambda tmp: _render_abstract(tmp, "ok"), "in/out/render.config.json"),
+    "ttest": (lambda tmp: [*_ttest(tmp, [4.0, 5.0, 6.5]), "--out", str(tmp / "t.json")], "t.json.config.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_CONFIGS))
+def test_unwritable_run_config_is_a_data_error_with_no_summary(tmp_path, capsys, command):
+    make_argv, config = RUN_CONFIGS[command]
+    argv = make_argv(tmp_path)
+    (tmp_path / config).mkdir(parents=True)
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    ("sample_a", "sample_b", "t"), [([2.0, 2.0], [1.0, 1.0], "inf"), ([1.0, 1.0], [2.0, 2.0], "-inf")]
+)
+def test_ttest_writes_an_infinite_t_as_a_string(tmp_path, capsys, sample_a, sample_b, t):
+    """Both samples constant with different means: t is infinite, and JSON has no infinity."""
+    a, b = _write(tmp_path / "a.json", sample_a), _write(tmp_path / "b.json", sample_b)
+    assert main(["ttest", "--sample-a", a, "--sample-b", b, "--out", str(tmp_path / "t.json")]) == EXIT_OK
+    for text in (capsys.readouterr().out, (tmp_path / "t.json").read_text()):
+        report = json.loads(text, parse_constant=_not_json)
+        assert report["t_statistic"] == t and report["p_one_sided"] == 0.0
 
 
 # --- fuzz: corrupted input files never end in a traceback or an internal error ---

@@ -2,7 +2,8 @@
 function parameter other than self or cls must be read in its body, every
 exception class derives from one of the three roots in robophoto.errors, no
 module but errors.py decides by hand what counts as a number or parses JSON,
-and every public top-level name in the package has a reader outside tests/.
+cli.main alone writes run configs, prints summaries and returns EXIT_OK, and
+every public top-level name in the package has a reader outside tests/.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -95,6 +96,36 @@ def test_cli_has_no_value_error_catch_all():
         if isinstance(node, ast.ExceptHandler) and node.type is not None
     ]
     assert not [c for c in caught if "ValueError" in c], f"cli.py catches ValueError: {caught}"
+
+
+def test_cli_main_is_the_one_driver():
+    """cli.main writes every run config, prints every summary and returns EXIT_OK; a
+    cmd_* handler loads its inputs, calls library code, writes its artifacts and returns."""
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def calls(function, name):
+        return [
+            f"{function.name} (line {node.lineno})"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        ]
+
+    config_writes = [site for f in functions for site in calls(f, "_write_run_config")]
+    assert len(config_writes) == 1 and config_writes[0].startswith("main "), (
+        f"_write_run_config must have one call site, in main: {config_writes}"
+    )
+    handlers = [f for f in functions if f.name.startswith("cmd_")]
+    assert handlers
+    printing = [site for f in handlers for site in calls(f, "print")]
+    assert not printing, f"handlers print, main prints their summary: {', '.join(printing)}"
+    exit_ok = [
+        f"{f.name} (line {node.lineno})"
+        for f in handlers
+        for node in ast.walk(f)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name) and node.value.id == "EXIT_OK"
+    ]
+    assert not exit_ok, f"handlers return EXIT_OK, main does: {', '.join(exit_ok)}"
 
 
 @pytest.mark.parametrize(
