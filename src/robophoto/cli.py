@@ -13,7 +13,7 @@ from .abstraction import render_dataset, train_picture_cnn
 from .behavior_sim import Scenario, Simulator, write_event_log
 # re-export: the benchmark's tracer tests wrap and call cli.baseline_score
 from .composition import baseline_score  # noqa: F401
-from .composition import HeuristicThresholds, thresholds_from_json, thresholds_to_json
+from .composition import Thresholds, thresholds_from_json, thresholds_to_json
 from .core import (
     Dataset,
     ValidationResult,
@@ -62,9 +62,9 @@ def _load_scored(path: str, face_model_path: str | None, keep_faceless: bool = F
     return score_dataset(_load_dataset(path, keep_faceless, read_crops).dataset, face_model)
 
 
-def _load_thresholds(path: str, kind: str):
+def _load_thresholds(path: str, kind: str) -> Thresholds:
     thresholds = thresholds_from_json(Path(path).read_bytes())
-    if isinstance(thresholds, HeuristicThresholds) != (kind == "heuristic"):
+    if thresholds.heuristic != (kind == "heuristic"):
         raise DatasetError(f"{path} does not hold {kind} thresholds")
     return thresholds
 
@@ -130,6 +130,8 @@ def cmd_train_picture_cnn(args) -> Handled:
 def cmd_optimize_thresholds(args) -> Handled:
     if args.kind == "heuristic":
         dataset = _load_scored(args.dataset, args.face_model, keep_faceless=True)
+    elif args.face_model is not None:
+        raise UsageError("--face-model scores faces for --kind heuristic; the baseline gates read no score")
     else:
         dataset = _load_dataset(args.dataset, keep_faceless=True, read_crops=False).dataset
     config = GAConfig(

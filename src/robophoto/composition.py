@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -16,29 +16,39 @@ from .core import Dataset, PictureRecord, UnscoredFaceError
 from .errors import DatasetError, checked_numbers, parsed_json
 
 
+# each gene's comparison, in genome order: a min gate reads stat > t, a max gate stat < t, that is -stat > -t
+SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
 @dataclass(frozen=True)
-class BaselineThresholds:
+class Thresholds:
+    """The scorers' thresholds: six position/occupancy bounds, then the face-score gates
+    r_min and p_min, which heuristic thresholds set and baseline thresholds leave None."""
+
     x_min: float
     x_max: float
     y_min: float
     y_max: float
     occ_min: float
     occ_max: float
+    r_min: float | None = None
+    p_min: float | None = None
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.occ_min < self.occ_max):
             raise DatasetError(f"threshold bounds out of order: {self}")
+        pair = (self.r_min, self.p_min)
+        if pair != (None, None) and not all(v is not None and 0.0 <= v <= 1.0 for v in pair):
+            raise DatasetError(f"r_min and p_min must both be None or both within [0, 1]: {self}")
 
+    @property
+    def heuristic(self) -> bool:
+        return self.r_min is not None
 
-@dataclass(frozen=True)
-class HeuristicThresholds:
-    baseline: BaselineThresholds
-    r_min: float
-    p_min: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_min <= 1.0 and 0.0 <= self.p_min <= 1.0):
-            raise DatasetError(f"r_min/p_min outside [0, 1]: {self}")
+    @property
+    def genome(self) -> tuple[float, ...]:
+        """The values in field order: six genes, or eight for heuristic thresholds."""
+        return astuple(self)[: 8 if self.heuristic else 6]
 
 
 @dataclass(frozen=True)
@@ -64,14 +74,16 @@ class Gate:
     population against every picture in one broadcast over (genomes, pictures).
 
     Every face passes `x_tl / width > x_min` exactly when the picture's smallest
-    ratio does, and likewise for the other five gates. A faceless picture gets
-    -inf minima and +inf maxima, so it fails every gate. For a heuristic gate,
+    ratio does, and likewise for the other five gates. Row g of `stats` holds each
+    picture's statistic for gene g of the genome, signed by SIGNS so that every gate
+    reads `stats[g] > SIGNS[g] * gene`: a max gate's smallest negated ratio. A
+    faceless picture gets -inf, so it fails every gate. For a heuristic gate,
     column i of `ranked` holds picture i's face scores in descending order and
     `fractions` the matching j/k, both padded with -inf: `good/k > p_min` holds
     exactly when some j has `ranked[j] > r_min` and `fractions[j] > p_min`, since
     good/k is one of the same float divisions j/k. Ratios are int / int on the
-    object columns, and min and max reduce per picture, exact in any order. Any
-    unscored face raises UnscoredFaceError from a heuristic gate, wherever it sits.
+    object columns, negation is exact, and minima reduce per picture, exact in any
+    order. Any unscored face raises UnscoredFaceError from a heuristic gate, wherever it sits.
     """
 
     def __init__(self, data: Dataset, heuristic: bool):
@@ -79,13 +91,10 @@ class Gate:
         counts, owner, rank = _face_places(data)
         width, height, (x_tl, y_tl, x_br, y_br) = data.width[owner], data.height[owner], data.bbox.T
         occs = (x_br - x_tl) * (y_br - y_tl) / (width * height)
-        # per face, the ratio each gate reads: the three the minima reduce, then the three the maxima reduce
-        ratios = np.array([x_tl / width, y_tl / height, occs, x_br / width, y_br / height, occs], dtype=np.float64)
-        tables, have = np.empty((6, self.n_pictures)), counts > 0
-        tables[:3], tables[3:] = -np.inf, np.inf
-        tables[:3, have] = np.minimum.reduceat(ratios[:3], data.offsets[:-1][have], axis=1)
-        tables[3:, have] = np.maximum.reduceat(ratios[3:], data.offsets[:-1][have], axis=1)
-        self.xtl_min, self.ytl_min, self.occ_min, self.xbr_max, self.ybr_max, self.occ_max = tables
+        # per face, the ratio each gene reads, in genome order
+        ratios = np.array([x_tl / width, x_br / width, y_tl / height, y_br / height, occs, occs], dtype=np.float64)
+        self.stats, have = np.full((6, self.n_pictures), -np.inf), counts > 0
+        self.stats[:, have] = np.minimum.reduceat(SIGNS[:, None] * ratios, data.offsets[:-1][have], axis=1)
         depth = int(counts.max(initial=0)) if heuristic else 0
         self.ranked, self.fractions = np.full((2, depth, self.n_pictures), -np.inf)
         if heuristic and len(owner):
@@ -99,12 +108,12 @@ class Gate:
 
     def passed(self, genomes: np.ndarray) -> np.ndarray:
         """(P, n): whether each picture passes each genome of a (P, 6 or 8) population,
-        rows in `thresholds_genome` order."""
-        t = genomes.T[:, :, None]  # (dim, P, 1)
-        pred = ((self.xtl_min > t[0]) & (self.xbr_max < t[1]) & (self.ytl_min > t[2]) & (self.ybr_max < t[3])
-                & (self.occ_min > t[4]) & (self.occ_max < t[5]))
+        rows in `Thresholds.genome` order; one gate at a time, so no (6, P, n) array."""
+        pred = np.ones((len(genomes), self.n_pictures), dtype=bool)
+        for stat, gene in zip(self.stats, (genomes[:, :6] * SIGNS).T):
+            pred &= stat > gene[:, None]
         if self.heuristic:
-            r_min, p_min = t[6][:, None], t[7][:, None]  # (P, 1, 1)
+            r_min, p_min = genomes[:, 6, None, None], genomes[:, 7, None, None]  # (P, 1, 1)
             pred &= ((self.ranked > r_min) & (self.fractions > p_min)).any(axis=1)
         return pred
 
@@ -130,57 +139,45 @@ def center_sums(data: Dataset, weighted: bool) -> np.ndarray:
     return sums
 
 
-def thresholds_genome(t) -> np.ndarray:
-    """Baseline or heuristic thresholds as one genome: the six bounds in field
-    order, then r_min and p_min."""
-    if isinstance(t, HeuristicThresholds):
-        return np.array([*vars(t.baseline).values(), t.r_min, t.p_min])
-    return np.array([*vars(t).values()])
-
-
-def picture_scores(data: Dataset, thresholds) -> tuple[np.ndarray, np.ndarray]:
+def picture_scores(data: Dataset, thresholds: Thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Each picture's (passed, value) under baseline or heuristic thresholds. value is
     the sum of 1 - d over its faces, or of (1 - d) * r under heuristic thresholds,
     where the picture passes, else 0. A faceless picture fails."""
-    heuristic = isinstance(thresholds, HeuristicThresholds)
-    passed = Gate(data, heuristic).passed(thresholds_genome(thresholds)[None])[0]
-    return passed, np.where(passed, center_sums(data, heuristic), 0.0)
+    passed = Gate(data, thresholds.heuristic).passed(np.array([thresholds.genome]))[0]
+    return passed, np.where(passed, center_sums(data, thresholds.heuristic), 0.0)
 
 
-def _one_picture(picture: PictureRecord, thresholds) -> PictureScore:
+def _one_picture(picture: PictureRecord, thresholds: Thresholds) -> PictureScore:
     (passed,), (value,) = picture_scores(Dataset((picture,)), thresholds)
     return PictureScore(bool(passed), float(value))
 
 
-def baseline_score(picture: PictureRecord, t: BaselineThresholds) -> PictureScore:
+def baseline_score(picture: PictureRecord, t: Thresholds) -> PictureScore:
     """Sum of (1 - d) over faces; zero when faceless or any face fails the gate."""
     return _one_picture(picture, t)
 
 
-def heuristic_score(picture: PictureRecord, t: HeuristicThresholds) -> PictureScore:
+def heuristic_score(picture: PictureRecord, t: Thresholds) -> PictureScore:
     """Baseline gates plus face-score gates; score is sum of (1 - d) * r."""
     return _one_picture(picture, t)
 
 
-def thresholds_to_json(t) -> str:
-    if isinstance(t, HeuristicThresholds):
-        d = {"kind": "heuristic", **asdict(t.baseline), "r_min": t.r_min, "p_min": t.p_min}
-    else:
-        d = {"kind": "baseline", **asdict(t)}
-    return json.dumps(d, sort_keys=True)
+_NAMES = tuple(field.name for field in fields(Thresholds))
 
 
-def thresholds_from_json(text: str | bytes):
+def thresholds_to_json(t: Thresholds) -> str:
+    kind = "heuristic" if t.heuristic else "baseline"
+    return json.dumps({"kind": kind, **dict(zip(_NAMES, t.genome))}, sort_keys=True)
+
+
+def thresholds_from_json(text: str | bytes) -> Thresholds:
     """Thresholds from one JSON object (errors.parsed_json) as `thresholds_to_json` writes it, else DatasetError."""
     d = parsed_json(text, DatasetError, "a threshold file")
     kind = d.get("kind")
     if kind not in ("baseline", "heuristic"):
         raise DatasetError(f"unknown threshold kind {kind!r}")
-    names = list(BaselineThresholds.__dataclass_fields__)
-    if kind == "heuristic":
-        names += ["r_min", "p_min"]
+    names = _NAMES[: 8 if kind == "heuristic" else 6]
     if d.keys() != {"kind", *names}:
         raise DatasetError(f"{kind} thresholds need exactly the keys {sorted(names)}, got {sorted(d)}")
-    values = checked_numbers([d[name] for name in names], DatasetError, names)
-    base = BaselineThresholds(*values[:6])  # bounds out of order raise DatasetError
-    return base if kind == "baseline" else HeuristicThresholds(base, *values[6:])
+    # bounds out of order, or r_min / p_min outside [0, 1], raise DatasetError
+    return Thresholds(*checked_numbers([d[name] for name in names], DatasetError, names))

@@ -111,24 +111,15 @@ class FaceCountCategory(Enum):
     THREE_PLUS = "three_plus"
 
 
+CATEGORY_ORDER = tuple(FaceCountCategory)
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     x_tl: int
     y_tl: int
     x_br: int
     y_br: int
-
-    @property
-    def width(self) -> int:
-        return self.x_br - self.x_tl
-
-    @property
-    def height(self) -> int:
-        return self.y_br - self.y_tl
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,7 @@ def face_count_category(n_faces: int) -> FaceCountCategory:
     """Bucket a picture by its face count: 1, 2, or 3+."""
     if n_faces < 1:
         raise NoFacesError("a picture with no faces has no face-count category")
-    return (FaceCountCategory.ONE, FaceCountCategory.TWO, FaceCountCategory.THREE_PLUS)[min(n_faces, 3) - 1]
+    return CATEGORY_ORDER[min(n_faces, 3) - 1]
 
 
 # what a bad face or record raises, DatasetError included: it is dropped and counted

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FaceCountCategory
+from .core import CATEGORY_ORDER, FaceCountCategory
 from .errors import UsageError
 
 CROP_STEP_W = 600
@@ -13,8 +13,6 @@ CROP_STEP_H = 400
 MIN_CROP_W = 1200
 MIN_CROP_H = 800
 MAX_CROPS = 6
-
-CATEGORY_ORDER = (FaceCountCategory.ONE, FaceCountCategory.TWO, FaceCountCategory.THREE_PLUS)
 
 
 @dataclass(frozen=True)

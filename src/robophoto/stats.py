@@ -21,36 +21,20 @@ class TTestResult:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
+    """Continued fraction for the incomplete beta function (Lentz's method): each
+    step m takes the even term m(b - m)x / ..., then the odd one -(a + m)(a + b + m)x / ...."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    c, d = 1.0, 1.0 - qab * x / qap
+    d = 1.0 / (tiny if abs(d) < tiny else d)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d, c = 1.0 + aa * d, 1.0 + aa / c
+            d, c = 1.0 / (tiny if abs(d) < tiny else d), tiny if abs(c) < tiny else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")

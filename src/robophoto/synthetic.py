@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .composition import BaselineThresholds, HeuristicThresholds
+from .composition import Thresholds
 from .core import (
     BoundingBox,
     FaceFeatures,
@@ -74,15 +74,11 @@ def _bbox_from_normalized(x0: float, y0: float, x1: float, y1: float, w: int, h:
     return BoundingBox(min(xi0, w - 1), min(yi0, h - 1), min(xi1, w), min(yi1, h))
 
 
-DEFAULT_HIDDEN_BASELINE = BaselineThresholds(
-    x_min=0.1, x_max=0.9, y_min=0.08, y_max=0.92, occ_min=0.05, occ_max=0.3
-)
-DEFAULT_HIDDEN_HEURISTIC = HeuristicThresholds(
-    baseline=DEFAULT_HIDDEN_BASELINE, r_min=0.5, p_min=0.45
-)
+DEFAULT_HIDDEN_BASELINE = Thresholds(x_min=0.1, x_max=0.9, y_min=0.08, y_max=0.92, occ_min=0.05, occ_max=0.3)
+DEFAULT_HIDDEN_HEURISTIC = replace(DEFAULT_HIDDEN_BASELINE, r_min=0.5, p_min=0.45)
 
 
-def _sample_passing_face(rng, t: BaselineThresholds, margin: float):
+def _sample_passing_face(rng, t: Thresholds, margin: float):
     """Normalized face rect satisfying every gate inequality by > margin."""
     for _ in range(200):
         occ = rng.uniform(t.occ_min + 2 * margin, t.occ_max - 2 * margin)
@@ -99,7 +95,7 @@ def _sample_passing_face(rng, t: BaselineThresholds, margin: float):
     raise RuntimeError("could not sample a passing face; thresholds too tight")
 
 
-def _sample_failing_face(rng, t: BaselineThresholds, margin: float):
+def _sample_failing_face(rng, t: Thresholds, margin: float):
     """Start from a passing rect, then push one inequality past its threshold."""
     x0, y0, x1, y1 = _sample_passing_face(rng, t, margin)
     mode = rng.integers(0, 5)

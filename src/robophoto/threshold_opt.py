@@ -14,7 +14,7 @@ import numpy as np
 
 # re-export: the benchmark's tracer tests wrap and call threshold_opt.baseline_score
 from .composition import baseline_score  # noqa: F401
-from .composition import BaselineThresholds, Gate, HeuristicThresholds, thresholds_genome
+from .composition import SIGNS, Gate, Thresholds
 from .core import Dataset, labeled_rows
 from .errors import UsageError
 
@@ -56,12 +56,8 @@ class FitnessReport:
         return genome_to_thresholds(self.kind, self.best_genome)
 
 
-def genome_to_thresholds(kind: str, genome: Sequence[float]):
-    g = repair_genome(np.asarray(genome, dtype=np.float64))
-    base = BaselineThresholds(*g[:6])
-    if kind == "baseline":
-        return base
-    return HeuristicThresholds(baseline=base, r_min=g[6], p_min=g[7])
+def genome_to_thresholds(kind: str, genome: Sequence[float]) -> Thresholds:
+    return Thresholds(*repair_genome(genome)[: BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM])
 
 
 def repair_genome(genome: np.ndarray) -> np.ndarray:
@@ -77,10 +73,10 @@ def repair_genome(genome: np.ndarray) -> np.ndarray:
     return g
 
 
-def accuracy(thresholds, pictures: Dataset) -> float:
+def accuracy(thresholds: Thresholds, pictures: Dataset) -> float:
     """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
-    kind = "heuristic" if isinstance(thresholds, HeuristicThresholds) else "baseline"
-    return float(_FitnessCache(pictures, kind).evaluate(thresholds_genome(thresholds)[None])[0])
+    kind = "heuristic" if thresholds.heuristic else "baseline"
+    return float(_FitnessCache(pictures, kind).evaluate(np.array([thresholds.genome]))[0])
 
 
 class _FitnessCache(Gate):
@@ -88,14 +84,11 @@ class _FitnessCache(Gate):
     never computes the center-distance sums. One genome's accuracy counts `Gate.passed`'s dense
     compare. A GA population (`population=True`) reads packed bitsets when they fit in
     TABLE_BUDGET: row c of a statistic's (n + 1, ceil(n / 64)) uint64 table holds its c largest
-    pictures, so with max-side statistics and genes negated each gene is one searchsorted and one
-    row, and the popcount of passed XOR Good counts the same wrong pictures. Scores fall and
-    fractions j/k rise along j, so the first face with j/k above p_min decides the heuristic; it
-    moves only with p_min's bucket among the distinct fractions, and each bucket, plus an empty
-    last one, gets a column of those faces' scores. A NaN gene selects the empty row."""
-
-    # genes 0-5 in genome order: a min gate tests stat > t, a max gate stat < t, that is -stat > -t
-    _SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    pictures, so with genes signed as `Gate.stats` is, each gene is one searchsorted and one row,
+    and the popcount of passed XOR Good counts the same wrong pictures. Scores fall and fractions
+    j/k rise along j, so the first face with j/k above p_min decides the heuristic; it moves only
+    with p_min's bucket among the distinct fractions, and each bucket, plus an empty last one,
+    gets a column of those faces' scores. A NaN gene selects the empty row."""
 
     def __init__(self, pictures: Dataset, kind: str, population: bool = False):
         if kind not in ("baseline", "heuristic"):
@@ -108,8 +101,7 @@ class _FitnessCache(Gate):
         self.table_bytes = (6 + (len(self._buckets) + 1) * self.heuristic) * (n + 1) * -(-n // 64) * 8
         if not population or self.table_bytes > TABLE_BUDGET:
             return
-        stats = [self.xtl_min, self.xbr_max, self.ytl_min, self.ybr_max, self.occ_min, self.occ_max]
-        columns = self._SIGNS[:, None] * stats
+        columns = self.stats
         if self.heuristic:
             # bucket b is [edges[b], edges[b + 1]): its column is each picture's first score with j/k above edges[b]
             edges = np.append(-np.inf, self._buckets)[:, None]
@@ -132,7 +124,7 @@ class _FitnessCache(Gate):
 
     def packed(self, genomes: np.ndarray) -> np.ndarray:
         """(P, ceil(n / 64)) bitsets of the pictures each genome of a (P, dim) population passes."""
-        genes = genomes[:, :6] * self._SIGNS
+        genes = genomes[:, :6] * SIGNS
         rows = [self.n_pictures - s.searchsorted(t, "right") for s, t in zip(self._sorted, genes.T)]
         pred = np.bitwise_and.reduce(self._tables[np.arange(6)[:, None], rows])
         if self.heuristic:
@@ -250,13 +242,12 @@ def grid_search_oracle(
     column = values[:, None]
     # condition tables, one row per grid value: (steps, n) for each leading
     # gene, (steps, steps, n) for the last two, which are swept as one array
-    c_xmin, c_ymin, c_omin = (m > column for m in (cache.xtl_min, cache.ytl_min, cache.occ_min))
-    c_xmax, c_ymax, c_omax = (m < column for m in (cache.xbr_max, cache.ybr_max, cache.occ_max))
-    leading = [c_xmin, c_xmax, c_ymin, c_ymax]
+    conditions = [stat > sign * column for stat, sign in zip(cache.stats, SIGNS)]
+    leading = conditions[:4]
     if kind == "baseline":
-        last = c_omin[:, None, :] & c_omax[None, :, :]
+        last = conditions[4][:, None, :] & conditions[5][None, :, :]
     else:
-        leading += [c_omin, c_omax]
+        leading += conditions[4:]
         # props[a, i]: share of picture i's faces scoring above values[a]
         faces = np.maximum(np.count_nonzero(cache.ranked > -np.inf, axis=0), 1)
         props = np.count_nonzero(cache.ranked > column[:, :, None], axis=1) / faces

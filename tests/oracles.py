@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from robophoto import core
-from robophoto.composition import BaselineThresholds, HeuristicThresholds, PictureScore
+from robophoto.composition import SIGNS, PictureScore, Thresholds
 from robophoto.core import (
     _COLUMNS,
     _RECORD_COLUMNS,
@@ -262,7 +262,7 @@ def fitness_cache(pictures: Sequence[PictureRecord], kind: str) -> SimpleNamespa
     for i, p in enumerate(labeled):
         if not p.faces:
             continue
-        occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+        occs = [box_area(f.bbox) / (p.width * p.height) for f in p.faces]
         self.xtl_min[i] = min(f.bbox.x_tl / p.width for f in p.faces)
         self.xbr_max[i] = max(f.bbox.x_br / p.width for f in p.faces)
         self.ytl_min[i] = min(f.bbox.y_tl / p.height for f in p.faces)
@@ -274,6 +274,8 @@ def fitness_cache(pictures: Sequence[PictureRecord], kind: str) -> SimpleNamespa
             k = len(p.faces)
             self.ranked[:k, i] = sorted((f.score for f in p.faces), reverse=True)
             self.fractions[:k, i] = [j / k for j in range(1, k + 1)]
+    # composition.Gate's one table: the six rows in genome order, signed by SIGNS
+    self.stats = SIGNS[:, None] * [self.xtl_min, self.xbr_max, self.ytl_min, self.ybr_max, self.occ_min, self.occ_max]
     return self
 
 
@@ -294,9 +296,13 @@ def center_distance(bbox: BoundingBox, width: int, height: int) -> float:
     return math.hypot(fx - cx, fy - cy) / math.hypot(cx, cy)
 
 
-def baseline_gate(bbox: BoundingBox, width: int, height: int, t: BaselineThresholds) -> bool:
+def box_area(bbox: BoundingBox) -> int:
+    return (bbox.x_br - bbox.x_tl) * (bbox.y_br - bbox.y_tl)
+
+
+def baseline_gate(bbox: BoundingBox, width: int, height: int, t: Thresholds) -> bool:
     """All five position/occupancy inequalities for one face."""
-    occ = bbox.area / (width * height)
+    occ = box_area(bbox) / (width * height)
     return (
         bbox.x_tl / width > t.x_min
         and bbox.x_br / width < t.x_max
@@ -306,7 +312,7 @@ def baseline_gate(bbox: BoundingBox, width: int, height: int, t: BaselineThresho
     )
 
 
-def reference_baseline_score(picture: PictureRecord, t: BaselineThresholds) -> PictureScore:
+def reference_baseline_score(picture: PictureRecord, t: Thresholds) -> PictureScore:
     """Sum of (1 - d) over faces; zero when faceless or any face fails the gate."""
     if not picture.faces:
         return PictureScore(False, 0.0)
@@ -318,7 +324,7 @@ def reference_baseline_score(picture: PictureRecord, t: BaselineThresholds) -> P
     return PictureScore(True, total)
 
 
-def reference_heuristic_score(picture: PictureRecord, t: HeuristicThresholds) -> PictureScore:
+def reference_heuristic_score(picture: PictureRecord, t: Thresholds) -> PictureScore:
     """Baseline gates plus face-score gates; score is sum of (1 - d) * r."""
     if not picture.faces:
         return PictureScore(False, 0.0)
@@ -326,7 +332,7 @@ def reference_heuristic_score(picture: PictureRecord, t: HeuristicThresholds) ->
     for f in picture.faces:
         if f.score is None:
             raise UnscoredFaceError(f"face in {picture.picture_id} has no quality score")
-        if not baseline_gate(f.bbox, picture.width, picture.height, t.baseline):
+        if not baseline_gate(f.bbox, picture.width, picture.height, t):
             return PictureScore(False, 0.0)
         if f.score > t.r_min:
             good += 1
@@ -343,7 +349,7 @@ def reference_heuristic_score(picture: PictureRecord, t: HeuristicThresholds) ->
 def reference_accuracy(thresholds, pictures: Sequence[PictureRecord]) -> float:
     """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
     kept, good = labeled_items(pictures, "pictures")
-    scorer = reference_heuristic_score if isinstance(thresholds, HeuristicThresholds) else reference_baseline_score
+    scorer = reference_heuristic_score if thresholds.heuristic else reference_baseline_score
     passed = np.array([scorer(p, thresholds).passed for p in kept])
     return int(np.count_nonzero(passed == good)) / len(kept)
 

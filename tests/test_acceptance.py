@@ -31,8 +31,7 @@ from robophoto.behavior_sim import (
     IMAGE_W,
 )
 from robophoto.composition import (
-    BaselineThresholds,
-    HeuristicThresholds,
+    Thresholds,
     picture_scores,
 )
 from robophoto.core import (
@@ -163,7 +162,7 @@ def test_criterion_05_scoring_equivalences():
         for pic in make_random_pictures(100, seed=seed, with_scores=False)
     ]
     n_checked = len(pics)
-    t = BaselineThresholds(0.02, 0.98, 0.02, 0.98, 1e-6, 0.8)
+    t = Thresholds(0.02, 0.98, 0.02, 0.98, 1e-6, 0.8)
     base = picture_scores(Dataset(records=pics), t)
     # (a) unit scores and p_min = 0 reduce the heuristic to the baseline
     scored = [
@@ -180,7 +179,7 @@ def test_criterion_05_scoring_equivalences():
         )
         for pic in pics
     ]
-    heur = picture_scores(Dataset(records=scored), HeuristicThresholds(baseline=t, r_min=0.5, p_min=0.0))
+    heur = picture_scores(Dataset(records=scored), replace(t, r_min=0.5, p_min=0.0))
     ok = all(np.array_equal(h, b) for h, b in zip(heur, base))
     # (b) scale invariance under power-of-two integer upscaling
     for k in (2, 4, 8):
@@ -206,7 +205,7 @@ def test_criterion_05_scoring_equivalences():
         s2 = picture_scores(Dataset(records=big), t)
         ok = ok and all(np.array_equal(s, b) for s, b in zip(s2, base))
     # (c) any gate failure forces a zero score
-    tight = BaselineThresholds(0.45, 0.55, 0.45, 0.55, 1e-9, 1.0)
+    tight = Thresholds(0.45, 0.55, 0.45, 0.55, 1e-9, 1.0)
     passed, value = picture_scores(Dataset(records=pics), tight)
     ok = ok and bool(np.all(passed | (value == 0.0)))
     _report(

@@ -26,8 +26,6 @@ from robophoto.cli import (
     run_pipeline,
 )
 from robophoto.composition import (
-    BaselineThresholds,
-    HeuristicThresholds,
     heuristic_score,
     thresholds_from_json,
     thresholds_to_json,
@@ -795,6 +793,14 @@ BAD_INPUT_PROBES = {
             "--kind", "baseline", "--out", str(tmp / "t.json"),
         ],
         EXIT_DATA, "",
+    ),
+    # only the heuristic gates read face scores: a face model beside --kind baseline is an error, not ignored
+    "optimize_thresholds_baseline_with_face_model": (
+        lambda tmp, get: [
+            "optimize-thresholds", "--dataset", str(get("dataset_path")), "--kind", "baseline",
+            "--out", str(tmp / "t.json"), "--face-model", str(tmp / "no.tnet"),
+        ],
+        EXIT_USAGE, "",
     ),
     "train_epochs_0": (
         lambda tmp, get: [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_face, make_picture
 from oracles import (
     baseline_gate,
+    box_area,
     center_distance,
     face_center,
     make_random_pictures,
@@ -19,8 +20,7 @@ from oracles import (
 from robophoto import tinynet
 from robophoto.abstraction import CANVAS_H, CANVAS_W
 from robophoto.composition import (
-    BaselineThresholds,
-    HeuristicThresholds,
+    Thresholds,
     baseline_score,
     heuristic_score,
     picture_scores,
@@ -31,7 +31,7 @@ from robophoto.core import BoundingBox, Dataset, DatasetError, Label, UnscoredFa
 from robophoto.pipeline import method_scores
 from robophoto.threshold_opt import _FitnessCache, accuracy, genome_to_thresholds, repair_genome
 
-WIDE = BaselineThresholds(0.01, 0.99, 0.01, 0.99, 0.001, 0.9)
+WIDE = Thresholds(0.01, 0.99, 0.01, 0.99, 0.001, 0.9)
 
 # a one-layer layout model: method_scores runs it, the geometric scorers never read it
 LAYOUT_MODEL = tinynet.build_model([tinynet.flatten(), tinynet.dense(CANVAS_H * CANVAS_W, 1), tinynet.sigmoid()])
@@ -58,14 +58,14 @@ def test_center_distance_scale_invariant_power_of_two():
 
 
 def test_gate_strict_inequalities():
-    t = BaselineThresholds(0.1, 0.9, 0.1, 0.9, 0.01, 0.5)
+    t = Thresholds(0.1, 0.9, 0.1, 0.9, 0.01, 0.5)
     # x_tl exactly at x_min * width fails (strict >)
     assert not baseline_gate(BoundingBox(100, 200, 500, 500), 1000, 1000, t)
     assert baseline_gate(BoundingBox(101, 200, 500, 500), 1000, 1000, t)
 
 
 def test_gate_occupancy_bounds():
-    t = BaselineThresholds(0.0, 1.0, 0.0, 1.0, 0.01, 0.25)
+    t = Thresholds(0.0, 1.0, 0.0, 1.0, 0.01, 0.25)
     # occupancy exactly 0.25 fails
     assert not baseline_gate(BoundingBox(100, 100, 600, 600), 1000, 1000, t)
     assert baseline_gate(BoundingBox(100, 100, 599, 600), 1000, 1000, t)
@@ -89,7 +89,7 @@ def test_baseline_score_sums_over_faces():
 
 def test_baseline_any_failing_face_zeroes_picture():
     pic = make_picture([make_face(1400, 900, 1600, 1100), make_face(0, 0, 100, 100)])
-    t = BaselineThresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5)
+    t = Thresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5)
     s = baseline_score(pic, t)
     assert not s.passed and s.value == 0.0
 
@@ -99,7 +99,7 @@ def test_baseline_faceless_fails():
     assert not s.passed and s.value == 0.0
 
 
-@pytest.mark.parametrize("t", [WIDE, HeuristicThresholds(WIDE, 0.5, 0.5)])
+@pytest.mark.parametrize("t", [WIDE, replace(WIDE, r_min=0.5, p_min=0.5)])
 def test_an_empty_dataset_scores_no_picture(t):
     passed, value = picture_scores(Dataset(records=()), t)
     assert (passed.dtype, passed.shape, value.dtype, value.shape) == (bool, (0,), np.float64, (0,))
@@ -113,7 +113,7 @@ def _thresholds_on_statistics(rng, pics, rows):
         p = pics[int(rng.integers(len(pics)))]
         if not p.faces:
             continue
-        occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+        occs = [box_area(f.bbox) / (p.width * p.height) for f in p.faces]
         stats = (
             min(f.bbox.x_tl / p.width for f in p.faces), max(f.bbox.x_br / p.width for f in p.faces),
             min(f.bbox.y_tl / p.height for f in p.faces), max(f.bbox.y_br / p.height for f in p.faces),
@@ -136,8 +136,9 @@ def test_method_scores_match_the_per_face_scorers_bit_for_bit(seed):
     pics = make_random_pictures(24, seed=seed, with_scores=True)
     pics = [replace(p, faces=()) if i % 7 == 3 else p for i, p in enumerate(pics)]
     for heuristic_t in _thresholds_on_statistics(rng, pics, 6):
-        got = method_scores(Dataset(records=pics), heuristic_t.baseline, heuristic_t, LAYOUT_MODEL)
-        for method, t, scorer in (("baseline", heuristic_t.baseline, reference_baseline_score),
+        baseline_t = replace(heuristic_t, r_min=None, p_min=None)
+        got = method_scores(Dataset(records=pics), baseline_t, heuristic_t, LAYOUT_MODEL)
+        for method, t, scorer in (("baseline", baseline_t, reference_baseline_score),
                                   ("heuristic", heuristic_t, reference_heuristic_score)):
             want = [scorer(p, t) for p in pics]
             passed, value = got[method]
@@ -147,7 +148,7 @@ def test_method_scores_match_the_per_face_scorers_bit_for_bit(seed):
 
 
 def _heuristic(r_min=0.5, p_min=0.4):
-    return HeuristicThresholds(baseline=WIDE, r_min=r_min, p_min=p_min)
+    return replace(WIDE, r_min=r_min, p_min=p_min)
 
 
 def test_heuristic_weights_by_score():
@@ -181,7 +182,7 @@ def test_heuristic_requires_scores():
 def test_an_unscored_face_raises_even_behind_a_failing_face():
     # the first face fails x_min, the second has no score: every path raises
     pic = make_picture([make_face(0, 0, 50, 50, score=0.9), make_face(1400, 900, 1600, 1100)], label=Label.GOOD)
-    t = HeuristicThresholds(baseline=BaselineThresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5), r_min=0.5, p_min=0.1)
+    t = Thresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5, r_min=0.5, p_min=0.1)
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
         heuristic_score(pic, t)
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
@@ -189,32 +190,45 @@ def test_an_unscored_face_raises_even_behind_a_failing_face():
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
         _FitnessCache(Dataset(records=[pic]), "heuristic")
     with pytest.raises(UnscoredFaceError, match="face in p0 has no quality score"):
-        method_scores(Dataset(records=[pic]), t.baseline, t, LAYOUT_MODEL)
-    assert not baseline_score(pic, t.baseline).passed  # the baseline gate reads no score
+        method_scores(Dataset(records=[pic]), replace(t, r_min=None, p_min=None), t, LAYOUT_MODEL)
+    assert not baseline_score(pic, replace(t, r_min=None, p_min=None)).passed  # the baseline gate reads no score
 
 
 def test_heuristic_failed_gate_zero():
     pic = make_picture([make_face(0, 0, 50, 50, score=0.9)])
-    t = HeuristicThresholds(
-        baseline=BaselineThresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5),
-        r_min=0.5,
-        p_min=0.1,
-    )
+    t = Thresholds(0.05, 0.95, 0.05, 0.95, 0.001, 0.5, r_min=0.5, p_min=0.1)
     s = heuristic_score(pic, t)
     assert not s.passed and s.value == 0.0
 
 
 def test_threshold_bounds_validated():
     with pytest.raises(ValueError):
-        BaselineThresholds(0.9, 0.1, 0.1, 0.9, 0.01, 0.5)
+        Thresholds(0.9, 0.1, 0.1, 0.9, 0.01, 0.5)
     with pytest.raises(ValueError):
-        HeuristicThresholds(baseline=WIDE, r_min=1.5, p_min=0.2)
+        replace(WIDE, r_min=1.5, p_min=0.2)
 
 
 def test_threshold_json_roundtrip():
     for t in (WIDE, _heuristic(0.37, 0.21)):
         back = thresholds_from_json(thresholds_to_json(t))
         assert back == t
+
+
+def test_thresholds_with_r_min_but_no_p_min_raise():
+    with pytest.raises(DatasetError, match="r_min and p_min"):
+        replace(WIDE, r_min=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["baseline", "heuristic"]),
+    raw=st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]), min_size=8, max_size=8),
+)
+def test_a_repaired_genome_is_its_thresholds_genome_and_survives_json(kind, raw):
+    g = repair_genome(np.array(raw[: 6 if kind == "baseline" else 8]))
+    t = genome_to_thresholds(kind, g)
+    assert t.heuristic == (kind == "heuristic") and t.genome == tuple(g)
+    assert thresholds_from_json(thresholds_to_json(t)) == t
 
 
 def test_threshold_json_unknown_kind():
@@ -257,7 +271,7 @@ def test_threshold_json_malformed_is_dataset_error(text):
         thresholds_from_json(text)
 
 
-_THRESHOLD_NAMES = [*asdict(WIDE), "r_min", "p_min"]
+_THRESHOLD_NAMES = list(asdict(WIDE))  # the six bounds, then r_min and p_min
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 def _json_containers(inner):
     return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
@@ -279,7 +293,7 @@ def test_threshold_json_is_thresholds_or_dataset_error(value):
         t = thresholds_from_json(json.dumps(value))
     except DatasetError:
         return
-    assert isinstance(t, (BaselineThresholds, HeuristicThresholds))
+    assert isinstance(t, Thresholds)
     assert thresholds_from_json(thresholds_to_json(t)) == t
 
 

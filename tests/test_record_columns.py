@@ -182,7 +182,7 @@ def _random_pictures(seed: int, scored: bool = True) -> list[PictureRecord]:
     return pictures
 
 
-CACHE_ARRAYS = ("labels_good", "xtl_min", "xbr_max", "ytl_min", "ybr_max", "occ_min", "occ_max", "ranked", "fractions")
+CACHE_ARRAYS = ("labels_good", "stats", "ranked", "fractions")
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import selection_oracle
-from robophoto.core import FaceCountCategory
+from robophoto.core import CATEGORY_ORDER, FaceCountCategory
 from robophoto.errors import UsageError
 from robophoto.selection import (
-    CATEGORY_ORDER,
     ScoredPicture,
     SelectionConstraints,
     crop_cascade,

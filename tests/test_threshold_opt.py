@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_face, make_picture
-from oracles import make_random_pictures, reference_accuracy
+from oracles import box_area, make_random_pictures, reference_accuracy
 from robophoto import threshold_opt
-from robophoto.composition import BaselineThresholds, HeuristicThresholds, picture_scores
+from robophoto.composition import SIGNS, Thresholds, picture_scores
 from robophoto.core import Dataset, Label
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
@@ -108,7 +108,7 @@ def test_ga_config_rejects_negative_generations_and_runs_zero():
 
 def test_genome_roundtrip_thresholds():
     t = genome_to_thresholds("heuristic", (0.1, 0.9, 0.1, 0.9, 0.01, 0.5, 0.4, 0.3))
-    assert t.r_min == 0.4 and t.baseline.x_max == 0.9
+    assert t.r_min == 0.4 and t.x_max == 0.9
 
 
 def test_accuracy_perfect_with_hidden_thresholds():
@@ -165,7 +165,7 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
         p = pics[int(rng.integers(len(pics)))]
         if not p.faces:
             continue
-        occs = [f.bbox.area / (p.width * p.height) for f in p.faces]
+        occs = [box_area(f.bbox) / (p.width * p.height) for f in p.faces]
         stats = (
             min(f.bbox.x_tl / p.width for f in p.faces), max(f.bbox.x_br / p.width for f in p.faces),
             min(f.bbox.y_tl / p.height for f in p.faces), max(f.bbox.y_br / p.height for f in p.faces),
@@ -210,7 +210,7 @@ def _boundary_population(rng, cache, size):
     score or fraction behind otherwise open gates, and special values anywhere."""
     dim = cache.dim
     pop = rng.uniform(-0.1, 1.1, (size, dim))
-    stats = np.array([cache.xtl_min, cache.xbr_max, cache.ytl_min, cache.ybr_max, cache.occ_min, cache.occ_max])
+    stats = SIGNS[:, None] * cache.stats  # each picture's unsigned statistic, gene by gene
     for row in range(0, size, 2):
         pop[row] = [-np.inf, np.inf] * 3 + [-np.inf, -np.inf][: dim - 6]
         i, gene = int(rng.integers(cache.n_pictures)), int(rng.integers(dim))
@@ -269,7 +269,7 @@ def group_event():
 
 def test_scoring_a_large_group_event_builds_no_tables(group_event):
     # one genome: the dense compare, O(faces) memory; the tables would take over 400 MB here
-    t = HeuristicThresholds(BaselineThresholds(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 0.5, 0.5)
+    t = Thresholds(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5)
     tracemalloc.start()
     picture_scores(group_event, t)
     accuracy(t, group_event)
