@@ -1,6 +1,6 @@
 """The simulator writes exactly the event-log bytes it wrote when each step still
 rendered the 640x480 mask image: the sha256 of every log is pinned, for the three
-scenarios of scripts/run_simulation.py and for a long zigzag course with face
+scenarios of scripts/run_simulation.py and for two long zigzag courses with face
 windows and obstacles. The closed-form stripe is also checked against the
 rendered reference, step by step and on random poses and courses."""
 
@@ -24,6 +24,8 @@ DIGESTS = {
     "left_cluster": "b0ebf1dfc9f1bbd006409845cd95928f5276d93db0d111b78df7712443df197e",
     "obstacle": "4b349ccbc71d20b4d3892f04f502b73fae733b028d4d9443134f41abc06353f9",
     "zigzag_20000": "7463ac911d49561a139baa03179433c77cceaf480e1cfb33cf068dcdc0aea854",
+    # captured from the code that scanned every segment and window at each step
+    "zigzag_40000": "962eeba40f5f337635869529b88b3805911b6cfb01b3af53bca76515dcf425d1",
 }
 
 
@@ -63,7 +65,9 @@ def _log_digest(scenario: Scenario, path: Path) -> str:
 
 
 def test_event_logs_keep_their_pinned_bytes(tmp_path):
-    scenarios = {**_script_scenarios(), "zigzag_20000": zigzag(20000, seed=5)}
+    scenarios = {
+        **_script_scenarios(), "zigzag_20000": zigzag(20000, seed=5), "zigzag_40000": zigzag(40000, seed=5),
+    }
     assert {name: _log_digest(s, tmp_path / f"{name}.jsonl") for name, s in scenarios.items()} == DIGESTS
 
 
