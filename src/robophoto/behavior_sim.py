@@ -4,19 +4,22 @@ Models line following (binary mask centroid + P-controller), obstacle
 stopping, the three-camera face vote, and the rotate/burst/rotate-back
 cycle. Physics is purely kinematic. A step reads the line stripe's columns,
 projected from the robot pose and the course polyline; the post-color-mask
-image is rendered from them only for tests and inspection.
+image is rendered from them only for tests and inspection. A step's cost does not
+grow with the course or the number of windows.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import write_jsonl
 from .errors import DatasetError, checked_number, parsed_json
 
 IMAGE_W = 640
@@ -141,7 +144,7 @@ def camera_vote(
     least n_max of the last n_window frames."""
     recent = list(history)[-params.n_window :]
     for cam in ("left", "front", "right"):
-        if sum(1 for h in recent if h == cam) >= params.n_max:
+        if recent.count(cam) >= params.n_max:
             return cam
     return None
 
@@ -174,7 +177,10 @@ def _window(w, key: str) -> dict:
         values = tuple(checked_number(c, ScenarioError, "a face count", integer=True) for c in (left, front, right))
         if min(values) < 0:
             raise ScenarioError(f"face counts must be >= 0, got {list(values)}")
-    return {"t_start": _real(w["t_start"]), "t_end": _real(w["t_end"]), key: values}
+    t_start, t_end = _real(w["t_start"]), _real(w["t_end"])
+    if not t_end > t_start:  # such a window could never be active
+        raise ScenarioError(f"a window must end after it starts, got [{t_start}, {t_end})")
+    return {"t_start": t_start, "t_end": t_end, key: values}
 
 
 @dataclass
@@ -210,6 +216,59 @@ class Scenario:
             raise ScenarioError(f"malformed scenario: {e}") from None
 
 
+def _segment_point(x1, y1, vx, vy, L2, px, py) -> tuple[float, float, float]:
+    """The distance from (px, py) to the segment from (x1, y1) along (vx, vy), and its nearest point."""
+    if L2 == 0:
+        qx, qy = x1, y1
+    else:
+        t = max(0.0, min(1.0, ((px - x1) * vx + (py - y1) * vy) / L2))
+        qx, qy = x1 + t * vx, y1 + t * vy
+    return math.hypot(px - qx, py - qy), qx, qy
+
+
+class _Course:
+    """The point a scan of every segment finds (the first in order at the least distance), from those
+    that can hold it: a scan at an anchor sorts the segments by distance; delta from it, none farther
+    than ub + delta (plus a slack for rounding) can beat the anchor's nearest, ub away. A query that
+    leaves more than two is scanned and becomes the anchor."""
+
+    def __init__(self, line: Sequence[tuple[float, float]]):
+        self.start, self.anchor = (math.inf, *line[0]), None
+        self.segments = [(x1, y1, x2 - x1, y2 - y1, (x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1))
+                         for (x1, y1), (x2, y2) in zip(line, line[1:])]
+        self.extent = max(abs(c) for point in line for c in point)
+
+    def closest(self, px: float, py: float) -> tuple[float, float]:
+        scale = self.extent + abs(px) + abs(py)  # under 1e150 no product overflows; never inf or NaN
+        if self.anchor is not None and scale < 1e150:
+            ax, ay, dists, order = self.anchor
+            delta = math.hypot(px - ax, py - ay)
+            hit = _segment_point(*self.segments[order[0]], px, py)
+            n = bisect_right(dists, hit[0] + delta + 1e-12 + 1e-9 * (scale + delta))
+            if 1 <= n <= 2:  # min keeps the first of equal distances, as the scan does
+                hits = [hit if i == order[0] else _segment_point(*self.segments[i], px, py) for i in sorted(order[:n])]
+                return min(hits, key=itemgetter(0))[1:]
+        hits = [_segment_point(*segment, px, py) for segment in self.segments]
+        if scale < 1e150:
+            order = sorted(range(len(hits)), key=lambda i: hits[i][0])
+            self.anchor = (px, py, [hits[i][0] for i in order], order)
+        return min(self.start, *hits, key=itemgetter(0))[1:]  # the start when every distance overflows
+
+
+class _Windows:
+    """What the windows covering a never-decreasing time give, scanned again only when it passes an end."""
+
+    def __init__(self, windows: list[dict], combine):
+        self.windows, self.combine, self.next = windows, combine, -math.inf
+        self.ends = sorted({w[end] for w in windows for end in ("t_start", "t_end")}) + [math.inf]
+
+    def at(self, t: float):
+        if t >= self.next:
+            self.next = self.ends[bisect_right(self.ends, t)]
+            self.value = self.combine([w for w in self.windows if w["t_start"] <= t < w["t_end"]])
+        return self.value
+
+
 class Simulator:
     """Step-wise behavior simulation over a scenario; emits one log entry per step."""
 
@@ -225,6 +284,10 @@ class Simulator:
         self.return_heading = 0.0
         self.shots_left = 0
         self.pause_left = 0.0
+        self._course = _Course(scenario.line)
+        # the obstacle points of every window, the face counts of the first, in list order
+        self._obstacles = _Windows(scenario.obstacles, lambda ws: [p for w in ws for p in w["points"]])
+        self._faces = _Windows(scenario.camera_faces, lambda ws: ws[0]["counts"] if ws else (0, 0, 0))
 
     # --- world sensing -------------------------------------------------
 
@@ -233,7 +296,7 @@ class Simulator:
         None when the course is out of view or the clipped stripe is empty."""
         lx = self.x + LOOKAHEAD_M * math.cos(self.heading)
         ly = self.y + LOOKAHEAD_M * math.sin(self.heading)
-        qx, qy = _closest_on_polyline(self.scenario.line, lx, ly)
+        qx, qy = self._course.closest(lx, ly)
         dx, dy = qx - self.x, qy - self.y
         y_r = -math.sin(self.heading) * dx + math.cos(self.heading) * dy  # left positive
         x_r = math.cos(self.heading) * dx + math.sin(self.heading) * dy
@@ -252,19 +315,6 @@ class Simulator:
             image[SLICE_START_ROW : SLICE_START_ROW + SLICE_HEIGHT, slice(*stripe)] = 1
         return image
 
-    def _scan_points(self) -> list[tuple[float, float]]:
-        pts: list[tuple[float, float]] = []
-        for ob in self.scenario.obstacles:
-            if ob["t_start"] <= self.t < ob["t_end"]:
-                pts.extend(ob["points"])
-        return pts
-
-    def _face_counts(self) -> tuple[int, int, int]:
-        for window in self.scenario.camera_faces:
-            if window["t_start"] <= self.t < window["t_end"]:
-                return window["counts"]
-        return (0, 0, 0)
-
     # --- stepping ------------------------------------------------------
 
     def _rotate_towards(self, target: float) -> float:
@@ -282,12 +332,12 @@ class Simulator:
         state_at_entry = self.state
 
         if self.state in ("follow_line", "transfer_pause"):
-            self.collision_state = collision_update(self._scan_points(), self.collision_state, dt)
+            self.collision_state = collision_update(self._obstacles.at(self.t), self.collision_state, dt)
             stripe = None if self.collision_state.stopped else self._stripe()
             if stripe is not None:
                 v, omega = steer((stripe[0] + stripe[1] - 1) / 2, self.controller)
             if self.state == "follow_line":
-                self.vote_history.append(frame_winner(self._face_counts()))
+                self.vote_history.append(frame_winner(self._faces.at(self.t)))
                 winner = camera_vote(self.vote_history)
                 if winner is not None:
                     self.vote_history.clear()
@@ -335,23 +385,22 @@ class Simulator:
         return [self.step() for _ in range(self.scenario.steps)]
 
 
-def _closest_on_polyline(line: Sequence[tuple[float, float]], px: float, py: float):
-    best = line[0]  # kept only when every distance overflows
-    best_d = math.inf
-    for (x1, y1), (x2, y2) in zip(line, line[1:]):
-        vx, vy = x2 - x1, y2 - y1
-        L2 = vx * vx + vy * vy
-        if L2 == 0:
-            qx, qy = x1, y1
-        else:
-            t = max(0.0, min(1.0, ((px - x1) * vx + (py - y1) * vy) / L2))
-            qx, qy = x1 + t * vx, y1 + t * vy
-        d = math.hypot(px - qx, py - qy)
-        if d < best_d:
-            best_d = d
-            best = (qx, qy)
-    return best
+_TEXT = {n: json.dumps(n) for n in (None, "shutter", "follow_line", "rotate_to_subject", "burst_and_rotate_back",
+                                     "transfer_pause")}
 
 
 def write_event_log(log: list[dict], path) -> None:
-    write_jsonl(log, path)
+    """json.dumps(entry, sort_keys=True) a line for entries as step makes them, from a template with
+    float.__repr__, the encoder's text for a finite float; other values go through the encoder."""
+    r = float.__repr__
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for e in log:
+            c, (x, y, h) = e["command"], e["pose"]
+            try:
+                if math.isfinite(e["t"] + c["v"] + c["omega"] + x + y + h):
+                    fh.write(f'{{"command": {{"omega": {r(c["omega"])}, "v": {r(c["v"])}}}, "event": {_TEXT[e["event"]]}, '
+                             f'"pose": [{r(x)}, {r(y)}, {r(h)}], "state": {_TEXT[e["state"]]}, "t": {r(e["t"])}}}\n')
+                    continue
+            except (TypeError, KeyError):
+                pass
+            fh.write(json.dumps(e, sort_keys=True) + "\n")

@@ -450,12 +450,6 @@ def write_dataset_jsonl(dataset: Dataset, path) -> None:
             fh.writelines(_lines(dataset.take(range(start, min(start + _WRITE_ROWS, len(dataset))))))
 
 
-def write_jsonl(rows: Iterable[dict], path) -> None:
-    """Emit one sorted-key JSON object per line (UTF-8, LF)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_JSONL_ENCODER.encode(row) + "\n" for row in rows)
-
-
 def split_dataset(
     dataset: Dataset, ratios: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:

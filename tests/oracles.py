@@ -25,6 +25,7 @@ from robophoto import core
 from robophoto.composition import SIGNS, PictureScore, Thresholds
 from robophoto.core import (
     _COLUMNS,
+    _JSONL_ENCODER,
     _RECORD_COLUMNS,
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
@@ -642,6 +643,51 @@ def reference_train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[N
             w[key] -= w0[key].astype(np.float32)
             w[key] = w0[key] + w[key]  # casts the float32 side in chunks, with no float64 temporary
     return replace(work, weights=tuple(weights), metadata=meta), history
+
+
+# --- the simulator's scans of the course and windows, and its log writer, before
+# the cursor, the window breakpoints and the template -----------------------------
+
+
+def _closest_on_polyline(line: Sequence[tuple[float, float]], px: float, py: float):
+    best = line[0]  # kept only when every distance overflows
+    best_d = math.inf
+    for (x1, y1), (x2, y2) in zip(line, line[1:]):
+        vx, vy = x2 - x1, y2 - y1
+        L2 = vx * vx + vy * vy
+        if L2 == 0:
+            qx, qy = x1, y1
+        else:
+            t = max(0.0, min(1.0, ((px - x1) * vx + (py - y1) * vy) / L2))
+            qx, qy = x1 + t * vx, y1 + t * vy
+        d = math.hypot(px - qx, py - qy)
+        if d < best_d:
+            best_d = d
+            best = (qx, qy)
+    return best
+
+
+def scan_points(scenario, t: float) -> list[tuple[float, float]]:
+    """Simulator._scan_points at time t: the points of every obstacle window covering it."""
+    pts: list[tuple[float, float]] = []
+    for ob in scenario.obstacles:
+        if ob["t_start"] <= t < ob["t_end"]:
+            pts.extend(ob["points"])
+    return pts
+
+
+def face_counts(scenario, t: float) -> tuple[int, int, int]:
+    """Simulator._face_counts at time t: the counts of the first face window covering it."""
+    for window in scenario.camera_faces:
+        if window["t_start"] <= t < window["t_end"]:
+            return window["counts"]
+    return (0, 0, 0)
+
+
+def write_jsonl(rows: Iterable[dict], path) -> None:
+    """Emit one sorted-key JSON object per line (UTF-8, LF)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_JSONL_ENCODER.encode(row) + "\n" for row in rows)
 
 
 # --- finite-difference gradients: the reference for backprop -------------------

@@ -707,6 +707,18 @@ BAD_INPUT_PROBES = {
         )
         for name, counts in (("negative", [-1, -3, -3]), ("fractional", [0.5, 0, 0]))
     },
+    # a window that ends at or before its start could never be active
+    **{
+        f"simulate_{kind}_window_{name}": (
+            lambda tmp, get, key=key, window=window: _simulate(tmp, {**SCENARIO, key: [window]}), EXIT_DATA, ""
+        )
+        for kind, key, values in (
+            ("face", "camera_faces", {"counts": [3, 0, 0]}), ("obstacle", "obstacles", {"points": [[0.4, 1.0]] * 12})
+        )
+        for name, window in (
+            ("reversed", {"t_start": 2.0, "t_end": 1.0, **values}), ("empty", {"t_start": 1.0, "t_end": 1.0, **values})
+        )
+    },
     **{
         f"render_abstract_picture_id_{name}": (
             lambda tmp, get, pid=pid: _render_abstract(tmp, pid), EXIT_DATA, ""

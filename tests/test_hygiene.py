@@ -2,8 +2,9 @@
 function parameter other than self or cls must be read in its body, every
 exception class derives from one of the three roots in robophoto.errors, no
 module but errors.py decides by hand what counts as a number or parses JSON,
-cli.main alone writes run configs, prints summaries and returns EXIT_OK, and
-every public top-level name in the package has a reader outside tests/.
+cli.main alone writes run configs, prints summaries and returns EXIT_OK,
+every public top-level name in the package has a reader outside tests/, and
+every name the benchmark's tracer wraps still resolves in the package.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -261,3 +262,30 @@ def test_every_public_name_has_a_reader_outside_tests():
         if name not in read
     ]
     assert not unread, f"public names no module outside tests/ reads: {', '.join(unread)}"
+
+
+def _benchmark_constant(tree: ast.Module, name: str):
+    """The literal value of one module-level constant of perfbench/spans.py."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/spans.py defines no {name}")
+
+
+def test_benchmark_targets_resolve():
+    """perfbench/spans.py, read with ast and not imported, wraps each TARGETS name with
+    getattr (a method through its class's own __dict__) and each CLI_COMMANDS handler
+    as cli.cmd_<command>; a name that is gone makes every traced run raise AttributeError."""
+    tree = ast.parse((REPO_DIR / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    wrapped = [(module, name) for module, names in _benchmark_constant(tree, "TARGETS").items() for name in names]
+    wrapped += [("cli", "cmd_" + command.replace("-", "_")) for command in _benchmark_constant(tree, "CLI_COMMANDS")]
+    missing = []
+    for module_name, name in wrapped:
+        owner = importlib.import_module(f"robophoto.{module_name}")
+        *classes, attr = name.split(".")
+        for cls_name in classes:
+            owner = vars(owner).get(cls_name)
+        if not callable(vars(owner).get(attr) if owner is not None else None):
+            missing.append(f"{module_name}.{name}")
+    assert not missing, f"names the benchmark wraps that no longer resolve: {', '.join(missing)}"
