@@ -315,14 +315,15 @@ def test_the_log_template_writes_what_the_encoder_writes(tmp_path, log):
     assert written == (tmp_path / "reference.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("controller, start", [
-    (ControllerParams(v_lin=1), (0.0, 0.3, 0.0)),  # v is an int
-    (ControllerParams(v_lin=1e307), (0.0, 0.0, 0.0)),  # the pose overflows to inf, then NaN
-    (ControllerParams(), (1.7e308, 0.3, 0.0)),
-])
-def test_logs_that_leave_the_template_keep_the_encoders_bytes(tmp_path, controller, start):
-    scenario = Scenario(dt=0.1, steps=40, line=[(0.0, 0.0), (1e308, 0.0)], start_pose=start)
+@pytest.mark.parametrize("controller, dt", [
+    (ControllerParams(v_lin=1), 0.1),  # v is an int in every entry
+    (ControllerParams(k_p=1e308), 10.0),  # omega * dt overflows: the heading, then the pose, turns NaN
+], ids=["int_v", "nan_pose"])
+def test_logs_that_leave_the_template_keep_the_encoders_bytes(tmp_path, controller, dt):
+    scenario = Scenario(dt=dt, steps=40, line=[(0.0, 0.0), (100.0, 0.0)], start_pose=(0.0, 0.3, 0.0))
     log = Simulator(scenario, controller).run()
+    numbers = [v for e in log for v in (e["t"], e["command"]["v"], e["command"]["omega"], *e["pose"])]
+    assert any(isinstance(v, int) or not math.isfinite(v) for v in numbers)  # the template cannot take them
     write_event_log(log, tmp_path / "log.jsonl")
     oracles.write_jsonl(log, tmp_path / "reference.jsonl")
     assert (tmp_path / "log.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
