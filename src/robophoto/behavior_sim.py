@@ -196,8 +196,8 @@ class Scenario:
         # checked once so no run meets a bad value; a wrong structure raises TypeError or ValueError
         self.dt = _real(self.dt)
         self.steps = checked_number(self.steps, ScenarioError, "steps", integer=True)
-        if not (self.dt > 0 and self.steps >= 0 and len(self.line) > 1):
-            raise ScenarioError("a scenario needs dt > 0, integer steps >= 0 and 2+ line points")
+        if not (self.dt >= 1e-6 and self.steps >= 0 and len(self.line) > 1):  # the log's "t" keeps 6 decimals
+            raise ScenarioError("a scenario needs dt >= 1e-6, integer steps >= 0 and 2+ line points")
         if not math.isfinite(self.dt * self.steps):  # every "t" in the log must be a JSON number
             raise ScenarioError(f"dt * steps must be finite, got {self.dt} * {self.steps}")
         self.line = [(_real(x), _real(y)) for x, y in self.line]
@@ -276,7 +276,7 @@ class Simulator:
         self.scenario = scenario
         self.controller = controller
         self.x, self.y, self.heading = scenario.start_pose
-        self.t = 0.0
+        self.t, self._steps_taken = 0.0, 0
         self.state = "follow_line"
         self.collision_state = CollisionState()
         self.vote_history: deque[Optional[str]] = deque(maxlen=PICTURE_TAKING.n_window)
@@ -378,7 +378,8 @@ class Simulator:
         self.heading = _wrap(self.heading + omega * dt)
         self.x += v * math.cos(self.heading) * dt
         self.y += v * math.sin(self.heading) * dt
-        self.t = round(self.t + dt, 9)
+        self._steps_taken += 1
+        self.t = round(self._steps_taken * dt, 9)  # from the count: a sum would drift, or stall for a tiny dt
         return entry
 
     def run(self) -> list[dict]:

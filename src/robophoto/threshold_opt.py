@@ -28,8 +28,9 @@ MUTATION_RATE = 0.1
 MUTATION_SIGMA = 0.05
 TOURNAMENT_K = 3
 ELITISM_COUNT = 2
-# bytes of packed bitset tables a GA fit may build; a larger fit counts on the dense gate
+# bytes of packed bitset tables a GA fit may build; a larger fit stores fewer rows of each
 TABLE_BUDGET = 32 << 20
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)  # picture i is bit i % 64 of word i // 64
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,14 @@ def accuracy(thresholds: Thresholds, pictures: Dataset) -> float:
 class _FitnessCache(Gate):
     """The scorers' gate (composition.Gate) over the labeled pictures, with their labels; it
     never computes the center-distance sums. One genome's accuracy counts `Gate.passed`'s dense
-    compare. A GA population (`population=True`) reads packed bitsets when they fit in
-    TABLE_BUDGET: row c of a statistic's (n + 1, ceil(n / 64)) uint64 table holds its c largest
-    pictures, so with genes signed as `Gate.stats` is, each gene is one searchsorted and one row,
-    and the popcount of passed XOR Good counts the same wrong pictures. Scores fall and fractions
-    j/k rise along j, so the first face with j/k above p_min decides the heuristic; it moves only
-    with p_min's bucket among the distinct fractions, and each bucket, plus an empty last one,
-    gets a column of those faces' scores. A NaN gene selects the empty row."""
+    compare. A GA population (`population=True`) reads packed bitsets: row c of a statistic's table
+    holds its c largest pictures, and only every B-th row is stored, B the smallest power of two
+    (or the first >= n) whose tables fit TABLE_BUDGET, so row c is row c // B * B ORed with the
+    next pictures in descending order. With genes signed as `Gate.stats` is, each gene is one
+    searchsorted and one row, and the popcount of passed XOR Good counts the same wrong pictures.
+    Scores fall and fractions j/k rise along j, so the first face with j/k above p_min decides the
+    heuristic; it moves only with p_min's bucket among the distinct fractions, and each bucket,
+    plus an empty last one, gets a column of those faces' scores. A NaN gene selects the empty row."""
 
     def __init__(self, pictures: Dataset, kind: str, population: bool = False):
         if kind not in ("baseline", "heuristic"):
@@ -96,43 +98,56 @@ class _FitnessCache(Gate):
         labeled, self.labels_good = labeled_rows(pictures.label.tolist(), "pictures")
         super().__init__(pictures.take(labeled), kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-        n, faces, self._tables = self.n_pictures, self.fractions > -np.inf, None
-        self._buckets = np.unique(self.fractions[faces])
-        self.table_bytes = (6 + (len(self._buckets) + 1) * self.heuristic) * (n + 1) * -(-n // 64) * 8
-        if not population or self.table_bytes > TABLE_BUDGET:
+        n, words, self._tables = self.n_pictures, -(-self.n_pictures // 64), None
+        if not population:
             return
-        columns = self.stats
+        self._buckets = np.unique(self.fractions[self.fractions > -np.inf])
+        columns = list(self.stats)
         if self.heuristic:
             # bucket b is [edges[b], edges[b + 1]): its column is each picture's first score with j/k above edges[b]
             edges = np.append(-np.inf, self._buckets)[:, None]
             firsts = np.full((len(edges), n), -np.inf)
             for ranked, fractions in zip(self.ranked[::-1], self.fractions[::-1]):
                 np.copyto(firsts, ranked, where=fractions > edges)
-            columns = np.concatenate([columns, firsts])
+            columns += list(firsts)
             # each bucket's ranks among the first scores (the last bucket's are all -inf), offset so all sort as one
             self._scores = np.unique(firsts)
-            ranks = np.sort(self._scores.searchsorted(firsts), axis=1)
+            ranks = self._scores.searchsorted(np.sort(firsts, axis=1))
             self._keys = (ranks + len(self._scores) * np.arange(len(edges))[:, None]).ravel()
-        by_value = np.argsort(columns, axis=1)
-        self._sorted = np.take_along_axis(columns[:6], by_value[:6], axis=1)
-        # row c holds the c pictures largest in its column: one bit set a row in place, then a running OR
-        self._tables = np.zeros((len(columns), n + 1, -(-n // 64)), np.uint64)
-        bit = np.uint64(1) << (by_value & 63).astype(np.uint64)  # bit i % 64 of word i // 64
-        self._tables[np.arange(len(columns))[:, None], n - np.arange(n), by_value >> 6] = bit
+            del firsts, ranks
+        self._sorted, self._stride = np.sort(self.stats, axis=1), 1
+        while self._stride < n and len(columns) * (n // self._stride + 1) * words * 8 > TABLE_BUDGET:
+            self._stride *= 2
+        # each column's pictures in descending order, padded to B per stored row; the columns go before the tables
+        self._desc = np.zeros((len(columns), (n // self._stride + 1) * self._stride), np.int32)
+        for desc, column in zip(self._desc, columns):
+            desc[:n] = np.argsort(column)[::-1]
+        del columns
+        # each picture sets its bit in the first stored row that holds it, then a running OR
+        self._tables = np.zeros((len(self._desc), n // self._stride + 1, words), np.uint64)
+        seeded = n // self._stride * self._stride
+        row = (np.arange(seeded) // self._stride + 1) * words
+        for table, desc in zip(self._tables, self._desc[:, :seeded]):
+            np.bitwise_or.at(table.reshape(-1), row + (desc >> 6), _BIT[desc & 63])
         np.bitwise_or.accumulate(self._tables, axis=1, out=self._tables)
         self._good = np.packbits(np.append(self.labels_good, np.zeros(-n % 64, bool)), bitorder="little").view("<u8")
 
     def packed(self, genomes: np.ndarray) -> np.ndarray:
         """(P, ceil(n / 64)) bitsets of the pictures each genome of a (P, dim) population passes."""
-        genes = genomes[:, :6] * SIGNS
-        rows = [self.n_pictures - s.searchsorted(t, "right") for s, t in zip(self._sorted, genes.T)]
-        pred = np.bitwise_and.reduce(self._tables[np.arange(6)[:, None], rows])
+        n, stride, span = self.n_pictures, self._stride, self._desc.shape[1]
+        below = [s.searchsorted(t, "right") for s, t in zip(self._sorted, (genomes[:, :6] * SIGNS).T)]
         if self.heuristic:
             bucket = self._buckets.searchsorted(genomes[:, 7], "right")
-            # bucket b holds (b + 1) * n - searchsorted(keys, r_min's key) first scores above r_min
+            # searchsorted(keys, key) - b * n of bucket b's first scores are <= r_min; - b * span reads column 6 + b
             key = bucket * len(self._scores) + self._scores.searchsorted(genomes[:, 6], "right") - 1
-            pred &= self._tables[6 + bucket, (bucket + 1) * self.n_pictures - self._keys.searchsorted(key, "right")]
-        return pred
+            below.append(self._keys.searchsorted(key, "right") - bucket * (n + span))
+        # each gene's row c in its column as column * span + c: a stored row, then the rest one by one
+        row, rest = np.divmod(np.arange(len(below))[:, None] * span + n - below, stride)
+        pred = self._tables.reshape(-1, self._tables.shape[2])[row]
+        pair, offset = np.nonzero(np.arange(stride - 1) < rest.reshape(-1, 1))
+        pictures = self._desc.reshape(-1)[row.reshape(-1)[pair] * stride + offset]
+        np.bitwise_or.at(pred.reshape(-1), pair * pred.shape[2] + (pictures >> 6), _BIT[pictures & 63])
+        return np.bitwise_and.reduce(pred)
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
         """Training accuracy of each genome in a (P, dim) population, the same floats with or without tables."""

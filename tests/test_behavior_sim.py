@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robophoto.behavior_sim import (
     CollisionParams,
@@ -226,6 +228,16 @@ def test_line_whose_distances_overflow_runs_out_of_view():
     line = [(-1.7e308, -1.7e308), (1.7e308, 1.7e308)]
     sim = Simulator(Scenario(dt=0.1, steps=20, line=line, start_pose=(0.0, 0.1, 0.5)))
     assert all(e["command"] == {"v": 0.0, "omega": 0.0} for e in sim.run())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dt=st.one_of(st.sampled_from([1e-6, 1.4e-6, 1 / 30, 0.02, 0.05, 0.1]), st.floats(1e-6, 10.0)),
+       steps=st.integers(0, 300))
+def test_the_clock_after_k_steps_is_k_times_dt(dt, steps):
+    sim = Simulator(Scenario(dt=dt, steps=steps, line=[(0.0, 0.0), (100.0, 0.0)], start_pose=(0.0, 0.3, 0.0)))
+    for k in range(steps):
+        assert sim.step()["t"] == round(round(k * dt, 9), 6)
+        assert sim.t == round((k + 1) * dt, 9)
 
 
 def test_scenario_json_roundtrip():

@@ -691,6 +691,8 @@ BAD_INPUT_PROBES = {
     ),
     "simulate_missing_steps": (lambda tmp, get: _simulate(tmp, _without(SCENARIO, "steps")), EXIT_DATA, ""),
     "simulate_dt_zero": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 0}), EXIT_DATA, ""),
+    # the log keeps 6 decimals of "t", so a smaller step would log one time for several steps
+    "simulate_dt_below_log_resolution": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "dt": 1e-7}), EXIT_DATA, ""),
     "simulate_negative_steps": (lambda tmp, get: _simulate(tmp, {**SCENARIO, "steps": -5}), EXIT_DATA, ""),
     "simulate_one_point_line": (
         lambda tmp, get: _simulate(tmp, {**SCENARIO, "line": [[0.0, 0.0]]}), EXIT_DATA, ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_face, make_picture
 from oracles import box_area, make_random_pictures, reference_accuracy
-from robophoto import threshold_opt
+from robophoto import composition, threshold_opt
 from robophoto.composition import SIGNS, Thresholds, picture_scores
 from robophoto.core import Dataset, Label
 from robophoto.errors import UsageError
@@ -230,17 +230,28 @@ def _packed(dense):
     return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
+def _forcing_budget(data, kind, stride):
+    """The TABLE_BUDGET under which a GA population over data stores every stride-th table row."""
+    tables = _FitnessCache(data, kind, population=True)._tables  # every row at these sizes
+    return len(tables) * (len(data) // stride + 1) * tables.shape[2] * 8
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([1, 63, 64, 65, 130]),
     size=st.sampled_from([1, 65]),
     kind=st.sampled_from(["baseline", "heuristic"]),
+    stride=st.sampled_from([1, 2, 8, 64]),
 )
-def test_packed_gate_and_fitness_are_bit_equal_to_the_dense_gate(seed, n, size, kind):
+def test_packed_gate_and_fitness_are_bit_equal_to_the_dense_gate(seed, n, size, kind, stride):
     rng = np.random.default_rng(seed)
     data = Dataset(records=_tied_pictures(rng, n))
-    cache, dense = _FitnessCache(data, kind, population=True), _FitnessCache(data, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threshold_opt, "TABLE_BUDGET", _forcing_budget(data, kind, stride))
+        cache, dense = _FitnessCache(data, kind, population=True), _FitnessCache(data, kind)
+    # the doubling stops at the first power of two >= n
+    assert cache._stride == min(stride, 1 << (n - 1).bit_length())
     assert cache._tables is not None and dense._tables is None
     pop = _boundary_population(rng, cache, size)
     got = cache.packed(pop)
@@ -268,33 +279,45 @@ def group_event():
 
 
 def test_scoring_a_large_group_event_builds_no_tables(group_event):
-    # one genome: the dense compare, O(faces) memory; the tables would take over 400 MB here
+    # one genome: the dense compare, O(faces) memory; tables of every row would take over 400 MB here
     t = Thresholds(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5)
     tracemalloc.start()
     picture_scores(group_event, t)
     accuracy(t, group_event)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert _FitnessCache(group_event, "heuristic", population=True).table_bytes > 10 * TABLE_BUDGET
+    fractions = _FitnessCache(group_event, "heuristic").fractions
+    columns = 6 + len(np.unique(fractions[fractions > -np.inf])) + 1
+    assert columns * (len(group_event) + 1) * -(-len(group_event) // 64) * 8 > 10 * TABLE_BUDGET
     assert peak < 32 << 20
 
 
-def test_a_ga_over_budget_counts_on_the_dense_gate(group_event):
+def test_a_group_event_ga_reads_strided_tables(group_event, monkeypatch):
+    pop = repair_genome(np.random.default_rng(0).uniform(0, 1, (64, 8)))
     tracemalloc.start()
     cache = _FitnessCache(group_event, "heuristic", population=True)
-    cache.evaluate(repair_genome(np.random.default_rng(0).uniform(0, 1, (64, 8))))
+    fitness = cache.evaluate(pop)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert cache._tables is None and peak < 48 << 20
+    assert cache._stride > 1 and cache._tables.nbytes <= TABLE_BUDGET and peak < 48 << 20
+    assert fitness.tobytes() == _FitnessCache(group_event, "heuristic").evaluate(pop).tobytes()
     small = _FitnessCache(group_event.take(np.arange(600)), "heuristic", population=True)
-    assert small._tables is not None and small.table_bytes <= TABLE_BUDGET
+    assert small._stride == 1 and small._tables.nbytes <= TABLE_BUDGET
+
+    def dense(*args):
+        raise AssertionError("a GA population counted on the dense gate")
+
+    monkeypatch.setattr(composition.Gate, "passed", dense)
+    ga_optimize(group_event, "heuristic", GAConfig(population_size=16, generations=3))
 
 
 @pytest.mark.parametrize("kind", ["baseline", "heuristic"])
-def test_ga_reports_the_same_without_tables(kind, monkeypatch):
+@pytest.mark.parametrize("stride", [2, 8, 64, pytest.param(None, id="no_budget")])
+def test_ga_reports_the_same_at_every_stride(kind, stride, monkeypatch):
     data = Dataset(records=make_threshold_dataset(120, seed=5, kind=kind))
     packed = ga_optimize(data, kind, FAST_GA)
-    monkeypatch.setattr(threshold_opt, "TABLE_BUDGET", -1)
+    # no budget: no table fits, so the stride stops at 128, the first power of two >= 120
+    monkeypatch.setattr(threshold_opt, "TABLE_BUDGET", -1 if stride is None else _forcing_budget(data, kind, stride))
     assert ga_optimize(data, kind, FAST_GA) == packed
 
 
