@@ -56,10 +56,6 @@ class CollisionParams:
     t_stop: float = 2.0
     footprint_radius: float = 0.35
 
-    def __post_init__(self):
-        if self.n_detected > self.n_window:
-            raise ValueError("n_detected must be <= n_window")
-
 
 @dataclass(frozen=True)
 class PictureTakingParams:
@@ -69,11 +65,8 @@ class PictureTakingParams:
     theta_front: float = 40.0
     n_burst: int = 20
 
-    def __post_init__(self):
-        if self.n_max > self.n_window:
-            raise ValueError("n_max must be <= n_window")
 
-
+COLLISION = CollisionParams()
 PICTURE_TAKING = PictureTakingParams()
 
 
@@ -105,46 +98,39 @@ def steer(centroid_x: float, params: ControllerParams) -> tuple[float, float]:
     return params.v_lin, -params.k_p * err
 
 
-def collision_update(
-    points: Sequence[tuple[float, float]],
-    state: CollisionState,
-    dt: float,
-    params: CollisionParams = CollisionParams(),
-) -> CollisionState:
+def collision_update(points: Sequence[tuple[float, float]], state: CollisionState, dt: float) -> CollisionState:
     """One scan frame: footprint points are ignored, a frame is blocked when
     enough points sit inside the stop zone; stopping/resuming follows the
     n-of-window and clear-timer rules."""
     in_zone = 0
     for x, z in points:
-        if math.hypot(x, z) <= params.footprint_radius:
+        if math.hypot(x, z) <= COLLISION.footprint_radius:
             continue
-        if x < params.x_stop and z < params.z_stop:
+        if x < COLLISION.x_stop and z < COLLISION.z_stop:
             in_zone += 1
-    blocked = in_zone >= params.n_stop
-    history = (state.blocked_history + (blocked,))[-params.n_window :]
+    blocked = in_zone >= COLLISION.n_stop
+    history = (state.blocked_history + (blocked,))[-COLLISION.n_window :]
     if not state.stopped:
-        if sum(history) >= params.n_detected:
+        if sum(history) >= COLLISION.n_detected:
             return CollisionState(blocked_history=history, stopped=True, clear_time=0.0)
         return CollisionState(blocked_history=history, stopped=False, clear_time=0.0)
     # stopped: resume only t_stop seconds after the first consecutive clear frame
     if blocked:
         return CollisionState(blocked_history=history, stopped=True)
     clear_time = state.clear_time + dt if state.counting_clear else 0.0
-    if clear_time >= params.t_stop:
+    if clear_time >= COLLISION.t_stop:
         return CollisionState(blocked_history=history, stopped=False)
     return CollisionState(
         blocked_history=history, stopped=True, clear_time=clear_time, counting_clear=True
     )
 
 
-def camera_vote(
-    history: Sequence[Optional[str]], params: PictureTakingParams = PICTURE_TAKING
-) -> Optional[str]:
+def camera_vote(history: Sequence[Optional[str]]) -> Optional[str]:
     """A camera wins when it held the per-frame face-count maximum in at
     least n_max of the last n_window frames."""
-    recent = list(history)[-params.n_window :]
+    recent = list(history)[-PICTURE_TAKING.n_window :]
     for cam in ("left", "front", "right"):
-        if recent.count(cam) >= params.n_max:
+        if recent.count(cam) >= PICTURE_TAKING.n_max:
             return cam
     return None
 

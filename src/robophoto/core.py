@@ -261,11 +261,11 @@ def read_records_jsonl(path) -> list[dict]:
 
 
 def _labels(values) -> tuple[np.ndarray, np.ndarray]:
-    """Label.parse of each truthy value (None for a falsy one), and the mask of those it accepts."""
+    """Label.parse of each value (None for None or ""), and the mask of those it accepts."""
     labels = []
     for v in values:
         try:
-            labels.append(Label.parse(v) if v else None)
+            labels.append(None if v is None or v == "" else Label.parse(v))
         except ValidationError:
             labels.append(ValidationError)
     ok = np.array([label is not ValidationError for label in labels], dtype=bool)
@@ -296,11 +296,13 @@ def validate_dataset(
     records, counts, faces = [], [], []  # a face row: its box, 9 features, score, label and crop path
     for d in raw_records:
         try:
-            face_dicts = iter(d.get("faces", []))
+            face_dicts = d.get("faces", [])
+            if not isinstance(face_dicts, list):
+                raise TypeError("faces must be a JSON array")
             records.append((*_record_row(d), d.get("label")))
-        except _BAD_INPUT:  # no face list or a key missing: its ids of None drop it below
+        except _BAD_INPUT:  # faces not a list or a key missing: its ids of None drop it below
             records.append((None,) * 5)
-            face_dicts = iter(())
+            face_dicts = ()
         n = len(faces)
         for fd in face_dicts:
             try:

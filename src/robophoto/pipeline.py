@@ -17,7 +17,7 @@ from .composition import picture_scores
 from .core import Dataset, face_count_category, labeled_rows
 from .errors import DatasetError
 from .face_quality import score_faces
-from .selection import ScoredPicture, SelectionConstraints, crop_cascade, select_best
+from .selection import ScoredPicture, crop_cascade, select_best
 from .tinynet import NetworkModel
 
 METHODS = ("baseline", "heuristic", "picture_cnn")
@@ -49,6 +49,7 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
     labeled = dataset.take(rows)
     counts = np.diff(labeled.offsets).tolist()
     categories = np.array([face_count_category(k).value if k else "no_faces" for k in counts])
+    present = np.unique(categories, return_counts=True)[0].tolist()  # return_counts: no numpy.ma import
     n = len(labeled)
     report: dict = {"n_pictures": n, "methods": {}}
     for method, (passed, _) in method_scores(labeled, baseline_t, heuristic_t, picture_model).items():
@@ -59,7 +60,7 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
             "tn": int(np.count_nonzero(hit & ~passed)),
             "fn": int(np.count_nonzero(~hit & ~passed)),
         }
-        by_category = {c: float(hit[categories == c].mean()) for c in np.unique(categories).tolist()}
+        by_category = {c: float(hit[categories == c].mean()) for c in present}
         report["methods"][method] = {
             "accuracy": (confusion["tp"] + confusion["tn"]) / n,
             "by_category": by_category,
@@ -70,7 +71,6 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
 
 def run_pipeline(dataset: Dataset, baseline_t, heuristic_t, picture_model, quota: int = 8) -> dict:
     """Score every picture with all three methods and select per-method bests."""
-    constraints = SelectionConstraints(per_category_quota=quota)
     sizes = sorted(set(zip(dataset.width.tolist(), dataset.height.tolist())))
     report: dict = {
         "crop_plans": {f"{w}x{h}": crop_cascade(w, h) for w, h in sizes},
@@ -86,7 +86,7 @@ def run_pipeline(dataset: Dataset, baseline_t, heuristic_t, picture_model, quota
             for (pid, burst, cat), v in zip(rows, values.tolist())
         ]
         by_id = {c.picture_id: c for c in candidates}
-        for rank, pid in enumerate(select_best(candidates, constraints)):
+        for rank, pid in enumerate(select_best(candidates, quota)):
             c = by_id[pid]
             report["selections"].append(
                 {**asdict(c), "category": c.category.value, "method": method, "rank": rank}

@@ -16,15 +16,6 @@ MAX_CROPS = 6
 
 
 @dataclass(frozen=True)
-class SelectionConstraints:
-    per_category_quota: int = 8
-
-    def __post_init__(self):
-        if self.per_category_quota < 0:
-            raise UsageError(f"quota must be >= 0, got {self.per_category_quota}")
-
-
-@dataclass(frozen=True)
 class ScoredPicture:
     picture_id: str
     burst_id: str
@@ -76,16 +67,16 @@ def _ranked(candidates: Sequence[ScoredPicture], cat: FaceCountCategory):
     return pool
 
 
-def select_best(
-    candidates: Sequence[ScoredPicture], constraints: SelectionConstraints = SelectionConstraints()
-) -> list[str]:
-    """Greedy quota-and-burst-constrained pick, rarest face-count category first."""
+def select_best(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
+    """Greedy pick of up to quota pictures per face-count category, one per burst, rarest category first."""
+    if quota < 0:
+        raise UsageError(f"quota must be >= 0, got {quota}")
     used_bursts: set[str] = set()
     picked: list[str] = []
     for cat in _sorted_categories(candidates):
         taken = 0
         for c in _ranked(candidates, cat):
-            if taken >= constraints.per_category_quota:
+            if taken >= quota:
                 break
             if c.burst_id in used_bursts:
                 continue

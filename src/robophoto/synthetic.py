@@ -76,6 +76,7 @@ def _bbox_from_normalized(x0: float, y0: float, x1: float, y1: float, w: int, h:
 
 DEFAULT_HIDDEN_BASELINE = Thresholds(x_min=0.1, x_max=0.9, y_min=0.08, y_max=0.92, occ_min=0.05, occ_max=0.3)
 DEFAULT_HIDDEN_HEURISTIC = replace(DEFAULT_HIDDEN_BASELINE, r_min=0.5, p_min=0.45)
+THRESHOLD_MARGIN = 0.02  # how far make_threshold_dataset keeps each face statistic from its boundary
 
 
 def _sample_passing_face(rng, t: Thresholds, margin: float):
@@ -125,11 +126,9 @@ def _sample_failing_face(rng, t: Thresholds, margin: float):
     )
 
 
-def make_threshold_dataset(
-    n_pictures: int, seed: int, kind: str = "baseline", margin: float = 0.02
-) -> list[PictureRecord]:
+def make_threshold_dataset(n_pictures: int, seed: int, kind: str = "baseline") -> list[PictureRecord]:
     """Pictures labeled by the DEFAULT_HIDDEN_* thresholds of their kind, with
-    every face statistic at least `margin` away from each decision boundary."""
+    every face statistic at least THRESHOLD_MARGIN away from each decision boundary."""
     rng = np.random.default_rng(seed)
     width, height = 3000, 2000
     base = DEFAULT_HIDDEN_BASELINE
@@ -137,7 +136,7 @@ def make_threshold_dataset(
     pictures = []
     # pixel quantization shifts normalized stats by up to 1/height; keep the
     # sampled margin clear of it
-    eff_margin = margin + 2.0 / min(width, height)
+    eff_margin = THRESHOLD_MARGIN + 2.0 / min(width, height)
     for i in range(n_pictures):
         n_faces = int(rng.integers(1, 4))
         good = rng.random() < 0.5

@@ -54,11 +54,12 @@ class FitnessReport:
 
     @property
     def best_thresholds(self):
-        return genome_to_thresholds(self.kind, self.best_genome)
+        return genome_to_thresholds(self.best_genome)
 
 
-def genome_to_thresholds(kind: str, genome: Sequence[float]) -> Thresholds:
-    return Thresholds(*repair_genome(genome)[: BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM])
+def genome_to_thresholds(genome: Sequence[float]) -> Thresholds:
+    """The repaired genome as thresholds: heuristic ones for 8 genes, baseline ones for 6."""
+    return Thresholds(*repair_genome(genome))
 
 
 def repair_genome(genome: np.ndarray) -> np.ndarray:
@@ -74,17 +75,25 @@ def repair_genome(genome: np.ndarray) -> np.ndarray:
     return g
 
 
+def _labeled(pictures: Dataset, kind: str) -> tuple[Dataset, np.ndarray]:
+    """The labeled pictures and their Good mask, for a fit of this kind."""
+    if kind not in ("baseline", "heuristic"):
+        raise UsageError(f"unknown kind {kind!r}")
+    rows, good = labeled_rows(pictures.label.tolist(), "pictures")
+    return pictures.take(rows), good
+
+
 def accuracy(thresholds: Thresholds, pictures: Dataset) -> float:
     """Share of labeled pictures that pass the thresholds exactly when labeled Good."""
-    kind = "heuristic" if thresholds.heuristic else "baseline"
-    return float(_FitnessCache(pictures, kind).evaluate(np.array([thresholds.genome]))[0])
+    labeled, good = _labeled(pictures, "heuristic" if thresholds.heuristic else "baseline")
+    passed = Gate(labeled, thresholds.heuristic).passed(np.array([thresholds.genome]))[0]
+    return float(np.count_nonzero(passed == good) / len(good))
 
 
 class _FitnessCache(Gate):
-    """The scorers' gate (composition.Gate) over the labeled pictures, with their labels; it
-    never computes the center-distance sums. One genome's accuracy counts `Gate.passed`'s dense
-    compare. A GA population (`population=True`) reads packed bitsets: row c of a statistic's table
-    holds its c largest pictures, and only every B-th row is stored, B the smallest power of two
+    """The GA's fitness: the scorers' gate (composition.Gate) over the labeled pictures, with their
+    labels, read through packed bitsets; it never computes the center-distance sums. Row c of a
+    statistic's table holds its c largest pictures, and only every B-th row is stored, B the smallest power of two
     (or the first >= n) whose tables fit TABLE_BUDGET, so row c is row c // B * B ORed with the
     next pictures in descending order. With genes signed as `Gate.stats` is, each gene is one
     searchsorted and one row, and the popcount of passed XOR Good counts the same wrong pictures.
@@ -92,18 +101,15 @@ class _FitnessCache(Gate):
     heuristic; it moves only with p_min's bucket among the distinct fractions, and each bucket,
     plus an empty last one, gets a column of those faces' scores. A NaN gene selects the empty row."""
 
-    def __init__(self, pictures: Dataset, kind: str, population: bool = False):
-        if kind not in ("baseline", "heuristic"):
-            raise UsageError(f"unknown kind {kind!r}")
-        labeled, self.labels_good = labeled_rows(pictures.label.tolist(), "pictures")
-        super().__init__(pictures.take(labeled), kind == "heuristic")
+    def __init__(self, pictures: Dataset, kind: str):
+        labeled, self.labels_good = _labeled(pictures, kind)
+        super().__init__(labeled, kind == "heuristic")
         self.dim = BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM
-        n, words, self._tables = self.n_pictures, -(-self.n_pictures // 64), None
-        if not population:
-            return
-        self._buckets = np.unique(self.fractions[self.fractions > -np.inf])
+        n, words = self.n_pictures, -(-self.n_pictures // 64)
         columns = list(self.stats)
         if self.heuristic:
+            # return_counts: plain np.unique imports numpy.ma on its hash path, about 1.4 MB of RSS
+            self._buckets = np.unique(self.fractions[self.fractions > -np.inf], return_counts=True)[0]
             # bucket b is [edges[b], edges[b + 1]): its column is each picture's first score with j/k above edges[b]
             edges = np.append(-np.inf, self._buckets)[:, None]
             firsts = np.full((len(edges), n), -np.inf)
@@ -111,7 +117,7 @@ class _FitnessCache(Gate):
                 np.copyto(firsts, ranked, where=fractions > edges)
             columns += list(firsts)
             # each bucket's ranks among the first scores (the last bucket's are all -inf), offset so all sort as one
-            self._scores = np.unique(firsts)
+            self._scores = np.unique(firsts, return_counts=True)[0]
             ranks = self._scores.searchsorted(np.sort(firsts, axis=1))
             self._keys = (ranks + len(self._scores) * np.arange(len(edges))[:, None]).ravel()
             del firsts, ranks
@@ -144,15 +150,14 @@ class _FitnessCache(Gate):
         # each gene's row c in its column as column * span + c: a stored row, then the rest one by one
         row, rest = np.divmod(np.arange(len(below))[:, None] * span + n - below, stride)
         pred = self._tables.reshape(-1, self._tables.shape[2])[row]
-        pair, offset = np.nonzero(np.arange(stride - 1) < rest.reshape(-1, 1))
-        pictures = self._desc.reshape(-1)[row.reshape(-1)[pair] * stride + offset]
-        np.bitwise_or.at(pred.reshape(-1), pair * pred.shape[2] + (pictures >> 6), _BIT[pictures & 63])
+        if stride > 1:  # at stride 1 every row is stored and there is no rest
+            pair, offset = np.nonzero(np.arange(stride - 1) < rest.reshape(-1, 1))
+            pictures = self._desc.reshape(-1)[row.reshape(-1)[pair] * stride + offset]
+            np.bitwise_or.at(pred.reshape(-1), pair * pred.shape[2] + (pictures >> 6), _BIT[pictures & 63])
         return np.bitwise_and.reduce(pred)
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
-        """Training accuracy of each genome in a (P, dim) population, the same floats with or without tables."""
-        if self._tables is None:
-            return np.count_nonzero(self.passed(population) == self.labels_good, axis=1) / self.n_pictures
+        """Training accuracy of each genome in a (P, dim) population: the floats of `Gate.passed`'s dense compare."""
         wrong = np.bitwise_count(self.packed(population) ^ self._good).sum(axis=1)
         return (self.n_pictures - wrong) / self.n_pictures
 
@@ -202,7 +207,7 @@ def ga_optimize(
     The elites lead every new population, so the best ever seen is the top
     of the last one.
     """
-    cache = _FitnessCache(pictures, kind, population=True)
+    cache = _FitnessCache(pictures, kind)
     size, dim = config.population_size, cache.dim
     rng = np.random.default_rng(config.seed)
 
@@ -247,25 +252,26 @@ def grid_search_oracle(
     against the per-face scorers, and sweeps the grid with factorized dense
     boolean tables. Ties resolve to the first point in lexicographic genome order.
     """
-    cache = _FitnessCache(pictures, kind)
-    total = steps_per_axis**cache.dim
+    labeled, labels_good = _labeled(pictures, kind)
+    gate = Gate(labeled, kind == "heuristic")
+    total = steps_per_axis ** (BASELINE_DIM if kind == "baseline" else HEURISTIC_DIM)
     if total > MAX_GRID_POINTS:
         raise UsageError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
 
-    n, labels_good = cache.n_pictures, cache.labels_good
+    n = gate.n_pictures
     values = np.linspace(0.0, 1.0, steps_per_axis)
     column = values[:, None]
     # condition tables, one row per grid value: (steps, n) for each leading
     # gene, (steps, steps, n) for the last two, which are swept as one array
-    conditions = [stat > sign * column for stat, sign in zip(cache.stats, SIGNS)]
+    conditions = [stat > sign * column for stat, sign in zip(gate.stats, SIGNS)]
     leading = conditions[:4]
     if kind == "baseline":
         last = conditions[4][:, None, :] & conditions[5][None, :, :]
     else:
         leading += conditions[4:]
         # props[a, i]: share of picture i's faces scoring above values[a]
-        faces = np.maximum(np.count_nonzero(cache.ranked > -np.inf, axis=0), 1)
-        props = np.count_nonzero(cache.ranked > column[:, :, None], axis=1) / faces
+        faces = np.maximum(np.count_nonzero(gate.ranked > -np.inf, axis=0), 1)
+        props = np.count_nonzero(gate.ranked > column[:, :, None], axis=1) / faces
         # last[a, b, i]: proportion at r_min=values[a] exceeds p_min=values[b]
         last = props[:, None, :] > column[None]
 

@@ -40,7 +40,7 @@ from robophoto.core import (
 )
 from robophoto.errors import TrainingDivergedError, checked_number
 from robophoto.pgm import PGMError
-from robophoto.selection import ScoredPicture, SelectionConstraints, _ranked, _sorted_categories
+from robophoto.selection import ScoredPicture, _ranked, _sorted_categories
 from robophoto.synthetic import _bbox_from_normalized, random_features
 from robophoto.tinynet import (
     FORMAT_VERSION,
@@ -107,6 +107,11 @@ class FaceFeatures:
 _BAD_INPUT = (LookupError, TypeError, ValueError, OSError)
 
 
+def _label(value) -> Optional[Label]:
+    """An absent, null or "" label means unlabeled; any other value must parse."""
+    return None if value is None or value == "" else Label.parse(value)
+
+
 def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> FaceObservation:
     box = d["bbox"]
     bbox = BoundingBox(
@@ -132,7 +137,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
         if read_crops:
             image = core._checked_crop(read_pgm(p))
         image_path = os.path.abspath(p)
-    label = Label.parse(d["label"]) if d.get("label") else None
+    label = _label(d.get("label"))
     score = d.get("score")
     if score is not None:
         score = checked_number(score, ValidationError, "score")
@@ -153,8 +158,10 @@ def _record_from_dict(
 ) -> tuple[PictureRecord, int]:
     """Build a record, dropping its bad faces. Returns (record, n_dropped)."""
     dropped = 0
-    faces = []
-    for fd in d.get("faces", []):
+    faces, face_dicts = [], d.get("faces", [])
+    if not isinstance(face_dicts, list):
+        raise ValidationError("faces must be a JSON array")
+    for fd in face_dicts:
         try:
             faces.append(_face_from_dict(fd, base_dir, read_crops))
         except _BAD_INPUT:
@@ -165,7 +172,7 @@ def _record_from_dict(
         width=checked_number(d["width"], ValidationError, "width", integer=True),
         height=checked_number(d["height"], ValidationError, "height", integer=True),
         faces=tuple(faces),
-        label=Label.parse(d["label"]) if d.get("label") else None,
+        label=_label(d.get("label")),
     )
     if not core._size_ok(rec.width, rec.height):
         raise ValidationError(f"degenerate image size {rec.width}x{rec.height}")
@@ -405,9 +412,7 @@ def read_pgm(path) -> np.ndarray:
 MAX_ORACLE_CANDIDATES = 20
 
 
-def selection_oracle(
-    candidates: Sequence[ScoredPicture], constraints: SelectionConstraints = SelectionConstraints()
-) -> list[str]:
+def selection_oracle(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
     """Same contract as select_best, recomputed by exhaustive enumeration.
 
     Per category (in the same rarest-first order) every feasible subset is
@@ -422,7 +427,7 @@ def selection_oracle(
         pool = _ranked(candidates, cat)
         indexed = list(enumerate(pool))
         best: Optional[tuple[int, tuple[int, ...]]] = None
-        max_size = min(constraints.per_category_quota, len(pool))
+        max_size = min(quota, len(pool))
         for size in range(max_size, -1, -1):
             for combo in itertools.combinations(indexed, size):
                 bursts = [c.burst_id for _, c in combo]

@@ -48,7 +48,6 @@ from robophoto.core import (
 from robophoto.face_quality import evaluate_face_model, train_face_ann
 from robophoto.selection import (
     ScoredPicture,
-    SelectionConstraints,
     crop_cascade,
     select_best,
 )
@@ -144,7 +143,7 @@ def test_criterion_04_ga_vs_grid_oracle():
     details = []
     ok = True
     for kind, steps, seed in (("baseline", 9, 101), ("heuristic", 5, 102)):
-        pictures = Dataset(records=make_threshold_dataset(500, seed=seed, kind=kind, margin=0.02))
+        pictures = Dataset(records=make_threshold_dataset(500, seed=seed, kind=kind))
         ga = ga_optimize(pictures, kind, GAConfig(seed=0))
         grid = grid_search_oracle(pictures, kind, steps)
         ok = ok and ga.best_accuracy >= grid.best_accuracy - 0.02 and ga.best_accuracy >= 0.98
@@ -233,21 +232,19 @@ def test_criterion_06_selection_correctness():
     oracle_ok = True
     for _ in range(1000):
         cands = _random_candidates(rng, int(rng.integers(1, 21)))
-        constraints = SelectionConstraints(per_category_quota=int(rng.integers(1, 9)))
-        oracle_ok = oracle_ok and select_best(cands, constraints) == selection_oracle(
-            cands, constraints
-        )
+        quota = int(rng.integers(1, 9))
+        oracle_ok = oracle_ok and select_best(cands, quota) == selection_oracle(cands, quota)
     invariant_ok = True
     for _ in range(1000):
         cands = _random_candidates(rng, int(rng.integers(1, 501)), n_bursts=60)
-        constraints = SelectionConstraints(per_category_quota=int(rng.integers(1, 9)))
-        picked = select_best(cands, constraints)
+        quota = int(rng.integers(1, 9))
+        picked = select_best(cands, quota)
         by_id = {c.picture_id: c for c in cands}
         bursts = [by_id[p].burst_id for p in picked]
         invariant_ok = invariant_ok and len(set(bursts)) == len(bursts)
         for cat in FaceCountCategory:
             n_cat = sum(1 for p in picked if by_id[p].category is cat)
-            invariant_ok = invariant_ok and n_cat <= constraints.per_category_quota
+            invariant_ok = invariant_ok and n_cat <= quota
     _report(
         "criterion 6 selection correctness",
         oracle_ok and invariant_ok,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robophoto.behavior_sim import (
-    CollisionParams,
+    COLLISION,
     CollisionState,
     ControllerParams,
     IMAGE_H,
@@ -74,60 +74,60 @@ def _zone_points(n):
 
 
 def test_collision_requires_enough_zone_points():
-    p = CollisionParams()
+    p = COLLISION
     s = CollisionState()
     for _ in range(p.n_window):
-        s = collision_update(_zone_points(p.n_stop - 1), s, 0.1, p)
+        s = collision_update(_zone_points(p.n_stop - 1), s, 0.1)
     assert not s.stopped
 
 
 def test_collision_footprint_points_ignored():
-    p = CollisionParams()
+    p = COLLISION
     pts = [(0.0, 0.1)] * 50  # all within the footprint radius
     s = CollisionState()
     for _ in range(p.n_window):
-        s = collision_update(pts, s, 0.1, p)
+        s = collision_update(pts, s, 0.1)
     assert not s.stopped
 
 
 def test_collision_stops_after_n_of_window():
-    p = CollisionParams()
+    p = COLLISION
     s = CollisionState()
     frames = 0
     while not s.stopped:
-        s = collision_update(_zone_points(p.n_stop), s, 0.1, p)
+        s = collision_update(_zone_points(p.n_stop), s, 0.1)
         frames += 1
     assert frames == p.n_detected
 
 
 def test_collision_resume_exactly_t_stop_after_clear():
-    p = CollisionParams()
+    p = COLLISION
     s = CollisionState()
     dt = 0.1
     for _ in range(p.n_detected):
-        s = collision_update(_zone_points(p.n_stop), s, dt, p)
+        s = collision_update(_zone_points(p.n_stop), s, dt)
     assert s.stopped
     # first clear frame starts the timer at zero; resume after t_stop more seconds
     elapsed = 0.0
     while s.stopped:
-        s = collision_update([], s, dt, p)
+        s = collision_update([], s, dt)
         elapsed += dt
     assert elapsed == pytest.approx(p.t_stop + dt)
 
 
 def test_collision_clear_timer_resets_on_reblock():
-    p = CollisionParams()
+    p = COLLISION
     s = CollisionState()
     dt = 0.1
     for _ in range(p.n_detected):
-        s = collision_update(_zone_points(p.n_stop), s, dt, p)
+        s = collision_update(_zone_points(p.n_stop), s, dt)
     for _ in range(10):  # 1 s clear, under t_stop
-        s = collision_update([], s, dt, p)
-    s = collision_update(_zone_points(p.n_stop), s, dt, p)
+        s = collision_update([], s, dt)
+    s = collision_update(_zone_points(p.n_stop), s, dt)
     assert s.stopped
     elapsed = 0.0
     while s.stopped:
-        s = collision_update([], s, dt, p)
+        s = collision_update([], s, dt)
         elapsed += dt
     assert elapsed == pytest.approx(p.t_stop + dt)
 
@@ -140,18 +140,18 @@ def test_frame_winner_strict_max():
 
 
 def test_camera_vote_needs_n_max_of_window():
-    p = PictureTakingParams()
+    p = PICTURE_TAKING
     history = ["left"] * (p.n_max - 1) + [None] * 3
-    assert camera_vote(history, p) is None
+    assert camera_vote(history) is None
     history = [None, None, None] + ["front"] * p.n_max
-    assert camera_vote(history, p) == "front"
+    assert camera_vote(history) == "front"
 
 
 def test_camera_vote_window_limits_lookback():
-    p = PictureTakingParams()
+    p = PICTURE_TAKING
     # n_max old wins pushed out of the window by newer frames
     history = ["left"] * p.n_max + [None] * p.n_window
-    assert camera_vote(history, p) is None
+    assert camera_vote(history) is None
 
 
 def _straight_scenario(steps=200, camera_faces=None, obstacles=None, start=(0.0, 0.3, 0.0)):
@@ -269,7 +269,3 @@ def test_event_log_jsonl(tmp_path):
 def test_param_validation():
     with pytest.raises(ValueError):
         ControllerParams(k_p=0.0)
-    with pytest.raises(ValueError):
-        CollisionParams(n_detected=6, n_window=5)
-    with pytest.raises(ValueError):
-        PictureTakingParams(n_max=11, n_window=10)

@@ -634,6 +634,27 @@ BAD_INPUT_PROBES = {
         lambda tmp, get: _ingest(tmp, _with_face(_face_record("p0"), label=["Good"]), _face_record("p1")),
         EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
     ),
+    # only an absent label, null or "" means unlabeled: any other value that is not Good or Bad drops
+    **{
+        f"ingest_{level}_label_{name}": (
+            lambda tmp, get, record=record, value=value: _ingest(tmp, record(value), _face_record("p1")), EXIT_OK, out
+        )
+        for level, record, out in (
+            ("picture", lambda value: _face_record("p0", label=value), RECORD_DROPPED),
+            ("face", lambda value: _with_face(_face_record("p0"), label=value), FACE_DROPPED),
+        )
+        for name, value in (("false", False), ("zero", 0), ("empty_list", []), ("empty_object", {}))
+    },
+    # faces that are not a JSON array drop their record, kept faceless or not, with no face counted
+    **{
+        f"ingest_faces_{name}": (
+            lambda tmp, get, faces=faces: [
+                *_ingest(tmp, _face_record("p0", faces=faces), _face_record("p1")), "--keep-faceless"
+            ],
+            EXIT_OK, RECORD_DROPPED,
+        )
+        for name, faces in (("string", "abc"), ("object", {"x": 1}))
+    },
     "ingest_missing_crop": (
         lambda tmp, get: _ingest(tmp, _with_face(_face_record("p0"), face_image_path="no.pgm"), _face_record("p1")),
         EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",

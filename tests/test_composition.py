@@ -126,7 +126,7 @@ def _thresholds_on_statistics(rng, pics, rows):
         else:  # r_min on one face score, p_min on the proportion above it
             r = p.faces[int(rng.integers(len(p.faces)))].score
             raw[row, 6:] = r, sum(f.score > r for f in p.faces) / len(p.faces)
-    return [genome_to_thresholds("heuristic", g) for g in repair_genome(raw)]
+    return [genome_to_thresholds(g) for g in repair_genome(raw)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -226,7 +226,7 @@ def test_thresholds_with_r_min_but_no_p_min_raise():
 )
 def test_a_repaired_genome_is_its_thresholds_genome_and_survives_json(kind, raw):
     g = repair_genome(np.array(raw[: 6 if kind == "baseline" else 8]))
-    t = genome_to_thresholds(kind, g)
+    t = genome_to_thresholds(g)
     assert t.heuristic == (kind == "heuristic") and t.genome == tuple(g)
     assert thresholds_from_json(thresholds_to_json(t)) == t
 

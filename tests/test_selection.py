@@ -7,7 +7,6 @@ from robophoto.core import CATEGORY_ORDER, FaceCountCategory
 from robophoto.errors import UsageError
 from robophoto.selection import (
     ScoredPicture,
-    SelectionConstraints,
     crop_cascade,
     select_best,
 )
@@ -59,7 +58,7 @@ def _cand(i, cat, score, burst=None):
 
 def test_select_top_scores_per_category():
     cands = [_cand(i, FaceCountCategory.ONE, 1.0 - i * 0.01) for i in range(12)]
-    picked = select_best(cands, SelectionConstraints(per_category_quota=8))
+    picked = select_best(cands, 8)
     assert picked == [f"p{i:03d}" for i in range(8)]
 
 
@@ -69,7 +68,7 @@ def test_select_one_per_burst():
         _cand(1, FaceCountCategory.ONE, 0.8, burst="shared"),
         _cand(2, FaceCountCategory.ONE, 0.7, burst="other"),
     ]
-    picked = select_best(cands, SelectionConstraints(per_category_quota=8))
+    picked = select_best(cands, 8)
     assert picked == ["p000", "p002"]
 
 
@@ -103,7 +102,7 @@ def test_select_score_tie_breaks_by_id():
         _cand(2, FaceCountCategory.ONE, 0.5),
         _cand(1, FaceCountCategory.ONE, 0.5),
     ]
-    picked = select_best(cands, SelectionConstraints(per_category_quota=1))
+    picked = select_best(cands, 1)
     assert picked == ["p001"]
 
 
@@ -113,9 +112,9 @@ def test_select_empty():
 
 def test_quota_zero_selects_nothing_and_negative_is_rejected():
     cands = [_cand(i, FaceCountCategory.ONE, 0.5) for i in range(3)]
-    assert select_best(cands, SelectionConstraints(per_category_quota=0)) == []
+    assert select_best(cands, 0) == []
     with pytest.raises(UsageError):
-        SelectionConstraints(per_category_quota=-1)
+        select_best(cands, -1)
 
 
 def test_oracle_refuses_large_input():
@@ -136,25 +135,25 @@ def candidate_sets(draw):
         )
         cands.append(_cand(i, cat, score, burst=burst))
     quota = draw(st.integers(1, 8))
-    return cands, SelectionConstraints(per_category_quota=quota)
+    return cands, quota
 
 
 @settings(max_examples=120, deadline=None)
 @given(candidate_sets())
 def test_select_matches_exhaustive_oracle(case):
-    cands, constraints = case
-    assert select_best(cands, constraints) == selection_oracle(cands, constraints)
+    cands, quota = case
+    assert select_best(cands, quota) == selection_oracle(cands, quota)
 
 
 @settings(max_examples=60, deadline=None)
 @given(candidate_sets())
 def test_select_respects_constraints(case):
-    cands, constraints = case
-    picked = select_best(cands, constraints)
+    cands, quota = case
+    picked = select_best(cands, quota)
     by_id = {c.picture_id: c for c in cands}
     bursts = [by_id[p].burst_id for p in picked]
     assert len(set(bursts)) == len(bursts)
     for cat in CATEGORY_ORDER:
         n_cat = sum(1 for p in picked if by_id[p].category is cat)
-        assert n_cat <= constraints.per_category_quota
+        assert n_cat <= quota
     assert len(picked) == len(set(picked))

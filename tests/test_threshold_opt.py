@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from conftest import make_face, make_picture
 from oracles import box_area, make_random_pictures, reference_accuracy
 from robophoto import composition, threshold_opt
 from robophoto.composition import SIGNS, Thresholds, picture_scores
-from robophoto.core import Dataset, Label
+from robophoto.core import Dataset, Label, labeled_rows
 from robophoto.errors import UsageError
 from robophoto.threshold_opt import (
     ELITISM_COUNT,
@@ -107,7 +111,7 @@ def test_ga_config_rejects_negative_generations_and_runs_zero():
 
 
 def test_genome_roundtrip_thresholds():
-    t = genome_to_thresholds("heuristic", (0.1, 0.9, 0.1, 0.9, 0.01, 0.5, 0.4, 0.3))
+    t = genome_to_thresholds((0.1, 0.9, 0.1, 0.9, 0.01, 0.5, 0.4, 0.3))
     assert t.r_min == 0.4 and t.x_max == 0.9
 
 
@@ -128,7 +132,7 @@ def test_fitness_cache_matches_scorer(seed):
     pics = make_random_pictures(25, seed=seed, with_scores=True)
     genome = repair_genome(rng.uniform(0, 1, 8))
     cache = _FitnessCache(Dataset(records=pics), "heuristic")
-    t = genome_to_thresholds("heuristic", genome)
+    t = genome_to_thresholds(genome)
     expected = reference_accuracy(t, pics)
     assert cache.evaluate(genome[None])[0] == expected
 
@@ -139,8 +143,15 @@ def test_fitness_cache_baseline_matches_scorer():
     cache = _FitnessCache(Dataset(records=pics), "baseline")
     for _ in range(20):
         genome = repair_genome(rng.uniform(0, 1, 6))
-        t = genome_to_thresholds("baseline", genome)
+        t = genome_to_thresholds(genome)
         assert cache.evaluate(genome[None])[0] == reference_accuracy(t, pics)
+
+
+def _dense_fitness(data, kind, pop):
+    """Each genome's training accuracy from `Gate.passed`'s dense compare: the reference for the tables."""
+    rows, good = labeled_rows(data.label.tolist(), "pictures")
+    passed = composition.Gate(data.take(rows), kind == "heuristic").passed(pop)
+    return np.count_nonzero(passed == good, axis=1) / len(good)
 
 
 @pytest.mark.parametrize("kind", ["baseline", "heuristic"])
@@ -148,8 +159,9 @@ def test_fitness_with_only_faceless_pictures(kind):
     pics = [replace(p, faces=()) for p in make_random_pictures(12, seed=2, with_scores=True)]
     pop = repair_genome(np.random.default_rng(0).uniform(0, 1, (5, 6 if kind == "baseline" else 8)))
     expected = sum(p.label is Label.BAD for p in pics) / len(pics)
-    for population in (False, True):
-        assert list(_FitnessCache(Dataset(records=pics), kind, population).evaluate(pop)) == [expected] * len(pop)
+    data = Dataset(records=pics)
+    for fitness in (_FitnessCache(data, kind).evaluate(pop), _dense_fitness(data, kind, pop)):
+        assert list(fitness) == [expected] * len(pop)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,9 +192,9 @@ def test_population_fitness_matches_scorer_row_by_row(seed, kind):
             r = p.faces[int(rng.integers(len(p.faces)))].score
             raw[row, 6:] = r, sum(f.score > r for f in p.faces) / len(p.faces)
     pop = repair_genome(raw)
-    expected = [reference_accuracy(genome_to_thresholds(kind, g), pics) for g in pop]
-    for population in (False, True):
-        got = _FitnessCache(Dataset(records=pics), kind, population).evaluate(pop)
+    expected = [reference_accuracy(genome_to_thresholds(g), pics) for g in pop]
+    data = Dataset(records=pics)
+    for got in (_FitnessCache(data, kind).evaluate(pop), _dense_fitness(data, kind, pop)):
         assert got.shape == (len(pop),)
         assert list(got) == expected
 
@@ -232,7 +244,7 @@ def _packed(dense):
 
 def _forcing_budget(data, kind, stride):
     """The TABLE_BUDGET under which a GA population over data stores every stride-th table row."""
-    tables = _FitnessCache(data, kind, population=True)._tables  # every row at these sizes
+    tables = _FitnessCache(data, kind)._tables  # every row at these sizes
     return len(tables) * (len(data) // stride + 1) * tables.shape[2] * 8
 
 
@@ -249,15 +261,16 @@ def test_packed_gate_and_fitness_are_bit_equal_to_the_dense_gate(seed, n, size, 
     data = Dataset(records=_tied_pictures(rng, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threshold_opt, "TABLE_BUDGET", _forcing_budget(data, kind, stride))
-        cache, dense = _FitnessCache(data, kind, population=True), _FitnessCache(data, kind)
+        cache = _FitnessCache(data, kind)
+    dense = composition.Gate(data, kind == "heuristic")  # every picture here is labeled
     # the doubling stops at the first power of two >= n
     assert cache._stride == min(stride, 1 << (n - 1).bit_length())
-    assert cache._tables is not None and dense._tables is None
+    assert cache._tables is not None
     pop = _boundary_population(rng, cache, size)
     got = cache.packed(pop)
     assert (got.dtype, got.shape) == (np.uint64, (size, -(-n // 64)))
     assert got.tobytes() == _packed(dense.passed(pop)).tobytes()
-    assert cache.evaluate(pop).tobytes() == dense.evaluate(pop).tobytes()
+    assert cache.evaluate(pop).tobytes() == _dense_fitness(data, kind, pop).tobytes()
 
 
 def _group_event(n, max_faces, seed=0):
@@ -286,7 +299,7 @@ def test_scoring_a_large_group_event_builds_no_tables(group_event):
     accuracy(t, group_event)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    fractions = _FitnessCache(group_event, "heuristic").fractions
+    fractions = composition.Gate(group_event, True).fractions
     columns = 6 + len(np.unique(fractions[fractions > -np.inf])) + 1
     assert columns * (len(group_event) + 1) * -(-len(group_event) // 64) * 8 > 10 * TABLE_BUDGET
     assert peak < 32 << 20
@@ -295,13 +308,13 @@ def test_scoring_a_large_group_event_builds_no_tables(group_event):
 def test_a_group_event_ga_reads_strided_tables(group_event, monkeypatch):
     pop = repair_genome(np.random.default_rng(0).uniform(0, 1, (64, 8)))
     tracemalloc.start()
-    cache = _FitnessCache(group_event, "heuristic", population=True)
+    cache = _FitnessCache(group_event, "heuristic")
     fitness = cache.evaluate(pop)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert cache._stride > 1 and cache._tables.nbytes <= TABLE_BUDGET and peak < 48 << 20
-    assert fitness.tobytes() == _FitnessCache(group_event, "heuristic").evaluate(pop).tobytes()
-    small = _FitnessCache(group_event.take(np.arange(600)), "heuristic", population=True)
+    assert fitness.tobytes() == _dense_fitness(group_event, "heuristic", pop).tobytes()
+    small = _FitnessCache(group_event.take(np.arange(600)), "heuristic")
     assert small._stride == 1 and small._tables.nbytes <= TABLE_BUDGET
 
     def dense(*args):
@@ -450,3 +463,24 @@ def test_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "generation,best,mean"
     assert len(lines) == 4
+
+
+def test_fits_and_evaluation_never_import_numpy_ma():
+    # plain np.unique imports numpy.ma on its hash path, which adds about 1.4 MB to the RSS of every fit
+    script = """if True:
+        import sys
+        from robophoto import tinynet
+        from robophoto.abstraction import CANVAS_H, CANVAS_W
+        from robophoto.core import Dataset
+        from robophoto.pipeline import evaluate_methods
+        from robophoto.synthetic import make_threshold_dataset
+        from robophoto.threshold_opt import GAConfig, ga_optimize
+        data = Dataset(records=make_threshold_dataset(60, seed=1, kind="heuristic"))
+        fits = [ga_optimize(data, kind, GAConfig(8, 2)).best_thresholds for kind in ("baseline", "heuristic")]
+        model = tinynet.build_model([tinynet.flatten(), tinynet.dense(CANVAS_H * CANVAS_W, 1), tinynet.sigmoid()])
+        evaluate_methods(data, *fits, model)
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(threshold_opt.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert child.stdout == "False\n"
