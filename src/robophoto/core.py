@@ -180,17 +180,12 @@ class Dataset:
 
     Per record, _RECORD_COLUMNS; per face, bbox (F, 4) in _BBOX_KEYS order, features
     (F, 9) float64, score float64 (NaN: no score), face_label, crop (or None) and
-    image_path. Built from records (see _packed) or from the columns themselves.
-    A picture_id appearing twice raises ValidationError.
+    image_path. Built from records (see _packed) or from the columns themselves, which
+    it holds as given: validate_dataset checks every record rule, unique ids among them.
     """
 
     def __init__(self, records: Iterable[PictureRecord] = (), **columns):
-        if not columns:
-            columns = vars(_packed(tuple(records)))
-        vars(self).update(columns)
-        ids = Counter(self.picture_id.tolist())
-        if len(ids) != len(self):
-            raise ValidationError(f"duplicate picture_id {ids.most_common(1)[0][0]!r}")
+        vars(self).update(columns or vars(_packed(tuple(records))))
 
     def __len__(self) -> int:
         return len(self.picture_id)
@@ -262,14 +257,13 @@ def read_records_jsonl(path) -> list[dict]:
 
 def _labels(values) -> tuple[np.ndarray, np.ndarray]:
     """Label.parse of each value (None for None or ""), and the mask of those it accepts."""
-    labels = []
-    for v in values:
+    labels, ok = _objects([None] * len(values)), np.ones(len(values), dtype=bool)
+    for i, v in enumerate(values):
         try:
-            labels.append(None if v is None or v == "" else Label.parse(v))
+            labels[i] = None if v is None or v == "" else Label.parse(v)
         except ValidationError:
-            labels.append(ValidationError)
-    ok = np.array([label is not ValidationError for label in labels], dtype=bool)
-    return _objects([None if label is ValidationError else label for label in labels]), ok
+            ok[i] = False
+    return labels, ok
 
 
 def _checked_crop(image: np.ndarray) -> np.ndarray:
@@ -344,7 +338,7 @@ def validate_dataset(
     crop, image_path = _objects([None] * len(face)), _objects([None] * len(face))
     for i in np.flatnonzero(face_ok & record_ok[owner]).tolist():
         try:
-            if face[i, 15]:
+            if face[i, 15] is not None and face[i, 15] != "":  # absent, null or "": no crop; a non-string raises
                 path = os.path.join(base, face[i, 15])  # an absolute path ignores base
                 while len(path) > 1 and path.endswith(("/", "/.")):  # as pathlib: "x.pgm/" and "x.pgm/." name x.pgm
                     path = path[:-1]
@@ -358,6 +352,9 @@ def validate_dataset(
                              minlength=n_records) == 0
     kept_faces = np.bincount(owner[face_ok], minlength=n_records)
     rows = np.flatnonzero(record_ok & (keep_faceless | (kept_faces > 0)))
+    ids = Counter(picture_id[rows].tolist())
+    if len(ids) != len(rows):
+        raise ValidationError(f"duplicate picture_id {ids.most_common(1)[0][0]!r}")
     kept = face_ok & np.isin(owner, rows)
     dataset = Dataset(
         offsets=np.concatenate([[0], np.cumsum(kept_faces[rows])]), picture_id=picture_id[rows],

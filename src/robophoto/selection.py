@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,11 +55,9 @@ def crop_cascade(width: int, height: int) -> list[tuple[int, int, int, int]]:
 
 
 def _sorted_categories(candidates: Sequence[ScoredPicture]):
-    counts = {cat: 0 for cat in CATEGORY_ORDER}
-    for c in candidates:
-        counts[c.category] += 1
-    # rarest category picks first; ties by canonical category order
-    return sorted(CATEGORY_ORDER, key=lambda cat: (counts[cat], CATEGORY_ORDER.index(cat)))
+    counts = Counter(c.category for c in candidates)
+    # rarest category picks first; the stable sort breaks ties by canonical category order
+    return sorted(CATEGORY_ORDER, key=counts.__getitem__)
 
 
 def _ranked(candidates: Sequence[ScoredPicture], cat: FaceCountCategory):

@@ -7,6 +7,7 @@ brute-force oracle in tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,17 +232,6 @@ def ga_optimize(
 MAX_GRID_POINTS = 10_000_000
 
 
-def _sweep(tables: Sequence[np.ndarray], pred: np.ndarray):
-    """(index, pred & tables[0][index[0]] & tables[1][index[1]] & ...) for
-    every index in lexicographic order, ANDing one table row per level."""
-    if not tables:
-        yield (), pred
-        return
-    for i, row in enumerate(tables[0]):
-        for rest, leaf in _sweep(tables[1:], pred & row):
-            yield (i, *rest), leaf
-
-
 def grid_search_oracle(
     pictures: Dataset, kind: str, steps_per_axis: int
 ) -> FitnessReport:
@@ -263,12 +253,11 @@ def grid_search_oracle(
     column = values[:, None]
     # condition tables, one row per grid value: (steps, n) for each leading
     # gene, (steps, steps, n) for the last two, which are swept as one array
-    conditions = [stat > sign * column for stat, sign in zip(gate.stats, SIGNS)]
-    leading = conditions[:4]
+    conditions = np.array([stat > sign * column for stat, sign in zip(gate.stats, SIGNS)])
     if kind == "baseline":
-        last = conditions[4][:, None, :] & conditions[5][None, :, :]
+        leading, last = conditions[:4], conditions[4][:, None, :] & conditions[5][None, :, :]
     else:
-        leading += conditions[4:]
+        leading = conditions
         # props[a, i]: share of picture i's faces scoring above values[a]
         faces = np.maximum(np.count_nonzero(gate.ranked > -np.inf, axis=0), 1)
         props = np.count_nonzero(gate.ranked > column[:, :, None], axis=1) / faces
@@ -277,7 +266,9 @@ def grid_search_oracle(
 
     best_matches = -1
     best_genome: Optional[tuple[float, ...]] = None
-    for index, pred in _sweep(leading, np.ones(n, dtype=bool)):
+    points = itertools.product(range(steps_per_axis), repeat=len(leading))  # lexicographic, as product(*leading)
+    for index, rows in zip(points, itertools.product(*leading)):
+        pred = np.logical_and.reduce(rows)
         matches = np.count_nonzero((pred & last) == labels_good, axis=2)
         flat = int(np.argmax(matches))
         m = int(matches.reshape(-1)[flat])

@@ -242,9 +242,7 @@ def _layer_forward(idx: int, spec: LayerSpec, params: dict, x: np.ndarray, inpla
     if spec.kind == "sigmoid":
         with np.errstate(over="ignore"):  # exp(-x) = inf at x < -709 gives the exact 0
             return 1.0 / (1.0 + np.exp(-x)), None  # no cache: backward reads the output, passed as out
-    if spec.kind == "flatten":
-        return x.reshape(x.shape[0], -1), x.shape
-    raise ShapeError(f"layer {idx}: unknown kind {spec.kind!r}")
+    return x.reshape(x.shape[0], -1), x.shape  # flatten, the last kind LayerSpec admits
 
 
 def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, need_dx: bool, grads=None):
@@ -269,9 +267,7 @@ def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, n
         return np.where(out > 0, dy, LEAKY_SLOPE * dy), grads
     if spec.kind == "sigmoid":
         return dy * out * (1.0 - out), grads
-    if spec.kind == "flatten":
-        return dy.reshape(cache), grads
-    raise ShapeError(f"unknown kind {spec.kind!r}")
+    return dy.reshape(cache), grads  # flatten
 
 
 def _forward_steps(model: NetworkModel, x: np.ndarray):
@@ -281,11 +277,6 @@ def _forward_steps(model: NetworkModel, x: np.ndarray):
         x, cache = _layer_forward(idx, spec, params, x, inplace)
         inplace = inplace or spec.kind != "flatten"
         yield x, cache
-
-
-def _forward_all(model: NetworkModel, x: np.ndarray):
-    """Batched forward through every layer; returns (outputs per layer, caches)."""
-    return map(list, zip(*_forward_steps(model, x)))
 
 
 def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
@@ -350,7 +341,7 @@ def loss_and_gradients(model: NetworkModel, x: np.ndarray, y: np.ndarray, grads:
     dtype = np.result_type(*{v.dtype for w in model.weights for v in w.values()} or {np.float64})
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype).reshape(-1)
-    outs, caches = _forward_all(model, x)
+    outs, caches = map(list, zip(*_forward_steps(model, x)))
     p = outs[-1].reshape(-1)
     loss = float(_bce(np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64)))
     n = len(y)

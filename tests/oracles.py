@@ -27,6 +27,7 @@ from robophoto.core import (
     _COLUMNS,
     _JSONL_ENCODER,
     _RECORD_COLUMNS,
+    CATEGORY_ORDER,
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
     BoundingBox,
@@ -40,7 +41,7 @@ from robophoto.core import (
 )
 from robophoto.errors import TrainingDivergedError, checked_number
 from robophoto.pgm import PGMError
-from robophoto.selection import ScoredPicture, _ranked, _sorted_categories
+from robophoto.selection import ScoredPicture
 from robophoto.synthetic import _bbox_from_normalized, random_features
 from robophoto.tinynet import (
     FORMAT_VERSION,
@@ -130,7 +131,7 @@ def _face_from_dict(d: dict, base_dir: Optional[Path], read_crops: bool) -> Face
     features = FaceFeatures(**feats)
     image = image_path = None
     path = d.get("face_image_path")
-    if path:
+    if path is not None and path != "":  # absent, null or "": no crop; a non-string raises in Path
         p = Path(path)
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
@@ -415,16 +416,19 @@ MAX_ORACLE_CANDIDATES = 20
 def selection_oracle(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
     """Same contract as select_best, recomputed by exhaustive enumeration.
 
-    Per category (in the same rarest-first order) every feasible subset is
-    enumerated; the winner maximizes subset size, then is lexicographically
-    smallest in rank order. Test-only: refuses more than 20 candidates.
+    Per category, rarest first with ties in CATEGORY_ORDER, every feasible subset
+    of the pool ranked by (-score, picture_id) is enumerated; the winner maximizes
+    subset size, then is lexicographically smallest in rank order. Test-only:
+    refuses more than 20 candidates.
     """
     if len(candidates) > MAX_ORACLE_CANDIDATES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_CANDIDATES} candidates")
     used_bursts: set[str] = set()
     picked: list[str] = []
-    for cat in _sorted_categories(candidates):
-        pool = _ranked(candidates, cat)
+    sizes = {k: sum(c.category is cat for c in candidates) for k, cat in enumerate(CATEGORY_ORDER)}
+    for k in sorted(sizes, key=lambda k: (sizes[k], k)):
+        pool = [c for c in candidates if c.category is CATEGORY_ORDER[k]]
+        pool.sort(key=lambda c: (-c.score, c.picture_id))
         indexed = list(enumerate(pool))
         best: Optional[tuple[int, tuple[int, ...]]] = None
         max_size = min(quota, len(pool))

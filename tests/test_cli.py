@@ -666,6 +666,16 @@ BAD_INPUT_PROBES = {
         ),
         EXIT_OK, "ingested 2 records (dropped 0 records, 1 faces)",
     ),
+    # only an absent crop path, null or "" means no crop: any other value that is not a string drops its face
+    **{
+        f"ingest_crop_path_{name}": (
+            lambda tmp, get, value=value: _ingest(
+                tmp, _with_face(_face_record("p0"), face_image_path=value), _face_record("p1")
+            ),
+            EXIT_OK, FACE_DROPPED,
+        )
+        for name, value in (("false", False), ("zero", 0), ("empty_list", []), ("empty_object", {}))
+    },
     # split opens no crop file: the face keeps its crop path (see test_split_opens_no_crop)
     **{
         f"split_{name}_crop": (

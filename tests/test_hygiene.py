@@ -3,8 +3,9 @@ function parameter other than self or cls must be read in its body, every
 exception class derives from one of the three roots in robophoto.errors, no
 module but errors.py decides by hand what counts as a number or parses JSON,
 cli.main alone writes run configs, prints summaries and returns EXIT_OK,
-every public top-level name in the package has a reader outside tests/, and
-every name the benchmark's tracer wraps still resolves in the package.
+every public top-level name in the package has a reader outside tests/,
+every name the benchmark's tracer wraps still resolves in the package, and the
+package imports nothing but itself, numpy and the standard library.
 
 An import line marked ``# noqa: F401`` is a deliberate re-export and is
 skipped, as flake8 and ruff would skip it.
@@ -13,6 +14,7 @@ skipped, as flake8 and ruff would skip it.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,3 +291,22 @@ def test_benchmark_targets_resolve():
         if not callable(vars(owner).get(attr) if owner is not None else None):
             missing.append(f"{module_name}.{name}")
     assert not missing, f"names the benchmark wraps that no longer resolve: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_package_depends_only_on_numpy_and_the_standard_library(path):
+    """numpy is the package's one dependency (pyproject.toml): scipy, hypothesis and the
+    rest of the test extras stay out of src/, however the import is written."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [
+        (name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and not node.level)  # level: relative
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module])
+    ]
+    foreign = [
+        f"{name} (line {line})"
+        for name, line in modules
+        if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}
+    ]
+    assert not foreign, f"{path.name} imports what is neither numpy nor the standard library: {', '.join(foreign)}"

@@ -160,6 +160,51 @@ def test_whole_files_keep_drop_and_write_what_the_record_objects_did(tmp_path, c
         ]
 
 
+ANGLES = st.floats(-180.0, 180.0) | st.integers(-180, 180)
+# likelihoods and image scores: any finite number, clamped to [0, 1], most drawn inside it
+UNIT_VALUES = st.floats(0.0, 1.0) | st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    -FLOAT_MAX_INT, FLOAT_MAX_INT
+)
+
+
+@st.composite
+def _kept_records(draw):
+    """Records every rule keeps, each number drawn over its whole accepted range."""
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        width, height = draw(st.integers(2, FLOAT_MAX_INT)), draw(st.integers(2, FLOAT_MAX_INT))
+        faces = []
+        for _ in range(draw(st.integers(1, 3))):
+            x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+            x_br, y_br = draw(st.integers(x + 1, width)), draw(st.integers(y + 1, height))
+            bbox = {"x_tl": x, "y_tl": y, "x_br": x_br, "y_br": y_br}
+            features = {name: draw(ANGLES if k < 3 else UNIT_VALUES) for k, name in enumerate(oracles.FEATURE_NAMES)}
+            face = {"bbox": bbox, "features": features}
+            if draw(st.booleans()):
+                face["score"] = draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1, 5e-324]))
+            faces.append(face)
+        records.append({"picture_id": f"p{i}", "burst_id": "b", "width": width, "height": height, "faces": faces})
+    return records
+
+
+@PROPERTY
+@given(records=_kept_records())
+@example(records=[{
+    "picture_id": "p0", "burst_id": "b", "width": FLOAT_MAX_INT, "height": 2**53 + 1,
+    "faces": [{"bbox": {"x_tl": 2**53 + 1, "y_tl": 0, "x_br": FLOAT_MAX_INT, "y_br": 2**53 + 1}, "score": 5e-324,
+               "features": dict(zip(oracles.FEATURE_NAMES, [-0.0, 5e-324, -180, 1e-7, 1e16, -0.0, 5e-324,
+                                                            2.2250738585072014e-308, 1 - 2**-53]))}],
+}])
+def test_the_writer_writes_each_number_as_json_dumps_does(tmp_path, records):
+    """Subnormals, -0.0, 1e16, 1e-7, scores down to 5e-324 and ints up to a float's range:
+    each line written is json.dumps(row, sort_keys=True) of the record the oracle keeps."""
+    kept, dropped_faces, dropped_records = _oracle(records, False, None, False)
+    assert (dropped_faces, dropped_records) == (0, 0)
+    write_dataset_jsonl(validate_dataset(records, read_crops=False).dataset, tmp_path / "w.jsonl")
+    lines = (tmp_path / "w.jsonl").read_text().splitlines()
+    assert lines == [json.dumps(oracles.record_to_dict(r), sort_keys=True) for r in kept]
+
+
 # widths and box corners as large as a float's range: int64 overflows on them, and
 # int64 -> float64 division rounds differently from Python's int / int past 2**53
 SIDES = [2, 3, 640, 3000, 2**53 + 1, 2**64 + 13, 10**300, FLOAT_MAX_INT]

@@ -57,7 +57,7 @@ def test_conv_constant_input_constant_map():
     spec = conv2d(1, 1, 3, 3, stride=1, padding="valid")
     m = build_model([spec], seed=0)
     x = np.full((1, 6, 6), 2.0)
-    outs, _ = tinynet._forward_all(m, x[None])
+    outs, _ = zip(*tinynet._forward_steps(m, x[None]))
     out = outs[-1][0, 0]
     assert np.allclose(out, out[0, 0])
 
