@@ -270,22 +270,34 @@ def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, n
     return dy.reshape(cache), grads  # flatten
 
 
-def _forward_steps(model: NetworkModel, x: np.ndarray):
-    """Each layer's (output, cache); an activation writes in place once a layer made a new array, never over x."""
+def _forward_steps(model: NetworkModel, x: np.ndarray, start: int = 0, stop: Optional[int] = None):
+    """Output and cache of layers start:stop; an activation writes in place once a layer made a new array, never over x."""
     inplace = False
-    for idx, (spec, params) in enumerate(zip(model.layers, model.weights)):
+    for idx, (spec, params) in itertools.islice(enumerate(zip(model.layers, model.weights)), start, stop):
         x, cache = _layer_forward(idx, spec, params, x, inplace)
         inplace = inplace or spec.kind != "flatten"
         yield x, cache
 
 
-def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
-    """One scalar output per input row, keeping only the live activation.
-    Floating input keeps its precision; anything else runs in float64."""
-    x = np.asarray(x)
-    out = x.astype(np.result_type(x.dtype, np.float64), copy=False)
-    for out, _ in _forward_steps(model, out):
+def _forward_rows(model: NetworkModel, x: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    for x, _ in _forward_steps(model, x, start, stop):  # keeps only the live activation
         pass
+    return x
+
+
+SCORE_BATCH = 32
+BLOCK_BYTES = 512 * 1024  # 4 rows of the 150x100 float64 canvas, 54 of a 30x40 crop
+
+
+def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """One scalar output per input row, in float64 or a wider input type; layers up to flatten run in row blocks."""
+    x = np.asarray(x)
+    dtype = np.result_type(x.dtype, np.float64)
+    rows = max(1, BLOCK_BYTES // (dtype.itemsize * math.prod(x.shape[1:]) or 1))
+    head = next((i for i, s in enumerate(model.layers, 1) if s.kind == "flatten"), 0) if x.ndim > 1 and len(x) > rows else 0
+    if head:  # the whole batch's bits, as BLAS multiplies a conv's stacked rows one at a time
+        x = np.concatenate([_forward_rows(model, np.asarray(x[i : i + rows], dtype), 0, head) for i in range(0, len(x), rows)])
+    out = _forward_rows(model, np.asarray(x, dtype), head)
     if out.shape != (len(x), 1):
         raise ShapeError(f"expected one scalar output per input, got shape {out.shape}")
     return out[:, 0]
@@ -296,17 +308,20 @@ def forward(model: NetworkModel, x: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(x)[None])[0])
 
 
-SCORE_BATCH = 32
-
-
 def forward_many(model: NetworkModel, inputs: Iterable[np.ndarray]) -> np.ndarray:
-    """Outputs for an iterable of single inputs, stacked SCORE_BATCH at a time
-    so a whole dataset is never held as one array."""
-    it = iter(inputs)
-    chunks = [np.empty(0)]
-    while chunk := list(itertools.islice(it, SCORE_BATCH)):
-        chunks.append(forward_batch(model, np.stack(chunk)))
-    return np.concatenate(chunks)
+    """Outputs for single inputs, SCORE_BATCH at a time: an ndarray by views, others copied into one reused block."""
+    if isinstance(inputs, np.ndarray):
+        starts = range(0, len(inputs), SCORE_BATCH)
+        return np.concatenate([np.empty(0), *(forward_batch(model, inputs[i : i + SCORE_BATCH]) for i in starts)])
+    chunks, block, n = [np.empty(0)], None, -1
+    for n, item in enumerate(map(np.asarray, inputs)):
+        block = np.empty((SCORE_BATCH, *item.shape), np.result_type(item, np.float64)) if block is None else block
+        if item.shape != block.shape[1:]:  # assigning it would broadcast
+            raise ShapeError(f"input {n} has shape {item.shape}, input 0 has {block.shape[1:]}")
+        block[n % SCORE_BATCH] = item
+        if n % SCORE_BATCH == SCORE_BATCH - 1:
+            chunks.append(forward_batch(model, block).copy())  # the block is refilled: keep no view of it
+    return np.concatenate([*chunks, forward_batch(model, block[:k])] if (k := (n + 1) % SCORE_BATCH) else chunks)
 
 
 _EPS = 1e-12

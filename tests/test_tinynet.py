@@ -11,8 +11,10 @@ from conftest import rewrite_model_header
 import oracles
 from oracles import gradient_check
 from robophoto import tinynet
-from robophoto.abstraction import CANVAS_H, CANVAS_W, build_picture_cnn
+from robophoto.abstraction import CANVAS_H, CANVAS_W, build_picture_cnn, classify_pictures
+from robophoto.core import Dataset
 from robophoto.face_quality import FACE_CROP_H, FACE_CROP_W, build_face_ann, build_face_cnn
+from robophoto.synthetic import make_layout_dataset
 from robophoto.tinynet import (
     ModelFormatError,
     ShapeError,
@@ -711,6 +713,16 @@ def test_sgd_training_allocates_no_velocity(rng):
     }
     float32_weights = _nbytes(model) / 2
     assert peaks["momentum"] - peaks["sgd"] >= 0.9 * float32_weights, (peaks, float32_weights)
+
+
+def test_scoring_pictures_holds_a_bounded_working_set():
+    # one reused 32-input block (3.7 MiB) and one row block's conv temporaries; stacking each
+    # batch from a list of its inputs and running its convs on all 32 rows read about 20 MB
+    model = build_picture_cnn()
+    datasets = [Dataset(records=make_layout_dataset(n, seed=3)) for n in (64, 256)]
+    peaks = [_traced_peak(lambda: classify_pictures(model, data)) for data in datasets]
+    assert max(peaks) <= 8 * 2**20, f"scoring raised the traced peak by {peaks} bytes"
+    assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
 
 
 def test_save_model_copies_no_float64_weights(tmp_path):
