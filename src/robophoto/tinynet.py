@@ -10,7 +10,6 @@ previous layer's output, never the caller's input.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -273,8 +272,8 @@ def _layer_backward(spec: LayerSpec, params: dict, cache, out, dy: np.ndarray, n
 def _forward_steps(model: NetworkModel, x: np.ndarray, start: int = 0, stop: Optional[int] = None):
     """Output and cache of layers start:stop; an activation writes in place once a layer made a new array, never over x."""
     inplace = False
-    for idx, (spec, params) in itertools.islice(enumerate(zip(model.layers, model.weights)), start, stop):
-        x, cache = _layer_forward(idx, spec, params, x, inplace)
+    for idx, spec in enumerate(model.layers[start:stop], start):
+        x, cache = _layer_forward(idx, spec, model.weights[idx], x, inplace)
         inplace = inplace or spec.kind != "flatten"
         yield x, cache
 
@@ -293,11 +292,15 @@ def forward_batch(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """One scalar output per input row, in float64 or a wider input type; layers up to flatten run in row blocks."""
     x = np.asarray(x)
     dtype = np.result_type(x.dtype, np.float64)
-    rows = max(1, BLOCK_BYTES // (dtype.itemsize * math.prod(x.shape[1:]) or 1))
-    head = next((i for i, s in enumerate(model.layers, 1) if s.kind == "flatten"), 0) if x.ndim > 1 and len(x) > rows else 0
-    if head:  # the whole batch's bits, as BLAS multiplies a conv's stacked rows one at a time
-        x = np.concatenate([_forward_rows(model, np.asarray(x[i : i + rows], dtype), 0, head) for i in range(0, len(x), rows)])
-    out = _forward_rows(model, np.asarray(x, dtype), head)
+    head = 0
+    if x.ndim > 1 and x.size * dtype.itemsize > BLOCK_BYTES:  # same bits: BLAS multiplies stacked conv rows one by one
+        rows = max(1, BLOCK_BYTES * len(x) // (x.size * dtype.itemsize))
+        head = next((i for i, s in enumerate(model.layers, 1) if s.kind == "flatten"), 0)
+        blocks = (x[i : i + rows].astype(dtype, copy=False) for i in range(0, len(x), rows))
+        x = np.concatenate([_forward_rows(model, b, 0, head) for b in blocks]) if head else x
+    out = x.astype(dtype, copy=False)
+    for out, _ in _forward_steps(model, out, head):
+        pass
     if out.shape != (len(x), 1):
         raise ShapeError(f"expected one scalar output per input, got shape {out.shape}")
     return out[:, 0]
@@ -309,10 +312,7 @@ def forward(model: NetworkModel, x: np.ndarray) -> float:
 
 
 def forward_many(model: NetworkModel, inputs: Iterable[np.ndarray]) -> np.ndarray:
-    """Outputs for single inputs, SCORE_BATCH at a time: an ndarray by views, others copied into one reused block."""
-    if isinstance(inputs, np.ndarray):
-        starts = range(0, len(inputs), SCORE_BATCH)
-        return np.concatenate([np.empty(0), *(forward_batch(model, inputs[i : i + SCORE_BATCH]) for i in starts)])
+    """Outputs for single inputs, copied SCORE_BATCH at a time into one reused block."""
     chunks, block, n = [np.empty(0)], None, -1
     for n, item in enumerate(map(np.asarray, inputs)):
         block = np.empty((SCORE_BATCH, *item.shape), np.result_type(item, np.float64)) if block is None else block
