@@ -60,10 +60,6 @@ class ValidationError(DatasetError):
     pass
 
 
-class NoFacesError(DatasetError):
-    pass
-
-
 class UnscoredFaceError(DatasetError):
     pass
 
@@ -103,15 +99,6 @@ class Label(str, Enum):
         if key not in ("good", "bad"):
             raise ValidationError(f"unknown label {value!r}")
         return cls.GOOD if key == "good" else cls.BAD
-
-
-class FaceCountCategory(Enum):
-    ONE = "one"
-    TWO = "two"
-    THREE_PLUS = "three_plus"
-
-
-CATEGORY_ORDER = tuple(FaceCountCategory)
 
 
 @dataclass(frozen=True)
@@ -222,13 +209,6 @@ def labeled_rows(labels: Sequence[Optional[Label]], what: str) -> tuple[np.ndarr
     if not len(rows):
         raise DatasetError(f"no labeled {what}")
     return rows, np.array([labels[i] is Label.GOOD for i in rows])
-
-
-def face_count_category(n_faces: int) -> FaceCountCategory:
-    """Bucket a picture by its face count: 1, 2, or 3+."""
-    if n_faces < 1:
-        raise NoFacesError("a picture with no faces has no face-count category")
-    return CATEGORY_ORDER[min(n_faces, 3) - 1]
 
 
 # what a bad face or record raises, DatasetError included: it is dropped and counted

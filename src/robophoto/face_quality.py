@@ -163,7 +163,9 @@ def train_face_cnn(crops: Sequence, labels: Sequence, config: TrainConfig) -> tu
     from a Dataset's crop and face_label columns."""
     rows, good = labeled_rows([None if crop is None else label for crop, label in zip(crops, labels)],
                               "faces with images")
-    xs = np.stack([preprocess_face(crops[i]) for i in rows])
+    xs = np.fromiter(
+        (preprocess_face(crops[i]) for i in rows), (np.float32, (1, FACE_CROP_H, FACE_CROP_W)), len(rows)
+    )
     return tinynet.train(build_face_cnn(seed=config.seed), xs, good, config)
 
 

@@ -7,17 +7,16 @@ and selection.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
 from .abstraction import classify_pictures
 from .composition import picture_scores
-from .core import Dataset, face_count_category, labeled_rows
+from .core import Dataset, labeled_rows
 from .errors import DatasetError
 from .face_quality import score_faces
-from .selection import ScoredPicture, crop_cascade, select_best
+from .selection import CATEGORIES, crop_cascade, select_best
 from .tinynet import NetworkModel
 
 METHODS = ("baseline", "heuristic", "picture_cnn")
@@ -48,7 +47,7 @@ def evaluate_methods(dataset: Dataset, baseline_t, heuristic_t, picture_model) -
     rows, actual = labeled_rows(dataset.label.tolist(), "pictures")
     labeled = dataset.take(rows)
     counts = np.diff(labeled.offsets).tolist()
-    categories = np.array([face_count_category(k).value if k else "no_faces" for k in counts])
+    categories = np.array([CATEGORIES[min(k, 3)] for k in counts])
     present = np.unique(categories, return_counts=True)[0].tolist()  # return_counts: no numpy.ma import
     n = len(labeled)
     report: dict = {"n_pictures": n, "methods": {}}
@@ -78,17 +77,12 @@ def run_pipeline(dataset: Dataset, baseline_t, heuristic_t, picture_model, quota
     }
     counts = np.diff(dataset.offsets)
     faced = dataset.take(np.flatnonzero(counts))
-    categories = map(face_count_category, counts[counts > 0].tolist())
-    rows = list(zip(faced.picture_id.tolist(), faced.burst_id.tolist(), categories))
+    ids, bursts, faces = faced.picture_id.tolist(), faced.burst_id.tolist(), counts[counts > 0].tolist()
     for method, (_, values) in method_scores(faced, baseline_t, heuristic_t, picture_model).items():
-        candidates = [
-            ScoredPicture(picture_id=pid, burst_id=burst, category=cat, score=v)
-            for (pid, burst, cat), v in zip(rows, values.tolist())
-        ]
-        by_id = {c.picture_id: c for c in candidates}
-        for rank, pid in enumerate(select_best(candidates, quota)):
-            c = by_id[pid]
-            report["selections"].append(
-                {**asdict(c), "category": c.category.value, "method": method, "rank": rank}
-            )
+        scores = values.tolist()
+        for rank, i in enumerate(select_best(ids, bursts, faces, scores, quota)):
+            report["selections"].append({
+                "picture_id": ids[i], "burst_id": bursts[i], "category": CATEGORIES[min(faces[i], 3)],
+                "score": scores[i], "method": method, "rank": rank,
+            })
     return report

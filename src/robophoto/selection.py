@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CATEGORY_ORDER, FaceCountCategory
 from .errors import UsageError
 
 CROP_STEP_W = 600
@@ -15,13 +13,8 @@ MIN_CROP_W = 1200
 MIN_CROP_H = 800
 MAX_CROPS = 6
 
-
-@dataclass(frozen=True)
-class ScoredPicture:
-    picture_id: str
-    burst_id: str
-    category: FaceCountCategory
-    score: float
+# a picture's face-count category is CATEGORIES[min(faces, 3)]
+CATEGORIES = ("no_faces", "one", "two", "three_plus")
 
 
 def crop_cascade(width: int, height: int) -> list[tuple[int, int, int, int]]:
@@ -54,32 +47,22 @@ def crop_cascade(width: int, height: int) -> list[tuple[int, int, int, int]]:
     return plan
 
 
-def _sorted_categories(candidates: Sequence[ScoredPicture]):
-    counts = Counter(c.category for c in candidates)
-    # rarest category picks first; the stable sort breaks ties by canonical category order
-    return sorted(CATEGORY_ORDER, key=counts.__getitem__)
-
-
-def _ranked(candidates: Sequence[ScoredPicture], cat: FaceCountCategory):
-    pool = [c for c in candidates if c.category is cat]
-    pool.sort(key=lambda c: (-c.score, c.picture_id))
-    return pool
-
-
-def select_best(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
-    """Greedy pick of up to quota pictures per face-count category, one per burst, rarest category first."""
+def select_best(
+    picture_id: Sequence[str], burst_id: Sequence[str], faces: Sequence[int], score: Sequence[float],
+    quota: int = 8,
+) -> list[int]:
+    """The rows picked, in order: up to quota per face-count category, one per burst.
+    The rarest category picks first (ties in CATEGORIES order), each by descending score, then picture_id."""
     if quota < 0:
         raise UsageError(f"quota must be >= 0, got {quota}")
+    category = [min(k, 3) for k in faces]
+    size = Counter(category)
+    left = dict.fromkeys(size, quota)
     used_bursts: set[str] = set()
-    picked: list[str] = []
-    for cat in _sorted_categories(candidates):
-        taken = 0
-        for c in _ranked(candidates, cat):
-            if taken >= quota:
-                break
-            if c.burst_id in used_bursts:
-                continue
-            picked.append(c.picture_id)
-            used_bursts.add(c.burst_id)
-            taken += 1
+    picked: list[int] = []
+    for i in sorted(range(len(category)), key=lambda i: (size[category[i]], category[i], -score[i], picture_id[i])):
+        if left[category[i]] and burst_id[i] not in used_bursts:
+            picked.append(i)
+            used_bursts.add(burst_id[i])
+            left[category[i]] -= 1
     return picked

@@ -3,8 +3,8 @@
 Some sections are verbatim copies of code that src/ has since replaced with a
 faster or leaner version; each copy keeps the old behaviour as the oracle of the new.
 The others are test-only references that the package itself never runs: the
-exhaustive selection oracle, random pictures for property tests and the
-finite-difference gradient check.
+exhaustive selection oracle with the candidate rows it reads, random pictures
+for property tests and the finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,6 @@ from robophoto.core import (
     _COLUMNS,
     _JSONL_ENCODER,
     _RECORD_COLUMNS,
-    CATEGORY_ORDER,
     FEATURE_NAMES,
     LIKELIHOOD_LEVELS,
     BoundingBox,
@@ -41,7 +41,7 @@ from robophoto.core import (
 )
 from robophoto.errors import TrainingDivergedError, checked_number
 from robophoto.pgm import PGMError
-from robophoto.selection import ScoredPicture
+from robophoto.selection import CATEGORIES, select_best
 from robophoto.synthetic import _bbox_from_normalized, random_features
 from robophoto.tinynet import (
     FORMAT_VERSION,
@@ -413,21 +413,44 @@ def read_pgm(path) -> np.ndarray:
 MAX_ORACLE_CANDIDATES = 20
 
 
+@dataclass(frozen=True)
+class ScoredPicture:
+    """One selection candidate, a row of select_best's columns."""
+
+    picture_id: str
+    burst_id: str
+    faces: int
+    score: float
+
+    @property
+    def category(self) -> str:
+        return CATEGORIES[min(self.faces, 3)]
+
+
+def select_ids(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
+    """select_best over the candidates' columns, its rows mapped back to picture ids."""
+    ids = [c.picture_id for c in candidates]
+    bursts = [c.burst_id for c in candidates]
+    faces = [c.faces for c in candidates]
+    scores = [c.score for c in candidates]
+    return [ids[i] for i in select_best(ids, bursts, faces, scores, quota)]
+
+
 def selection_oracle(candidates: Sequence[ScoredPicture], quota: int = 8) -> list[str]:
     """Same contract as select_best, recomputed by exhaustive enumeration.
 
-    Per category, rarest first with ties in CATEGORY_ORDER, every feasible subset
-    of the pool ranked by (-score, picture_id) is enumerated; the winner maximizes
-    subset size, then is lexicographically smallest in rank order. Test-only:
-    refuses more than 20 candidates.
+    Per face-count category min(faces, 3), rarest first with ties in ascending order,
+    every feasible subset of the pool ranked by (-score, picture_id) is enumerated; the
+    winner maximizes subset size, then is lexicographically smallest in rank order.
+    Test-only: refuses more than 20 candidates.
     """
     if len(candidates) > MAX_ORACLE_CANDIDATES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_CANDIDATES} candidates")
     used_bursts: set[str] = set()
     picked: list[str] = []
-    sizes = {k: sum(c.category is cat for c in candidates) for k, cat in enumerate(CATEGORY_ORDER)}
+    sizes = Counter(min(c.faces, 3) for c in candidates)
     for k in sorted(sizes, key=lambda k: (sizes[k], k)):
-        pool = [c for c in candidates if c.category is CATEGORY_ORDER[k]]
+        pool = [c for c in candidates if min(c.faces, 3) == k]
         pool.sort(key=lambda c: (-c.score, c.picture_id))
         indexed = list(enumerate(pool))
         best: Optional[tuple[int, tuple[int, ...]]] = None

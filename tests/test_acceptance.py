@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import face_columns
-from oracles import gradient_check, make_random_pictures, selection_oracle
+from oracles import ScoredPicture, gradient_check, make_random_pictures, select_ids, selection_oracle
 from robophoto import tinynet
 from robophoto.abstraction import (
     build_picture_cnn,
@@ -37,7 +37,6 @@ from robophoto.composition import (
 from robophoto.core import (
     BoundingBox,
     Dataset,
-    FaceCountCategory,
     FaceObservation,
     Label,
     PictureRecord,
@@ -46,11 +45,7 @@ from robophoto.core import (
     write_dataset_jsonl,
 )
 from robophoto.face_quality import evaluate_face_model, train_face_ann
-from robophoto.selection import (
-    ScoredPicture,
-    crop_cascade,
-    select_best,
-)
+from robophoto.selection import CATEGORIES, crop_cascade
 from robophoto.stats import welch_t_test
 from robophoto.synthetic import (
     make_face_feature_dataset,
@@ -215,12 +210,11 @@ def test_criterion_05_scoring_equivalences():
 
 
 def _random_candidates(rng, n, n_bursts=8):
-    cats = list(FaceCountCategory)
     return [
         ScoredPicture(
             picture_id=f"p{i:04d}",
             burst_id=f"b{int(rng.integers(0, n_bursts))}",
-            category=cats[int(rng.integers(0, 3))],
+            faces=int(rng.integers(1, 4)),
             score=float(np.round(rng.random(), 3)),
         )
         for i in range(n)
@@ -233,16 +227,16 @@ def test_criterion_06_selection_correctness():
     for _ in range(1000):
         cands = _random_candidates(rng, int(rng.integers(1, 21)))
         quota = int(rng.integers(1, 9))
-        oracle_ok = oracle_ok and select_best(cands, quota) == selection_oracle(cands, quota)
+        oracle_ok = oracle_ok and select_ids(cands, quota) == selection_oracle(cands, quota)
     invariant_ok = True
     for _ in range(1000):
         cands = _random_candidates(rng, int(rng.integers(1, 501)), n_bursts=60)
         quota = int(rng.integers(1, 9))
-        picked = select_best(cands, quota)
+        picked = select_ids(cands, quota)
         by_id = {c.picture_id: c for c in cands}
         bursts = [by_id[p].burst_id for p in picked]
         invariant_ok = invariant_ok and len(set(bursts)) == len(bursts)
-        for cat in FaceCountCategory:
+        for cat in CATEGORIES:
             n_cat = sum(1 for p in picked if by_id[p].category is cat)
             invariant_ok = invariant_ok and n_cat <= quota
     _report(

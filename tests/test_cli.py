@@ -162,6 +162,28 @@ def test_select_command(tmp_path, dataset_path, threshold_paths, picture_model_p
         assert [s["rank"] for s in sels] == list(range(len(sels)))
 
 
+def test_faceless_and_large_groups(tmp_path, threshold_paths, picture_model_path):
+    """A labelled faceless picture is scored under "no_faces" but never selected;
+    a five-face picture falls in "three_plus"."""
+    pics = make_threshold_dataset(30, seed=0, kind="heuristic")
+    five = replace(pics[0], faces=pics[0].faces + pics[1].faces[:2])
+    faceless = replace(pics[2], picture_id="faceless", burst_id="faceless", faces=())
+    data = tmp_path / "data.jsonl"
+    write_dataset_jsonl(Dataset(records=(five, *pics[1:], faceless)), data)
+    bp, hp = threshold_paths
+    common = ["--dataset", str(data), "--baseline-thresholds", str(bp), "--heuristic-thresholds", str(hp)]
+    common += ["--picture-model", str(picture_model_path)]
+    assert main(["evaluate", *common, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_pictures"] == 31
+    for m in report["methods"].values():
+        assert set(m["by_category"]) == {"no_faces", "one", "two", "three_plus"}
+    assert main(["select", *common, "--quota", "30", "--out", str(tmp_path / "selection.json")]) == EXIT_OK
+    selections = json.loads((tmp_path / "selection.json").read_text())["selections"]
+    assert "faceless" not in {s["picture_id"] for s in selections}
+    assert {s["category"] for s in selections if s["picture_id"] == five.picture_id} == {"three_plus"}
+
+
 def test_simulate_command(tmp_path, capsys):
     scenario = {
         "dt": 0.1,

@@ -13,12 +13,9 @@ from oracles import record_to_dict
 from robophoto.core import (
     BoundingBox,
     Dataset,
-    FaceCountCategory,
     Label,
-    NoFacesError,
     ParseError,
     ValidationError,
-    face_count_category,
     read_records_jsonl,
     split_dataset,
     validate_dataset,
@@ -204,17 +201,6 @@ def test_jsonl_roundtrip_stable(tmp_path):
     ds2 = validate_dataset(read_records_jsonl(p1)).dataset
     write_dataset_jsonl(ds2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_face_count_category():
-    one = make_picture([make_face(0, 0, 100, 100)])
-    two = make_picture([make_face(0, 0, 100, 100), make_face(200, 200, 300, 300)])
-    five = make_picture([make_face(100 * i, 100, 100 * i + 50, 200) for i in range(1, 6)])
-    assert face_count_category(len(one.faces)) is FaceCountCategory.ONE
-    assert face_count_category(len(two.faces)) is FaceCountCategory.TWO
-    assert face_count_category(len(five.faces)) is FaceCountCategory.THREE_PLUS
-    with pytest.raises(NoFacesError):
-        face_count_category(len(make_picture([]).faces))
 
 
 def _dataset(n, bursts=None):
