@@ -3,7 +3,9 @@ wrote before the record path was rewritten for speed: every output file's sha256
 is pinned. A kept crop is written as its absolute path, so the run directory in
 those paths is replaced by a placeholder before hashing. Each training command
 writes the model bytes it wrote before training and saving were made leaner, and
-evaluate and select the reports they wrote before the scorers read columns."""
+evaluate and select the reports they wrote before the scorers read columns. The
+three network builders and the synthetic generators write the bytes they wrote
+before each of those shared one code path."""
 
 import contextlib
 import hashlib
@@ -23,6 +25,7 @@ from robophoto.cli import EXIT_OK, main
 from oracles import make_random_pictures, record_to_dict
 from robophoto.abstraction import build_picture_cnn
 from robophoto.core import Dataset, face_to_dict, write_dataset_jsonl
+from robophoto.face_quality import build_face_ann, build_face_cnn
 from robophoto.pgm import write_pgm
 from robophoto.synthetic import make_face_feature_dataset, make_layout_dataset, make_threshold_dataset
 from robophoto.tinynet import save_model
@@ -196,3 +199,42 @@ def test_evaluate_and_select_write_pinned_bytes(tmp_path):
     ])
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SCORER_DIGESTS}
     assert digests == SCORER_DIGESTS
+
+
+# sha256 of save_model(build_*(seed)) for each network builder, taken before the three
+# builders shared one stack rule. Building draws its weights from numpy's Generator and
+# runs no matrix product, so the digests do not depend on the BLAS build.
+BUILDER_DIGESTS = {
+    ("build_face_ann", 0): "dc2c7e4e5e96772b80fc29cebeeeecec09cb89c2ff2718f419492b0c2e577d9b",
+    ("build_face_ann", 7): "9a10d4096e55a884e32cdd8bc9bcdf363247c781f156f3867efd63a9ca62bccb",
+    ("build_face_cnn", 0): "f80cab251a80d1a71beb4b1f44430b77a6ef1d25a1af0a67db9ce421f3097397",
+    ("build_face_cnn", 7): "31efca61996b7d51aa8910c738b2be4fd549c4cf55d591358df685c3c12a2b9f",
+    ("build_picture_cnn", 0): "993f318912d5d7583293924fcd2abf9e9c80b5da9a47c135a05dbb0574e87467",
+    ("build_picture_cnn", 7): "b5691a10699bb084cee356410669b4dec1ef1083c78dd9a646dacb7d27066a6a",
+}
+BUILDERS = {f.__name__: f for f in (build_face_ann, build_face_cnn, build_picture_cnn)}
+
+
+@pytest.mark.parametrize("builder, seed", list(BUILDER_DIGESTS), ids=[f"{b}-{s}" for b, s in BUILDER_DIGESTS])
+def test_builders_write_pinned_bytes(tmp_path, builder, seed):
+    save_model(BUILDERS[builder](seed=seed), tmp_path / "m.tnet")
+    assert hashlib.sha256((tmp_path / "m.tnet").read_bytes()).hexdigest() == BUILDER_DIGESTS[builder, seed]
+
+
+# sha256 of the JSONL of 60 pictures from each synthetic generator, taken before the two
+# generators shared one picture assembler; it pins every value and so the order of the draws.
+GENERATOR_DIGESTS = {
+    ("baseline", 2): "2dbff9321d18e8bf23cc5173111c646ed662f06ffef65a89445e5d8131452d7d",
+    ("baseline", 13): "1c62662308b0b15a956d36478de0973e42734fac15f2bb658aeb37b3f4077589",
+    ("heuristic", 2): "98b64fe8449539dacc1bf3e26c76f9b1065bd562752161f64d094a6d64d60a38",
+    ("heuristic", 13): "81b4f6b6492c21b76e99379d48ca5d98d3c5a6240b88f99d78ff129d680cc4e5",
+    ("layout", 2): "a9233f5c5c53cf823175a0631fa16c7f2bf7866557ffe7ff6d7a64f30b0fedbb",
+    ("layout", 13): "690c6bb05dedaaef99c656df192ff112b7c6ae1f6b1f686ce2b6fedf4a394179",
+}
+
+
+@pytest.mark.parametrize("kind, seed", list(GENERATOR_DIGESTS), ids=[f"{k}-{s}" for k, s in GENERATOR_DIGESTS])
+def test_generators_write_pinned_bytes(tmp_path, kind, seed):
+    pictures = make_layout_dataset(60, seed) if kind == "layout" else make_threshold_dataset(60, seed, kind=kind)
+    write_dataset_jsonl(Dataset(records=pictures), tmp_path / "set.jsonl")
+    assert hashlib.sha256((tmp_path / "set.jsonl").read_bytes()).hexdigest() == GENERATOR_DIGESTS[kind, seed]
