@@ -59,22 +59,9 @@ def render_dataset(data: Dataset) -> Iterator[np.ndarray]:
 
 def build_picture_cnn(seed: int = 0) -> NetworkModel:
     """Layout CNN: two 4x4/stride-3 convs (8, 20 channels), then 1260-100-1 head."""
-    layers = []
-    shape = (1, CANVAS_H, CANVAS_W)
-    for cin, cout in ((1, 8), (8, 20)):
-        spec = tinynet.conv2d(cin, cout, 4, 4, stride=3, padding="valid")
-        shape = tinynet.conv_output_shape(shape, spec)
-        layers += [spec, tinynet.leaky_relu()]
-    layers.append(tinynet.flatten())
-    flat = int(np.prod(shape))
-    layers += [tinynet.dense(flat, 1260), tinynet.leaky_relu()]
-    layers += [tinynet.dense(1260, 100), tinynet.leaky_relu()]
-    layers += [tinynet.dense(100, 1), tinynet.sigmoid()]
-    return tinynet.build_model(
-        layers,
-        seed=seed,
-        metadata={"architecture": "picture_cnn", "flatten_length": flat},
-    )
+    convs = ((8, 4, 3, "valid"), (20, 4, 3, "valid"))
+    return tinynet.build_network((1, CANVAS_H, CANVAS_W), convs, (1260, 100), tinynet.leaky_relu, seed=seed,
+                                 metadata={"architecture": "picture_cnn"})
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:

@@ -22,11 +22,8 @@ class MissingInputError(DatasetError):
 
 def build_face_ann(seed: int = 0) -> NetworkModel:
     """MLP 9 -> 32 -> 64 -> 64 -> 32 -> 16 -> 1 with ReLU hiddens and sigmoid output."""
-    layers = [tinynet.dense(9, 32), tinynet.relu()]
-    for a, b in ((32, 64), (64, 64), (64, 32), (32, 16)):
-        layers += [tinynet.dense(a, b), tinynet.relu()]
-    layers += [tinynet.dense(16, 1), tinynet.sigmoid()]
-    return tinynet.build_model(layers, seed=seed, metadata={"architecture": "face_ann"})
+    return tinynet.build_network((9,), (), (32, 64, 64, 32, 16), tinynet.relu, seed=seed,
+                                 metadata={"architecture": "face_ann"})
 
 
 def build_face_cnn(seed: int = 0) -> NetworkModel:
@@ -36,26 +33,9 @@ def build_face_cnn(seed: int = 0) -> NetworkModel:
     use "same" zero padding (sizes 15x20 -> 8x10 -> 4x5 -> 2x3 -> 1x2,
     flatten length 192*1*2 = 384).
     """
-    layers = []
-    channels = [1, 96, 96, 96, 192, 192]
-    shape = (1, FACE_CROP_H, FACE_CROP_W)
-    for cin, cout in zip(channels, channels[1:]):
-        spec = tinynet.conv2d(cin, cout, 3, 3, stride=2, padding="same")
-        shape = tinynet.conv_output_shape(shape, spec)
-        layers += [spec, tinynet.relu()]
-    layers.append(tinynet.flatten())
-    flat = int(np.prod(shape))
-    widths = [100, 200, 400, 800, 400, 200, 10]
-    prev = flat
-    for w in widths:
-        layers += [tinynet.dense(prev, w), tinynet.relu()]
-        prev = w
-    layers += [tinynet.dense(prev, 1), tinynet.sigmoid()]
-    return tinynet.build_model(
-        layers,
-        seed=seed,
-        metadata={"architecture": "face_cnn", "conv_padding": "same", "flatten_length": flat},
-    )
+    convs = [(c, 3, 2, "same") for c in (96, 96, 96, 192, 192)]
+    return tinynet.build_network((1, FACE_CROP_H, FACE_CROP_W), convs, (100, 200, 400, 800, 400, 200, 10),
+                                 tinynet.relu, seed=seed, metadata={"architecture": "face_cnn", "conv_padding": "same"})
 
 
 def _resample_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

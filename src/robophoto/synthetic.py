@@ -74,6 +74,16 @@ def _bbox_from_normalized(x0: float, y0: float, x1: float, y1: float, w: int, h:
     return BoundingBox(min(xi0, w - 1), min(yi0, h - 1), min(xi1, w), min(yi1, h))
 
 
+def _picture(prefix: str, i: int, width: int, height: int, rects, scores, rng, label=None) -> PictureRecord:
+    """Picture i of a generator, in burst i: a face per normalized (x0, y0, x1, y1) rect
+    and score, each drawing its features from rng in turn."""
+    faces = tuple(
+        FaceObservation(bbox=_bbox_from_normalized(*rect, width, height), features=random_features(rng), score=score)
+        for rect, score in zip(rects, scores)
+    )
+    return PictureRecord(f"{prefix}-{i:05d}", f"burst-{i:05d}", width, height, faces, label)
+
+
 DEFAULT_HIDDEN_BASELINE = Thresholds(x_min=0.1, x_max=0.9, y_min=0.08, y_max=0.92, occ_min=0.05, occ_max=0.3)
 DEFAULT_HIDDEN_HEURISTIC = replace(DEFAULT_HIDDEN_BASELINE, r_min=0.5, p_min=0.45)
 THRESHOLD_MARGIN = 0.02  # how far make_threshold_dataset keeps each face statistic from its boundary
@@ -141,37 +151,17 @@ def make_threshold_dataset(n_pictures: int, seed: int, kind: str = "baseline") -
         n_faces = int(rng.integers(1, 4))
         good = rng.random() < 0.5
         rects = [_sample_passing_face(rng, base, eff_margin) for _ in range(n_faces)]
-        scores: list[float] = []
+        scores = [None] * n_faces
         if kind == "heuristic":
             scores = [float(rng.uniform(r_min + eff_margin, 1.0)) for _ in range(n_faces)]
         if not good:
             if kind == "heuristic" and rng.random() < 0.4:
                 # fail through the face-score path: push every score below
                 # r_min so the good proportion is 0
-                scores = [
-                    float(rng.uniform(0.0, r_min - eff_margin)) for _ in range(n_faces)
-                ]
+                scores = [float(rng.uniform(0.0, r_min - eff_margin)) for _ in range(n_faces)]
             else:
                 rects[int(rng.integers(0, n_faces))] = _sample_failing_face(rng, base, eff_margin)
-        faces = []
-        for j, (x0, y0, x1, y1) in enumerate(rects):
-            faces.append(
-                FaceObservation(
-                    bbox=_bbox_from_normalized(x0, y0, x1, y1, width, height),
-                    features=random_features(rng),
-                    score=scores[j] if kind == "heuristic" else None,
-                )
-            )
-        pictures.append(
-            PictureRecord(
-                picture_id=f"syn-{i:05d}",
-                burst_id=f"burst-{i:05d}",
-                width=width,
-                height=height,
-                faces=tuple(faces),
-                label=Label.GOOD if good else Label.BAD,
-            )
-        )
+        pictures.append(_picture("syn", i, width, height, rects, scores, rng, Label.GOOD if good else Label.BAD))
     return pictures
 
 
@@ -205,41 +195,24 @@ def make_layout_dataset(n_pictures: int, seed: int) -> list[PictureRecord]:
     for i in range(n_pictures):
         n_faces = int(rng.integers(1, 4))
         good = rng.random() < 0.5
-        faces = []
+        boxes, scores = [], []
         for _ in range(n_faces):
             fw = rng.uniform(0.1, 0.3)
             fh = rng.uniform(0.1, 0.3)
-            score = float(rng.uniform(LAYOUT_RULE_R + 0.05, 1.0))
+            scores.append(float(rng.uniform(LAYOUT_RULE_R + 0.05, 1.0)))
             x0 = rng.uniform(border + 0.02, 1 - border - 0.02 - fw)
             y0 = rng.uniform(border + 0.02, 1 - border - 0.02 - fh)
-            faces.append((x0, y0, fw, fh, score))
+            boxes.append([x0, y0, fw, fh])
         if not good:
-            # violate the rule on one face: dim it or push it outside the
-            # central region
+            # violate the rule on one face: dim it or push its x0 or y0 outside
+            # the central region
             k = int(rng.integers(0, n_faces))
-            x0, y0, fw, fh, score = faces[k]
             if rng.random() < 0.5:
-                score = float(rng.uniform(0.0, LAYOUT_RULE_R - 0.05))
+                scores[k] = float(rng.uniform(0.0, LAYOUT_RULE_R - 0.05))
             else:
-                if rng.random() < 0.5:
-                    x0 = rng.uniform(0.0, border - 0.02 - 0.001)
-                else:
-                    y0 = rng.uniform(0.0, border - 0.02 - 0.001)
-            faces[k] = (x0, y0, fw, fh, score)
-        obs = tuple(
-            FaceObservation(
-                bbox=_bbox_from_normalized(x0, y0, x0 + fw, y0 + fh, width, height),
-                features=random_features(rng),
-                score=score,
-            )
-            for x0, y0, fw, fh, score in faces
-        )
-        pic = PictureRecord(
-            picture_id=f"layout-{i:05d}",
-            burst_id=f"burst-{i:05d}",
-            width=width,
-            height=height,
-            faces=obs,
-        )
+                axis = 0 if rng.random() < 0.5 else 1  # drawn first: an assignment evaluates its value before its index
+                boxes[k][axis] = rng.uniform(0.0, border - 0.02 - 0.001)
+        rects = [(x0, y0, x0 + fw, y0 + fh) for x0, y0, fw, fh in boxes]
+        pic = _picture("layout", i, width, height, rects, scores, rng)
         pictures.append(replace(pic, label=layout_rule_label(pic)))
     return pictures

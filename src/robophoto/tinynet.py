@@ -1,7 +1,17 @@
 """A tiny dense/convolutional network engine in numpy.
 
-Sized for three small architectures: a 9-feature MLP, a face-crop CNN and a
-layout CNN. Models, files and scoring are float64, so the finite-difference
+Sized for three small architectures, each one build_network(in_shape, convs,
+widths, activation) call: a conv per (out_channels, filter side, stride,
+padding) and a dense layer per width, each followed by the activation, then
+dense(., 1) and sigmoid.
+
+    face MLP:   (9,), no convs, widths 32-64-64-32-16, relu
+    face CNN:   (1, 30, 40), 3x3/stride-2 "same" convs of 96, 96, 96, 192, 192
+                channels, widths 100-200-400-800-400-200-10, relu
+    layout CNN: (1, 100, 150), 4x4/stride-3 "valid" convs of 8, 20 channels,
+                widths 1260-100, leaky_relu
+
+Models, files and scoring are float64, so the finite-difference
 gradient check in the tests is meaningful; train computes in float32, on flat
 weight, gradient and velocity buffers. Models are immutable values: forward
 never mutates, train returns a new model; relu and leaky_relu overwrite the
@@ -14,7 +24,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -167,6 +177,24 @@ def build_model(layers: Sequence[LayerSpec], seed: int = 0, metadata: Optional[d
     meta = dict(metadata or {})
     meta.setdefault("init_seed", seed)
     return NetworkModel(layers=tuple(layers), weights=weights, metadata=meta)
+
+
+def build_network(in_shape, convs, widths, activation, seed: int = 0, metadata: Optional[dict] = None) -> NetworkModel:
+    """The one network stack: per conv (out_channels, filter side, stride, padding) a conv2d
+    and activation(), a flatten after any conv, per width a dense layer and activation(),
+    then dense(., 1) and sigmoid. in_shape is (channels, h, w), or (features,) with no convs."""
+    shape, layers, meta = tuple(in_shape), [], dict(metadata or {})
+    for out_channels, side, stride, padding in convs:
+        layers += [conv2d(shape[0], out_channels, side, side, stride, padding), activation()]
+        shape = conv_output_shape(shape, layers[-2])
+    if convs:
+        shape = (math.prod(shape),)
+        layers.append(flatten())
+        meta["flatten_length"] = shape[0]
+    for width in widths:
+        layers += [dense(shape[0], width), activation()]
+        shape = (width,)
+    return build_model([*layers, dense(shape[0], 1), sigmoid()], seed=seed, metadata=meta)
 
 
 def _conv_geometry(h: int, w: int, spec: LayerSpec):
@@ -417,10 +445,6 @@ def train(model: NetworkModel, xs, ys, config: TrainConfig) -> tuple[NetworkMode
     return replace(model, weights=tuple(weights), metadata=meta), history
 
 
-def _spec_to_dict(spec: LayerSpec) -> dict:
-    return {k: getattr(spec, k) for k in LayerSpec.__dataclass_fields__}
-
-
 def _spec_from_dict(d) -> LayerSpec:
     fields = LayerSpec.__dataclass_fields__
     if not isinstance(d, dict) or d.keys() != fields.keys():
@@ -431,7 +455,7 @@ def _spec_from_dict(d) -> LayerSpec:
 def save_model(model: NetworkModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
-        "layers": [_spec_to_dict(s) for s in model.layers],
+        "layers": [asdict(s) for s in model.layers],
         "metadata": model.metadata,
         "params": [sorted(w.keys()) for w in model.weights],
         "shapes": [{k: list(w[k].shape) for k in sorted(w.keys())} for w in model.weights],

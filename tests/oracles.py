@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
@@ -55,7 +55,6 @@ from robophoto.tinynet import (
     _bce,
     _col2im,
     _im2col,
-    _spec_to_dict,
     forward_batch,
     loss_and_gradients,
 )
@@ -516,7 +515,7 @@ def make_random_pictures(n_pictures: int, seed: int, with_scores: bool = False) 
 def save_model(model: NetworkModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
-        "layers": [_spec_to_dict(s) for s in model.layers],
+        "layers": [asdict(s) for s in model.layers],
         "metadata": model.metadata,
         "params": [sorted(w.keys()) for w in model.weights],
         "shapes": [{k: list(w[k].shape) for k in sorted(w.keys())} for w in model.weights],

@@ -3,6 +3,7 @@ function parameter other than self or cls must be read in its body, every
 exception class derives from one of the three roots in robophoto.errors, no
 module but errors.py decides by hand what counts as a number or parses JSON,
 cli.main alone writes run configs, prints summaries and returns EXIT_OK,
+tinynet alone lays out network stacks,
 every public top-level name in the package has a reader outside tests/,
 every name the benchmark's tracer wraps still resolves in the package, and the
 package imports nothing but itself, numpy and the standard library.
@@ -129,6 +130,16 @@ def test_cli_main_is_the_one_driver():
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Name) and node.value.id == "EXIT_OK"
     ]
     assert not exit_ok, f"handlers return EXIT_OK, main does: {', '.join(exit_ok)}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "tinynet.py"), ids=lambda p: p.name
+)
+def test_only_tinynet_lays_out_networks(path):
+    """tinynet.build_network is the one network stack: no other module names build_model
+    or conv_output_shape, so none chains layers or walks conv shapes by hand."""
+    named = _names_read(ast.parse(path.read_text(encoding="utf-8"))) & {"build_model", "conv_output_shape"}
+    assert not named, f"{path.name} builds a network stack by hand, use tinynet.build_network: {sorted(named)}"
 
 
 @pytest.mark.parametrize(
